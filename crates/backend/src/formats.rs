@@ -18,6 +18,13 @@
 //! *distinct* bit pattern — aggregation is the format's point). Writers
 //! flush on `finish`.
 //!
+//! Every writer serializes from one private shot-major view: per chunk
+//! the selected record matrices (bit-packed along shots) are stacked
+//! row-wise and transposed once with `transpose_packed`, so each shot's
+//! records are packed words. `b8` copies their leading bytes, `01` and
+//! `counts` expand each byte through a 256-entry table, and `hits`/`dets`
+//! walk the set bits — no writer reads records one bit at a time.
+//!
 //! Which record rows a sink serializes is chosen by [`RecordSource`]:
 //! measurements for `sample`-style output, detectors and/or observables
 //! for `detect`-style output.
@@ -57,14 +64,12 @@ impl RecordSource {
     }
 
     /// The selected matrices of `batch`, in serialization order.
-    fn parts(self, batch: &SampleBatch) -> [Option<&BitMatrix>; 2] {
+    fn parts(self, batch: &SampleBatch) -> (&BitMatrix, Option<&BitMatrix>) {
         match self {
-            RecordSource::Measurements => [Some(&batch.measurements), None],
-            RecordSource::Detectors => [Some(&batch.detectors), None],
-            RecordSource::Observables => [Some(&batch.observables), None],
-            RecordSource::DetectorsAndObservables => {
-                [Some(&batch.detectors), Some(&batch.observables)]
-            }
+            RecordSource::Measurements => (&batch.measurements, None),
+            RecordSource::Detectors => (&batch.detectors, None),
+            RecordSource::Observables => (&batch.observables, None),
+            RecordSource::DetectorsAndObservables => (&batch.detectors, Some(&batch.observables)),
         }
     }
 }
@@ -133,62 +138,197 @@ impl SampleFormat {
     }
 }
 
-/// Appends shot `shot` of `m` to `line` as ASCII `0`/`1`.
-fn push_bits_01(line: &mut Vec<u8>, m: &BitMatrix, shot: usize) {
-    for r in 0..m.rows() {
-        line.push(if m.get(r, shot) { b'1' } else { b'0' });
+/// Output bytes a sink buffers before handing them to its writer: lines
+/// are rendered per shot into one reused buffer, written in batches of
+/// about this size, so a sink's memory is one chunk's transpose plus this.
+const WRITE_BATCH: usize = 64 * 1024;
+
+/// `ASCII01[b]` is byte `b` rendered as eight ASCII `0`/`1` chars, bit 0
+/// first, packed little-endian into a `u64` (so `to_le_bytes` is the text).
+const ASCII01: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut chars = 0u64;
+        let mut bit = 0;
+        while bit < 8 {
+            chars |= (b'0' as u64 + ((b >> bit) & 1) as u64) << (8 * bit);
+            bit += 1;
+        }
+        table[b] = chars;
+        b += 1;
+    }
+    table
+};
+
+/// One chunk's selected records in shot-major order: shot `s`'s record
+/// `r` is bit `r % 64` of word `r / 64` of [`ShotMajor::shot`]`(s)`, with
+/// the second part's records following the first part's (observable `j`
+/// of the combined source is record `num_detectors + j`). Every writer
+/// serializes from these words; the buffers are reused across chunks.
+#[derive(Default)]
+struct ShotMajor {
+    /// Row-wise stack of a two-part source (the transpose input).
+    stacked: Vec<u64>,
+    /// `shots × stride` shot-major words.
+    words: Vec<u64>,
+    stride: usize,
+    rows: usize,
+    /// Records of the first part: the detector/observable boundary.
+    split: usize,
+    /// Whether both parts are nonempty (the `01` separator condition).
+    two_groups: bool,
+}
+
+impl ShotMajor {
+    /// Transposes `source`'s matrices of `batch` into shot-major words.
+    /// The record matrices share a shot stride, so stacking two parts is
+    /// a row copy; a single nonempty part is transposed in place.
+    fn load(&mut self, source: RecordSource, batch: &SampleBatch) {
+        let shots = batch.shots();
+        let (first, second) = source.parts(batch);
+        let second_rows = second.map_or(0, BitMatrix::rows);
+        self.rows = first.rows() + second_rows;
+        self.split = first.rows();
+        self.two_groups = first.rows() > 0 && second_rows > 0;
+        self.stride = self.rows.div_ceil(64);
+        self.words.clear();
+        self.words.resize(shots * self.stride, 0);
+        let (src, src_stride) = match second {
+            Some(second) if self.two_groups => {
+                assert_eq!(first.stride(), second.stride(), "parts share a shot stride");
+                self.stacked.clear();
+                self.stacked.extend_from_slice(first.words());
+                self.stacked.extend_from_slice(second.words());
+                (&self.stacked[..], first.stride())
+            }
+            Some(second) if second_rows > 0 => (second.words(), second.stride()),
+            _ => (first.words(), first.stride()),
+        };
+        symphase_bitmat::transpose::transpose_packed(
+            src,
+            self.rows,
+            shots,
+            src_stride,
+            &mut self.words,
+            self.stride,
+        );
+    }
+
+    /// Shot `s`'s record words (slack bits past `rows` are zero).
+    fn shot(&self, s: usize) -> &[u64] {
+        &self.words[s * self.stride..(s + 1) * self.stride]
+    }
+
+    /// Appends shot `s` as `01` text (no newline), with one space at the
+    /// part boundary when both parts are nonempty.
+    fn push_01(&self, s: usize, line: &mut Vec<u8>) {
+        let start = line.len();
+        line.resize(start + self.rows.div_ceil(8) * 8, 0);
+        for (dst, w) in line[start..].chunks_mut(64).zip(self.shot(s)) {
+            for (chars, b) in dst.chunks_exact_mut(8).zip(w.to_le_bytes()) {
+                chars.copy_from_slice(&ASCII01[b as usize].to_le_bytes());
+            }
+        }
+        line.truncate(start + self.rows);
+        if self.two_groups {
+            line.insert(start + self.split, b' ');
+        }
+    }
+
+    /// The ascending record indices set in shot `s`.
+    fn ones(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
+        self.shot(s).iter().enumerate().flat_map(|(i, &w)| {
+            let mut w = w;
+            std::iter::from_fn(move || {
+                (w != 0).then(|| {
+                    let bit = w.trailing_zeros() as usize;
+                    w &= w - 1;
+                    i * 64 + bit
+                })
+            })
+        })
     }
 }
 
-/// Renders one shot of `source` as its `01` text (no newline): the bit
-/// chars of each selected part, space-separated when **both** groups are
-/// nonempty (a single-group line carries no separator).
-fn render_01_line(line: &mut Vec<u8>, source: RecordSource, batch: &SampleBatch, shot: usize) {
-    line.clear();
-    let [first, second] = source.parts(batch);
-    if let Some(m) = first {
-        push_bits_01(line, m, shot);
-    }
-    if let Some(m) = second {
-        if m.rows() > 0 {
-            if !line.is_empty() {
-                line.push(b' ');
-            }
-            push_bits_01(line, m, shot);
+/// Appends `n` in decimal.
+fn push_decimal(line: &mut Vec<u8>, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
+    }
+    line.extend_from_slice(&digits[i..]);
+}
+
+/// The state every per-shot writer shares: the output, its source, the
+/// shot-major view and the batched output buffer.
+struct ShotWriter<W: Write> {
+    w: W,
+    source: RecordSource,
+    view: ShotMajor,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> ShotWriter<W> {
+    fn new(w: W, source: RecordSource) -> Self {
+        Self {
+            w,
+            source,
+            view: ShotMajor::default(),
+            buf: Vec::new(),
+        }
+    }
+
+    /// Transposes `chunk` once, then appends each shot's serialization
+    /// with `render`, writing whenever [`WRITE_BATCH`] bytes accumulate.
+    fn chunk(
+        &mut self,
+        chunk: &SampleBatch,
+        mut render: impl FnMut(&ShotMajor, usize, &mut Vec<u8>),
+    ) -> io::Result<()> {
+        self.view.load(self.source, chunk);
+        self.buf.clear();
+        for s in 0..chunk.shots() {
+            render(&self.view, s, &mut self.buf);
+            if self.buf.len() >= WRITE_BATCH {
+                self.w.write_all(&self.buf)?;
+                self.buf.clear();
+            }
+        }
+        self.w.write_all(&self.buf)
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        self.w.flush()
     }
 }
 
 /// The `01` format: one ASCII line of `0`/`1` per shot.
-pub struct Sink01<W: Write> {
-    w: W,
-    source: RecordSource,
-    line: Vec<u8>,
-}
+pub struct Sink01<W: Write>(ShotWriter<W>);
 
 impl<W: Write> Sink01<W> {
     /// A `01` writer of `source` into `w`.
     pub fn new(w: W, source: RecordSource) -> Self {
-        Self {
-            w,
-            source,
-            line: Vec::new(),
-        }
+        Self(ShotWriter::new(w, source))
     }
 }
 
 impl<W: Write> ShotSink for Sink01<W> {
     fn chunk(&mut self, chunk: &SampleBatch, _start: usize) -> io::Result<()> {
-        for shot in 0..chunk.shots() {
-            render_01_line(&mut self.line, self.source, chunk, shot);
-            self.line.push(b'\n');
-            self.w.write_all(&self.line)?;
-        }
-        Ok(())
+        self.0.chunk(chunk, |view, s, out| {
+            view.push_01(s, out);
+            out.push(b'\n');
+        })
     }
 
     fn finish(&mut self) -> io::Result<()> {
-        self.w.flush()
+        self.0.finish()
     }
 }
 
@@ -197,43 +337,45 @@ impl<W: Write> ShotSink for Sink01<W> {
 /// per *distinct* observed pattern — aggregation is the format's point —
 /// never per shot.
 pub struct SinkCounts<W: Write> {
-    w: W,
-    source: RecordSource,
+    out: ShotWriter<W>,
     counts: BTreeMap<Vec<u8>, u64>,
-    line: Vec<u8>,
 }
 
 impl<W: Write> SinkCounts<W> {
     /// A `counts` writer of `source` into `w`.
     pub fn new(w: W, source: RecordSource) -> Self {
         Self {
-            w,
-            source,
+            out: ShotWriter::new(w, source),
             counts: BTreeMap::new(),
-            line: Vec::new(),
         }
     }
 }
 
 impl<W: Write> ShotSink for SinkCounts<W> {
     fn chunk(&mut self, chunk: &SampleBatch, _start: usize) -> io::Result<()> {
+        let ShotWriter {
+            source, view, buf, ..
+        } = &mut self.out;
+        view.load(*source, chunk);
         for shot in 0..chunk.shots() {
-            render_01_line(&mut self.line, self.source, chunk, shot);
-            if let Some(n) = self.counts.get_mut(self.line.as_slice()) {
+            buf.clear();
+            view.push_01(shot, buf);
+            if let Some(n) = self.counts.get_mut(buf.as_slice()) {
                 *n += 1;
             } else {
-                self.counts.insert(self.line.clone(), 1);
+                self.counts.insert(buf.clone(), 1);
             }
         }
         Ok(())
     }
 
     fn finish(&mut self) -> io::Result<()> {
+        let w = &mut self.out.w;
         for (pattern, n) in &self.counts {
-            self.w.write_all(pattern)?;
-            writeln!(self.w, " {n}")?;
+            w.write_all(pattern)?;
+            writeln!(w, " {n}")?;
         }
-        self.w.flush()
+        w.flush()
     }
 }
 
@@ -241,95 +383,33 @@ impl<W: Write> ShotSink for SinkCounts<W> {
 /// bit `r % 8` of byte `r / 8` (little-endian bit order, padding bits
 /// zero). No separators — shot boundaries are implied by the row count.
 ///
-/// Single-matrix sources serialize through the word-blocked
-/// `transpose_packed` kernel (the record matrices are bit-packed along
-/// the shot dimension, so shot-major bytes are exactly a packed
-/// transpose) — serialization never dominates the sampling kernel. The
-/// combined detector+observable source bit-concatenates at an arbitrary
-/// offset and keeps the scalar path.
-pub struct SinkB8<W: Write> {
-    w: W,
-    source: RecordSource,
-    buf: Vec<u8>,
-    transposed: Vec<u64>,
-}
+/// The record matrices are bit-packed along the shot dimension, so
+/// shot-major bytes are exactly the leading bytes of a packed transpose;
+/// the combined detector+observable source transposes the row-wise stack
+/// of both matrices, so every source takes the same word-blocked path.
+pub struct SinkB8<W: Write>(ShotWriter<W>);
 
 impl<W: Write> SinkB8<W> {
     /// A `b8` writer of `source` into `w`.
     pub fn new(w: W, source: RecordSource) -> Self {
-        Self {
-            w,
-            source,
-            buf: Vec::new(),
-            transposed: Vec::new(),
-        }
-    }
-
-    /// The packed fast path: transpose the `rows × shots` matrix into
-    /// shot-major words, then emit the first `⌈rows/8⌉` little-endian
-    /// bytes of each shot row.
-    fn write_single(&mut self, m: &BitMatrix, shots: usize) -> io::Result<()> {
-        let rows = m.rows();
-        let bytes = rows.div_ceil(8);
-        if bytes == 0 || shots == 0 {
-            return Ok(());
-        }
-        let dst_stride = rows.div_ceil(64);
-        self.transposed.clear();
-        self.transposed.resize(shots * dst_stride, 0);
-        symphase_bitmat::transpose::transpose_packed(
-            m.words(),
-            rows,
-            shots,
-            m.stride(),
-            &mut self.transposed,
-            dst_stride,
-        );
-        self.buf.clear();
-        self.buf.reserve(shots * bytes);
-        for shot in 0..shots {
-            let row = &self.transposed[shot * dst_stride..(shot + 1) * dst_stride];
-            let mut remaining = bytes;
-            for w in row {
-                let take = remaining.min(8);
-                self.buf.extend_from_slice(&w.to_le_bytes()[..take]);
-                remaining -= take;
-                if remaining == 0 {
-                    break;
-                }
-            }
-        }
-        self.w.write_all(&self.buf)
+        Self(ShotWriter::new(w, source))
     }
 }
 
 impl<W: Write> ShotSink for SinkB8<W> {
     fn chunk(&mut self, chunk: &SampleBatch, _start: usize) -> io::Result<()> {
-        let parts = self.source.parts(chunk);
-        if let [Some(m), None] = parts {
-            return self.write_single(m, chunk.shots());
-        }
-        let rows: usize = parts.iter().flatten().map(|m| m.rows()).sum();
-        let bytes = rows.div_ceil(8);
-        for shot in 0..chunk.shots() {
-            self.buf.clear();
-            self.buf.resize(bytes, 0);
-            let mut r = 0usize;
-            for m in parts.iter().flatten() {
-                for row in 0..m.rows() {
-                    if m.get(row, shot) {
-                        self.buf[r / 8] |= 1 << (r % 8);
-                    }
-                    r += 1;
-                }
+        self.0.chunk(chunk, |view, s, out| {
+            let mut remaining = view.rows.div_ceil(8);
+            for w in view.shot(s) {
+                let take = remaining.min(8);
+                out.extend_from_slice(&w.to_le_bytes()[..take]);
+                remaining -= take;
             }
-            self.w.write_all(&self.buf)?;
-        }
-        Ok(())
+        })
     }
 
     fn finish(&mut self) -> io::Result<()> {
-        self.w.flush()
+        self.0.finish()
     }
 }
 
@@ -337,49 +417,30 @@ impl<W: Write> ShotSink for SinkB8<W> {
 /// set records, newline-terminated (an empty line when nothing fired).
 /// With [`RecordSource::DetectorsAndObservables`], observable `j` appears
 /// as index `num_detectors + j`.
-pub struct SinkHits<W: Write> {
-    w: W,
-    source: RecordSource,
-    line: Vec<u8>,
-}
+pub struct SinkHits<W: Write>(ShotWriter<W>);
 
 impl<W: Write> SinkHits<W> {
     /// A `hits` writer of `source` into `w`.
     pub fn new(w: W, source: RecordSource) -> Self {
-        Self {
-            w,
-            source,
-            line: Vec::new(),
-        }
+        Self(ShotWriter::new(w, source))
     }
 }
 
 impl<W: Write> ShotSink for SinkHits<W> {
     fn chunk(&mut self, chunk: &SampleBatch, _start: usize) -> io::Result<()> {
-        let parts = self.source.parts(chunk);
-        for shot in 0..chunk.shots() {
-            self.line.clear();
-            let mut base = 0usize;
-            for m in parts.iter().flatten() {
-                for row in 0..m.rows() {
-                    if m.get(row, shot) {
-                        if !self.line.is_empty() {
-                            self.line.push(b',');
-                        }
-                        self.line
-                            .extend_from_slice((base + row).to_string().as_bytes());
-                    }
+        self.0.chunk(chunk, |view, s, out| {
+            for (k, r) in view.ones(s).enumerate() {
+                if k > 0 {
+                    out.push(b',');
                 }
-                base += m.rows();
+                push_decimal(out, r);
             }
-            self.line.push(b'\n');
-            self.w.write_all(&self.line)?;
-        }
-        Ok(())
+            out.push(b'\n');
+        })
     }
 
     fn finish(&mut self) -> io::Result<()> {
-        self.w.flush()
+        self.0.finish()
     }
 }
 
@@ -387,55 +448,41 @@ impl<W: Write> ShotSink for SinkHits<W> {
 /// each fired detector and ` L<j>` for each fired observable. With a
 /// single-matrix source only that group's labels appear (`D` for
 /// detectors, `L` for observables, `M` for measurements).
-pub struct SinkDets<W: Write> {
-    w: W,
-    source: RecordSource,
-    line: Vec<u8>,
-}
+pub struct SinkDets<W: Write>(ShotWriter<W>);
 
 impl<W: Write> SinkDets<W> {
     /// A `dets` writer of `source` into `w`.
     pub fn new(w: W, source: RecordSource) -> Self {
-        Self {
-            w,
-            source,
-            line: Vec::new(),
-        }
+        Self(ShotWriter::new(w, source))
     }
 }
 
 impl<W: Write> ShotSink for SinkDets<W> {
     fn chunk(&mut self, chunk: &SampleBatch, _start: usize) -> io::Result<()> {
-        let labeled: [(u8, Option<&BitMatrix>); 2] = match self.source {
-            RecordSource::Measurements => [(b'M', Some(&chunk.measurements)), (b'L', None)],
-            RecordSource::Detectors => [(b'D', Some(&chunk.detectors)), (b'L', None)],
-            RecordSource::Observables => [(b'L', Some(&chunk.observables)), (b'D', None)],
-            RecordSource::DetectorsAndObservables => [
-                (b'D', Some(&chunk.detectors)),
-                (b'L', Some(&chunk.observables)),
-            ],
+        let [first, second] = match self.0.source {
+            RecordSource::Measurements => [b'M', b'M'],
+            RecordSource::Detectors => [b'D', b'D'],
+            RecordSource::Observables => [b'L', b'L'],
+            RecordSource::DetectorsAndObservables => [b'D', b'L'],
         };
-        for shot in 0..chunk.shots() {
-            self.line.clear();
-            self.line.extend_from_slice(b"shot");
-            for (label, m) in labeled.iter() {
-                let Some(m) = m else { continue };
-                for row in 0..m.rows() {
-                    if m.get(row, shot) {
-                        self.line.push(b' ');
-                        self.line.push(*label);
-                        self.line.extend_from_slice(row.to_string().as_bytes());
-                    }
-                }
+        self.0.chunk(chunk, |view, s, out| {
+            out.extend_from_slice(b"shot");
+            for r in view.ones(s) {
+                let (label, index) = if r < view.split {
+                    (first, r)
+                } else {
+                    (second, r - view.split)
+                };
+                out.push(b' ');
+                out.push(label);
+                push_decimal(out, index);
             }
-            self.line.push(b'\n');
-            self.w.write_all(&self.line)?;
-        }
-        Ok(())
+            out.push(b'\n');
+        })
     }
 
     fn finish(&mut self) -> io::Result<()> {
-        self.w.flush()
+        self.0.finish()
     }
 }
 

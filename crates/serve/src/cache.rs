@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use symphase_backend::{EngineKind, Sampler};
 use symphase_circuit::Circuit;
@@ -80,7 +80,15 @@ impl CircuitCache {
 
     /// Circuits currently cached.
     pub fn entries(&self) -> u64 {
-        self.inner.lock().expect("cache lock").map.len() as u64
+        self.lock().map.len() as u64
+    }
+
+    /// The cache state, recovering it if a panicking build poisoned the
+    /// lock. That is sound because a build runs after only the LRU clock
+    /// and the touched entry's `last_used` have moved — both still a valid
+    /// LRU order — and the map changes only once the build has returned.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The sampler for `(hash, engine)`, building and caching it on miss.
@@ -106,7 +114,7 @@ impl CircuitCache {
             .iter()
             .position(|k| *k == engine)
             .expect("EngineKind::ALL is complete");
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         if let Some(entry) = inner.map.get_mut(&hash) {
@@ -224,6 +232,24 @@ mod tests {
             .get_or_build(h, Some(c), EngineKind::Frame, build_ok)
             .expect("build");
         assert!(!hit);
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_cache_usable() {
+        let cache = CircuitCache::new(4);
+        let (h, c) = circ("H 0\nM 0\n");
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = cache.get_or_build::<String>(h, Some(c.clone()), EngineKind::Frame, |_| {
+                panic!("build blew up")
+            });
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(cache.entries(), 0, "nothing was inserted");
+        let (_, hit) = cache
+            .get_or_build(h, Some(c), EngineKind::Frame, build_ok)
+            .expect("the poisoned lock is recovered");
+        assert!(!hit);
+        assert_eq!((cache.hits(), cache.misses(), cache.entries()), (0, 1, 1));
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! are identical however the work is split (see
 //! `symphase_backend::stream_range_with_config`).
 
+use std::any::Any;
 use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -157,7 +159,7 @@ impl Server {
                 let shared = Arc::clone(&self.shared);
                 std::thread::spawn(move || {
                     while let Some(conn) = shared.queue.pop() {
-                        handle_conn(&shared, conn);
+                        handle_conn_isolated(&shared, conn);
                     }
                 })
             })
@@ -257,6 +259,27 @@ impl ServerHandle {
         }
         accept_result
     }
+}
+
+/// [`handle_conn`] behind a panic boundary: a request that panics is
+/// answered with an `Internal` frame on a second handle to its socket,
+/// and the worker goes on to the next connection.
+fn handle_conn_isolated(shared: &Shared, conn: TcpStream) {
+    let reply = conn.try_clone();
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| handle_conn(shared, conn)));
+    if let (Err(payload), Ok(mut reply)) = (outcome, reply) {
+        let message = format!("request panicked: {}", panic_message(&*payload));
+        let _ = write_error(&mut reply, ErrorCode::Internal, &message);
+    }
+}
+
+/// The text of a panic payload (`panic!` carries a `&str` or a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// One request lifecycle on a worker thread. All response errors are

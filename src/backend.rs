@@ -26,15 +26,6 @@ use symphase_tableau::TableauSampler;
 
 pub use symphase_backend::{BuildError, EngineKind, PhaseRepr, SamplingMethod, SimConfig};
 
-/// The pre-`SimConfig` name of [`EngineKind`], kept so older call sites
-/// keep compiling.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `EngineKind` and `build_sampler(&circuit, &SimConfig)` — the old \
-            constructor path panicked instead of reporting `BuildError`s"
-)]
-pub type BackendKind = EngineKind;
-
 /// Builds the configured engine for `circuit` — **the** sampler
 /// constructor.
 ///
@@ -67,49 +58,6 @@ pub fn build_sampler(
         EngineKind::Tableau => Box::new(TableauSampler::new(circuit)),
         EngineKind::StateVec => Box::new(StateVecSampler::try_new(circuit)?),
     })
-}
-
-/// The old panicking constructor path: builds `kind` for `circuit` with
-/// every knob at its default.
-///
-/// # Panics
-///
-/// Panics on any condition [`build_sampler`] would report as a
-/// [`BuildError`] (e.g. a circuit past the state-vector qubit cap).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `build_sampler(&circuit, &SimConfig::new().with_engine(kind))`"
-)]
-pub fn build(kind: EngineKind, circuit: &Circuit) -> Box<dyn Sampler> {
-    match build_sampler(circuit, &SimConfig::new().with_engine(kind)) {
-        Ok(s) => s,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// The old panicking constructor path with an explicit sampling method.
-///
-/// # Panics
-///
-/// Panics on any condition [`build_sampler`] would report as a
-/// [`BuildError`] (e.g. a sampling method on a non-SymPhase engine).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `build_sampler(&circuit, &SimConfig::new().with_engine(kind)\
-            .with_sampling(method))`"
-)]
-pub fn build_with_sampling(
-    kind: EngineKind,
-    circuit: &Circuit,
-    method: SamplingMethod,
-) -> Box<dyn Sampler> {
-    match build_sampler(
-        circuit,
-        &SimConfig::new().with_engine(kind).with_sampling(method),
-    ) {
-        Ok(s) => s,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 #[cfg(test)]
@@ -195,17 +143,5 @@ mod tests {
         // `symphase` honoring a pinned store reports the pinned name.
         let s = build_sampler(&c, &cfg).expect("builds");
         assert_eq!(s.name(), "symphase-dense");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_path_still_works() {
-        let c = ghz(2);
-        let s = build(EngineKind::Frame, &c);
-        assert_eq!(s.name(), "frame");
-        let s = build_with_sampling(EngineKind::SymPhase, &c, SamplingMethod::SparseRows);
-        assert_eq!(s.name(), "symphase");
-        let kind: BackendKind = EngineKind::Tableau;
-        assert_eq!(kind.name(), "tableau");
     }
 }

@@ -264,3 +264,157 @@ fn sampled_b8_stream_round_trips() {
         expected.measurements
     );
 }
+
+/// The per-bit reference writers: every format rendered straight from
+/// `BitMatrix::get`, one record at a time. The sinks serialize from a
+/// word-level shot-major transpose instead; these pin their bytes.
+mod reference {
+    use std::collections::BTreeMap;
+
+    use symphase::bitmat::BitMatrix;
+    use symphase::sampler_api::formats::{RecordSource, SampleFormat};
+    use symphase::sampler_api::SampleBatch;
+
+    /// The selected `(dets label, matrix)` parts of `source`, in order.
+    fn parts(source: RecordSource, batch: &SampleBatch) -> Vec<(u8, &BitMatrix)> {
+        match source {
+            RecordSource::Measurements => vec![(b'M', &batch.measurements)],
+            RecordSource::Detectors => vec![(b'D', &batch.detectors)],
+            RecordSource::Observables => vec![(b'L', &batch.observables)],
+            RecordSource::DetectorsAndObservables => {
+                vec![(b'D', &batch.detectors), (b'L', &batch.observables)]
+            }
+        }
+    }
+
+    /// Shot `shot` as `01` text: the parts' chars, one space between
+    /// them only when both are nonempty.
+    fn line_01(source: RecordSource, batch: &SampleBatch, shot: usize) -> Vec<u8> {
+        let mut line = Vec::new();
+        for (i, (_, m)) in parts(source, batch).into_iter().enumerate() {
+            if i > 0 && m.rows() > 0 && !line.is_empty() {
+                line.push(b' ');
+            }
+            for r in 0..m.rows() {
+                line.push(if m.get(r, shot) { b'1' } else { b'0' });
+            }
+        }
+        line
+    }
+
+    /// The whole stream `format` writes for `source` of `batch`.
+    pub fn render(format: SampleFormat, source: RecordSource, batch: &SampleBatch) -> Vec<u8> {
+        let parts = parts(source, batch);
+        let rows: usize = parts.iter().map(|(_, m)| m.rows()).sum();
+        let mut out = Vec::new();
+        let mut counts: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+        for shot in 0..batch.shots() {
+            match format {
+                SampleFormat::Plain01 => {
+                    out.extend(line_01(source, batch, shot));
+                    out.push(b'\n');
+                }
+                SampleFormat::Counts => {
+                    *counts.entry(line_01(source, batch, shot)).or_insert(0) += 1
+                }
+                SampleFormat::B8 => {
+                    let mut bytes = vec![0u8; rows.div_ceil(8)];
+                    let mut r = 0;
+                    for (_, m) in &parts {
+                        for row in 0..m.rows() {
+                            if m.get(row, shot) {
+                                bytes[r / 8] |= 1 << (r % 8);
+                            }
+                            r += 1;
+                        }
+                    }
+                    out.extend(bytes);
+                }
+                SampleFormat::Hits => {
+                    let mut hits = Vec::new();
+                    let mut base = 0;
+                    for (_, m) in &parts {
+                        hits.extend((0..m.rows()).filter(|&r| m.get(r, shot)).map(|r| base + r));
+                        base += m.rows();
+                    }
+                    let text: Vec<String> = hits.iter().map(usize::to_string).collect();
+                    out.extend(text.join(",").bytes());
+                    out.push(b'\n');
+                }
+                SampleFormat::Dets => {
+                    out.extend(b"shot");
+                    for (label, m) in &parts {
+                        for r in (0..m.rows()).filter(|&r| m.get(r, shot)) {
+                            out.extend(format!(" {}{r}", *label as char).bytes());
+                        }
+                    }
+                    out.push(b'\n');
+                }
+            }
+        }
+        for (pattern, n) in counts {
+            out.extend(pattern);
+            out.extend(format!(" {n}\n").bytes());
+        }
+        out
+    }
+}
+
+/// Every writer is byte-identical to the per-bit reference for every
+/// format × record source at every SIMD level, on shapes where the
+/// shot-major transpose gets no slack to hide behind: selected row counts
+/// straddling 64 and 128 (multi-word shot rows), detector counts off the
+/// byte grid with 0–3 observables, empty parts, shot counts off the word
+/// grid, and two-chunk delivery.
+#[test]
+fn every_writer_matches_the_per_bit_reference() {
+    use symphase::bitmat::simd;
+    const SOURCES: [RecordSource; 4] = [
+        RecordSource::Measurements,
+        RecordSource::Detectors,
+        RecordSource::Observables,
+        RecordSource::DetectorsAndObservables,
+    ];
+    // (measurements, detectors, observables), each run at two shot counts.
+    let shapes: [(usize, usize, usize); 14] = [
+        (0, 0, 0),
+        (1, 0, 1),
+        (7, 5, 0),
+        (9, 0, 3),
+        (63, 61, 3),
+        (64, 63, 1),
+        (65, 63, 2),
+        (127, 64, 0),
+        (128, 125, 3),
+        (129, 126, 3),
+        (130, 127, 1),
+        (200, 127, 2),
+        (8, 130, 3),
+        (3, 70, 0),
+    ];
+    let shot_counts = [0usize, 1, 63, 65, 130, 200, 129];
+    for (i, &(m_rows, d_rows, o_rows)) in shapes.iter().enumerate() {
+        for shots in [shot_counts[i % 7], shot_counts[(i + 3) % 7]] {
+            let mut rng = StdRng::seed_from_u64((i * 1000 + shots) as u64);
+            let batch = SampleBatch {
+                measurements: random_matrix(m_rows, shots, &mut rng),
+                detectors: random_matrix(d_rows, shots, &mut rng),
+                observables: random_matrix(o_rows, shots, &mut rng),
+            };
+            for format in SampleFormat::ALL {
+                for source in SOURCES {
+                    let want = reference::render(format, source, &batch);
+                    for level in simd::available_levels() {
+                        let got = simd::with_level(level, || write_chunked(format, source, &batch));
+                        assert!(
+                            got == want,
+                            "{} {source:?} {m_rows}/{d_rows}/{o_rows} x {shots} at {}",
+                            format.name(),
+                            level.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -554,3 +554,80 @@ fn lint_gate_rejects_at_admission_with_a_typed_frame() {
     assert!(!bytes.is_empty());
     handle.shutdown().unwrap();
 }
+
+#[test]
+fn a_panicking_request_gets_an_internal_frame_and_the_worker_survives() {
+    // The injected factory panics on one marker circuit (41 qubits), and
+    // builds normally otherwise. One worker: if the panic took it down,
+    // or poisoned the cache lock it panicked under, nothing after would
+    // be answered.
+    let panicky: SamplerFactory = Arc::new(|circuit: &Circuit, config: &SimConfig| {
+        assert!(
+            circuit.num_qubits() != 41,
+            "marker circuit reached the factory"
+        );
+        build_sampler(circuit, config)
+    });
+    let handle = Server::bind(
+        "127.0.0.1:0",
+        ServeOptions {
+            workers: 1,
+            chunk_shots: 256,
+            ..ServeOptions::default()
+        },
+        panicky,
+        None,
+    )
+    .expect("bind loopback")
+    .spawn();
+    let addr = handle.addr();
+    let marker = sample_request(
+        CircuitRef::Text("H 40\nM 40\n".into()),
+        EngineKind::SymPhase,
+        SampleFormat::B8,
+        RecordSource::Measurements,
+        0,
+        0,
+        256,
+    );
+    for _ in 0..2 {
+        match request_sample(addr, &marker, &mut Vec::new()) {
+            Err(ClientError::Server { code, message }) => {
+                assert_eq!(code, ErrorCode::Internal);
+                assert!(message.contains("marker circuit"), "message: {message}");
+            }
+            other => panic!("expected an Internal frame, got {other:?}"),
+        }
+    }
+    let circuit = small_circuit();
+    let good = sample_request(
+        CircuitRef::Text(circuit.to_string()),
+        EngineKind::SymPhase,
+        SampleFormat::Dets,
+        RecordSource::DetectorsAndObservables,
+        5,
+        0,
+        600,
+    );
+    let (_, bytes) = fetch(addr, &good);
+    let expected = local_bytes(
+        &circuit,
+        EngineKind::SymPhase,
+        5,
+        0,
+        600,
+        256,
+        SampleFormat::Dets,
+        RecordSource::DetectorsAndObservables,
+    );
+    assert_eq!(
+        bytes, expected,
+        "the surviving worker serves identical bytes"
+    );
+    assert_eq!(
+        handle.stats().entries,
+        1,
+        "the panicked build cached nothing"
+    );
+    handle.shutdown().unwrap();
+}
