@@ -16,7 +16,9 @@ use symphase_circuit::Circuit;
 use crate::CHUNK_SHOTS;
 
 /// Which symbolic phase store Initialization uses (paper Eq. (3) dense
-/// bit-matrix vs sparse rows; ablation A2 in DESIGN.md).
+/// bit-matrix vs sparse rows; the phase-store half of `experiments
+/// ablation`, see the README's "Reproducing the paper's figures and
+/// tables").
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PhaseRepr {
     /// Choose per circuit (the paper's conclusion suggests "dynamically
@@ -70,7 +72,8 @@ impl PhaseRepr {
     }
 }
 
-/// How the Sampling step multiplies `M · B` (ablation A1 in DESIGN.md).
+/// How the Sampling step multiplies `M · B` (the matmul half of
+/// `experiments ablation`; kernel timings in `docs/performance.md`).
 ///
 /// Every strategy consumes the RNG stream identically (they all draw the
 /// same assignment matrix `B`, group by group), so for a fixed seed all
@@ -341,12 +344,9 @@ impl SimConfig {
     /// bit-packed output); violations surface as
     /// [`BuildError::InvalidChunkShots`] from [`SimConfig::validate`].
     ///
-    /// The width is honored by the config-driven streaming entry point
-    /// ([`crate::sink::stream_with_config`], which the CLI runs) and the
-    /// explicit-width `stream_seeded`/`stream_par` functions; the
-    /// `Sampler` trait shorthands (`sample_to`, `sample_seeded`, …) pin
-    /// the standard [`CHUNK_SHOTS`] width. Changing the chunk width
-    /// changes the chunk-seeding schedule, so outputs are only
+    /// Every sampling call honors the width: they all run one chunk
+    /// loop, [`crate::stream_range_with_config`]. Changing the chunk
+    /// width changes the chunk-seeding schedule, so outputs are only
     /// comparable between runs using the same width.
     pub fn with_chunk_shots(mut self, chunk_shots: usize) -> Self {
         self.chunk_shots = chunk_shots;

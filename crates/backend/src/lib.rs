@@ -15,8 +15,8 @@
 //!   sampling method, seed, threads, chunk width) and the typed
 //!   [`BuildError`] diagnostics of fallible sampler construction;
 //! * [`sink`] — the streaming delivery layer: the [`ShotSink`] trait and
-//!   the serial/parallel chunk streaming engines behind
-//!   [`Sampler::sample_to`];
+//!   the one chunk loop every sampling call runs,
+//!   [`stream_range_with_config`];
 //! * [`formats`] — `ShotSink`s serializing shots to any `io::Write` in
 //!   the `01`, `counts`, `b8`, `hits`, and `dets` formats (spec in
 //!   `docs/formats.md`);
@@ -29,16 +29,17 @@
 //!
 //! # Streaming, chunk-seeded, and parallel sampling
 //!
-//! [`Sampler::sample_to`] is the primary sampling entry point: it splits a
-//! request into [`CHUNK_SHOTS`]-wide chunks, draws each chunk from an RNG
-//! seeded by [`chunk_seed`]`(seed, chunk_index)`, and hands the chunks to
-//! a [`ShotSink`] in schedule order — memory stays `O(chunk)` however
-//! many shots are requested. [`Sampler::sample_seeded`] and
-//! [`Sampler::sample_par`] are thin wrappers collecting the same stream
-//! into one in-memory batch, and [`Sampler::sample_to_par`] runs the
-//! *same* chunk schedule across threads (drawing chunks out of order but
-//! presenting them to the sink in order), so every path agrees **shot for
+//! [`stream_range_with_config`] is the one sampling entry point: it splits
+//! a shot range into chunks of the configured width ([`CHUNK_SHOTS`] by
+//! default), draws each chunk from an RNG seeded by
+//! [`chunk_seed`]`(seed, chunk_index)`, and hands the chunks to a
+//! [`ShotSink`] in schedule order — memory stays `O(threads × chunk)`
+//! however many shots are requested. Chunks are drawn in waves across the
+//! configured thread budget (out of order inside a wave, presented in
+//! order), so every budget and every shard split agrees **shot for
 //! shot** — parallelism and streaming never change results.
+//! [`stream_with_config`] is the whole-request form and [`collect`]
+//! gathers the stream into one in-memory batch.
 
 use rand::RngCore;
 use symphase_bitmat::BitMatrix;
@@ -51,8 +52,8 @@ pub mod sink;
 
 pub use config::{BuildError, EngineKind, PhaseRepr, SamplingMethod, SimConfig};
 pub use sink::{
-    range_chunk_spans, stream_range_par, stream_range_seeded, stream_range_with_config,
-    CollectSink, CountingSink, FanoutSink, ShotSink, ShotSpec,
+    collect, stream_range_with_config, stream_with_config, CollectSink, CountingSink, FanoutSink,
+    ShotSink, ShotSpec,
 };
 
 /// Shots per sampling chunk: a multiple of 64 (so chunk boundaries stay
@@ -142,10 +143,10 @@ pub fn chunk_seed(seed: u64, chunk: u64) -> u64 {
 /// A measurement/detector/observable sampler over a fixed circuit: the one
 /// interface all four simulation engines implement.
 ///
-/// Implementors provide the record shape and [`Sampler::sample_into`]; the
-/// provided methods layer allocation, deterministic chunk seeding,
-/// streaming delivery, and parallel sampling on top. The trait is
-/// object-safe — the CLI and the bench harness hold backends as
+/// Implementors provide the record shape and [`Sampler::sample_into`];
+/// deterministic chunk seeding, streaming delivery, and parallel sampling
+/// live in one place on top of it, [`stream_range_with_config`]. The
+/// trait is object-safe — the CLI and the bench harness hold backends as
 /// `Box<dyn Sampler>`, built through `symphase::backend::build_sampler`
 /// from a [`SimConfig`].
 pub trait Sampler: Send + Sync {
@@ -180,95 +181,16 @@ pub trait Sampler: Send + Sync {
         self.sample_into(&mut batch, rng);
         batch
     }
-
-    /// **The primary sampling entry point**: streams `shots`
-    /// deterministic, chunk-seeded shots into `sink`, one
-    /// [`CHUNK_SHOTS`]-wide [`SampleBatch`] at a time — memory stays
-    /// `O(chunk)` however many shots are requested.
-    ///
-    /// The bytes a sink receives are bit-identical to the batch
-    /// [`Sampler::sample_seeded`] returns for equal arguments (that
-    /// method *is* this one with an in-memory [`CollectSink`]).
-    fn sample_to(&self, shots: usize, seed: u64, sink: &mut dyn ShotSink) -> std::io::Result<()> {
-        sink::stream_seeded(self, shots, seed, CHUNK_SHOTS, sink)
-    }
-
-    /// [`Sampler::sample_to`] across up to `threads` threads (`0` = all
-    /// available cores): chunks are drawn concurrently in waves but
-    /// presented to `sink` in schedule order, so output is bit-identical
-    /// to the serial stream for equal seeds. Peak memory is
-    /// `O(threads × chunk)`.
-    fn sample_to_par(
-        &self,
-        shots: usize,
-        seed: u64,
-        threads: usize,
-        sink: &mut dyn ShotSink,
-    ) -> std::io::Result<()> {
-        sink::stream_par(self, shots, seed, CHUNK_SHOTS, threads, sink)
-    }
-
-    /// Samples `shots` shots deterministically from `seed` using the
-    /// per-chunk seeding schedule ([`CHUNK_SHOTS`], [`chunk_seed`]) into
-    /// one in-memory batch — a [`Sampler::sample_to`] wrapper with a
-    /// [`CollectSink`]. Prefer `sample_to` when the shots are bound for a
-    /// file or aggregator; this method holds all of them in memory.
-    fn sample_seeded(&self, shots: usize, seed: u64) -> SampleBatch {
-        let mut out = CollectSink::new();
-        sink::stream_seeded(self, shots, seed, CHUNK_SHOTS, &mut out)
-            .expect("in-memory collection cannot fail");
-        out.into_batch()
-    }
-
-    /// Samples `shots` shots across threads, chunked by [`CHUNK_SHOTS`]
-    /// with per-chunk seeding — bit-identical to
-    /// [`Sampler::sample_seeded`] with the same arguments.
-    ///
-    /// Fan-out is bounded by `rayon::current_num_threads()`; on a
-    /// single-core machine this degenerates to the serial schedule with
-    /// no thread spawns.
-    fn sample_par(&self, shots: usize, seed: u64) -> SampleBatch {
-        sample_par_with_threads(self, shots, seed, rayon::current_num_threads())
-    }
-}
-
-/// The chunk schedule for `shots` shots: `(start, width)` spans, all but
-/// the last [`CHUNK_SHOTS`] wide.
-pub fn chunk_spans(shots: usize) -> impl Iterator<Item = (usize, usize)> {
-    chunk_spans_with(shots, CHUNK_SHOTS)
-}
-
-/// [`chunk_spans`] with an explicit chunk width.
-///
-/// # Panics
-///
-/// Panics if `chunk_shots` is zero — a zero-width schedule would "cover"
-/// the request with empty spans and silently sample nothing.
-pub fn chunk_spans_with(shots: usize, chunk_shots: usize) -> impl Iterator<Item = (usize, usize)> {
-    assert!(chunk_shots > 0, "chunk width must be nonzero");
-    (0..shots)
-        .step_by(chunk_shots)
-        .map(move |start| (start, chunk_shots.min(shots - start)))
-}
-
-/// [`Sampler::sample_par`] with an explicit thread budget (exposed so the
-/// parallel path stays testable on single-core machines) — a
-/// [`sink::stream_par`] wrapper with a [`CollectSink`].
-pub fn sample_par_with_threads<S: Sampler + ?Sized>(
-    sampler: &S,
-    shots: usize,
-    seed: u64,
-    threads: usize,
-) -> SampleBatch {
-    let mut out = CollectSink::new();
-    sink::stream_par(sampler, shots, seed, CHUNK_SHOTS, threads, &mut out)
-        .expect("in-memory collection cannot fail");
-    out.into_batch()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The default configuration with `seed`.
+    fn seeded(seed: u64) -> SimConfig {
+        SimConfig::new().with_seed(seed)
+    }
 
     /// A deterministic fake engine: measurement `m` of shot `j` is
     /// `parity(rng_stream)`, so chunk seeding differences are visible.
@@ -305,7 +227,8 @@ mod tests {
 
     #[test]
     fn chunk_schedule_covers_all_shots() {
-        let spans: Vec<_> = chunk_spans(CHUNK_SHOTS * 2 + 100).collect();
+        let spans: Vec<_> =
+            sink::range_chunk_spans(0, CHUNK_SHOTS * 2 + 100, CHUNK_SHOTS).collect();
         assert_eq!(
             spans,
             vec![
@@ -314,10 +237,13 @@ mod tests {
                 (2 * CHUNK_SHOTS, 100)
             ]
         );
-        assert_eq!(chunk_spans(0).count(), 0);
-        assert_eq!(chunk_spans(64).collect::<Vec<_>>(), vec![(0, 64)]);
+        assert_eq!(sink::range_chunk_spans(0, 0, CHUNK_SHOTS).count(), 0);
         assert_eq!(
-            chunk_spans_with(200, 128).collect::<Vec<_>>(),
+            sink::range_chunk_spans(0, 64, CHUNK_SHOTS).collect::<Vec<_>>(),
+            vec![(0, 64)]
+        );
+        assert_eq!(
+            sink::range_chunk_spans(0, 200, 128).collect::<Vec<_>>(),
             vec![(0, 128), (128, 72)]
         );
     }
@@ -334,13 +260,13 @@ mod tests {
             CHUNK_SHOTS + 1,
             3 * CHUNK_SHOTS + 7,
         ] {
-            let a = s.sample_seeded(shots, 0xFEED);
-            let b = s.sample_par(shots, 0xFEED);
+            let a = collect(&s, shots, &seeded(0xFEED));
+            let b = collect(&s, shots, &seeded(0xFEED).with_threads(0));
             assert_eq!(a, b, "mismatch at {shots} shots");
             // Force the threaded path regardless of the machine's core
             // count, with budgets that do and don't divide the chunks.
             for threads in [2, 3, 8] {
-                let c = sample_par_with_threads(&s, shots, 0xFEED, threads);
+                let c = collect(&s, shots, &seeded(0xFEED).with_threads(threads));
                 assert_eq!(a, c, "mismatch at {shots} shots / {threads} threads");
             }
         }
@@ -353,7 +279,8 @@ mod tests {
         let total = 4 * cw + 17; // final chunk is partial
         let seed = 0xB00F;
         let mut full = CollectSink::new();
-        sink::stream_seeded(&s, total, seed, cw, &mut full).expect("in-memory");
+        stream_with_config(&s, total, &seeded(seed).with_chunk_shots(cw), &mut full)
+            .expect("in-memory");
         let full = full.into_batch();
         // Shard the run into chunk-aligned ranges (the serve daemon's
         // contract), draw each independently — serial and threaded — and
@@ -363,7 +290,8 @@ mod tests {
             let mut pasted = SampleBatch::zeros(5, 0, 0, total);
             for (start, end) in [(0, cw), (cw, 3 * cw), (3 * cw, total)] {
                 let mut out = CollectSink::new();
-                stream_range_par(&s, start, end, seed, cw, threads, &mut out).expect("in-memory");
+                let cfg = seeded(seed).with_chunk_shots(cw).with_threads(threads);
+                stream_range_with_config(&s, start, end, &cfg, &mut out).expect("in-memory");
                 let shard = out.into_batch();
                 assert_eq!(shard.shots(), end - start);
                 pasted.paste_columns(&shard, start);
@@ -375,7 +303,8 @@ mod tests {
         }
         // An empty range is a well-formed zero-shot stream.
         let mut empty = CollectSink::new();
-        stream_range_seeded(&s, cw, cw, seed, cw, &mut empty).expect("in-memory");
+        stream_range_with_config(&s, cw, cw, &seeded(seed).with_chunk_shots(cw), &mut empty)
+            .expect("in-memory");
         assert_eq!(empty.into_batch().shots(), 0);
     }
 
@@ -384,7 +313,7 @@ mod tests {
     fn range_start_must_be_chunk_aligned() {
         let s = FakeSampler { nm: 1 };
         let mut out = CollectSink::new();
-        let _ = stream_range_seeded(&s, 32, 128, 0, 64, &mut out);
+        let _ = stream_range_with_config(&s, 32, 128, &seeded(0).with_chunk_shots(64), &mut out);
     }
 
     #[test]
@@ -423,8 +352,13 @@ mod tests {
                 next_start: 0,
                 chunks: 0,
             };
-            s.sample_to_par(3 * CHUNK_SHOTS + 70, 4, threads, &mut sink)
-                .unwrap();
+            stream_with_config(
+                &s,
+                3 * CHUNK_SHOTS + 70,
+                &seeded(4).with_threads(threads),
+                &mut sink,
+            )
+            .unwrap();
             assert!(sink.finished);
             assert_eq!(sink.next_start, 3 * CHUNK_SHOTS + 70);
             assert_eq!(sink.chunks, 4);
@@ -436,13 +370,13 @@ mod tests {
             next_start: 0,
             chunks: 0,
         };
-        s.sample_to(0, 4, &mut sink).unwrap();
+        stream_with_config(&s, 0, &seeded(4), &mut sink).unwrap();
         assert!(sink.began && sink.finished);
         assert_eq!(sink.chunks, 0);
     }
 
     #[test]
-    fn stream_par_concurrency_stays_within_thread_budget() {
+    fn stream_concurrency_stays_within_thread_budget() {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         /// Counts concurrent `sample_into` calls and records the
@@ -479,7 +413,7 @@ mod tests {
         }
 
         // A `SimConfig` thread budget of N must bound the in-flight
-        // chunk draws to N, whatever the pool size: `stream_par` fans a
+        // chunk draws to N, whatever the pool size: the chunk loop fans a
         // wave out over at most `threads` lanes.
         for budget in [1usize, 2, 4] {
             let gauge = Gauge {
@@ -487,11 +421,10 @@ mod tests {
                 live: AtomicUsize::new(0),
                 high: AtomicUsize::new(0),
             };
-            let config = crate::SimConfig::new().with_threads(budget);
+            let config = SimConfig::new().with_threads(budget);
             assert_eq!(config.threads(), budget, "budget must survive the config");
             let mut out = CountingSink::default();
-            sink::stream_with_config(&gauge, 16 * 64, &config.with_chunk_shots(64), &mut out)
-                .unwrap();
+            stream_with_config(&gauge, 16 * 64, &config.with_chunk_shots(64), &mut out).unwrap();
             assert_eq!(out.shots, 16 * 64);
             let high = gauge.high.load(Ordering::SeqCst);
             assert!(high >= 1, "sampler never ran");
@@ -523,7 +456,7 @@ mod tests {
             chunks_before_failure: 1,
             chunks_after_failure: 0,
         };
-        let err = s.sample_to(3 * CHUNK_SHOTS, 7, &mut sink).unwrap_err();
+        let err = stream_with_config(&s, 3 * CHUNK_SHOTS, &seeded(7), &mut sink).unwrap_err();
         assert_eq!(err.to_string(), "sink full");
         // The failing call happened exactly once: the stream stopped.
         assert_eq!(sink.chunks_after_failure, 1);
@@ -532,8 +465,8 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let s = FakeSampler { nm: 3 };
-        let a = s.sample_seeded(256, 1);
-        let b = s.sample_seeded(256, 2);
+        let a = collect(&s, 256, &seeded(1));
+        let b = collect(&s, 256, &seeded(2));
         assert_ne!(a, b);
     }
 
@@ -542,7 +475,7 @@ mod tests {
         // Same relative shot in two different chunks must not repeat (the
         // per-chunk seeds differ).
         let s = FakeSampler { nm: 8 };
-        let out = s.sample_seeded(2 * CHUNK_SHOTS, 9);
+        let out = collect(&s, 2 * CHUNK_SHOTS, &seeded(9));
         let first: Vec<bool> = (0..8).map(|m| out.measurements.get(m, 0)).collect();
         let second: Vec<bool> = (0..8)
             .map(|m| out.measurements.get(m, CHUNK_SHOTS))
@@ -561,12 +494,12 @@ mod tests {
     #[test]
     fn trait_is_object_safe() {
         let boxed: Box<dyn Sampler> = Box::new(FakeSampler { nm: 2 });
-        let out = boxed.sample_seeded(100, 3);
+        let out = collect(boxed.as_ref(), 100, &seeded(3));
         assert_eq!(out.measurements.rows(), 2);
         assert_eq!(out.shots(), 100);
         assert_eq!(boxed.name(), "fake");
         let mut counting = CountingSink::default();
-        boxed.sample_to(100, 3, &mut counting).unwrap();
+        stream_with_config(boxed.as_ref(), 100, &seeded(3), &mut counting).unwrap();
         assert_eq!(counting.shots, 100);
         assert_eq!(
             counting.measurement_ones,

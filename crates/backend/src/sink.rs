@@ -1,31 +1,32 @@
-//! Streaming shot delivery: the [`ShotSink`] trait and the chunk
-//! streaming engine behind `Sampler::sample_to`.
+//! Streaming shot delivery: the [`ShotSink`] trait and the one chunk
+//! loop every sampling call runs.
 //!
 //! The SymPhase cost model makes shots cheap — a per-chunk F₂ product —
 //! so the limiting resource of a long sampling run should be the sink
 //! (a file, a socket, an aggregator), never memory. This module delivers
-//! shots to a [`ShotSink`] one [`SampleBatch`] chunk at a time:
+//! shots to a [`ShotSink`] one [`SampleBatch`] chunk at a time through
+//! [`stream_range_with_config`]:
 //!
-//! * [`stream_seeded`] — the serial reference: one reused chunk buffer,
-//!   memory `O(chunk)` whatever the shot count;
-//! * [`stream_par`] — the same chunk-seeding schedule fanned out in
-//!   *waves* of up to `threads` chunks (`rayon`-style fork-join inside a
-//!   wave), memory `O(threads × chunk)`. Chunks are drawn out of order
-//!   inside a wave but **presented to the sink in schedule order**, so a
-//!   sink never needs to reorder — and because every chunk's RNG is
-//!   seeded by `chunk_seed(seed, index)`, the bytes a sink sees are
-//!   bit-identical between the serial and parallel paths.
+//! * chunk `i` of the schedule draws from an RNG seeded by
+//!   `chunk_seed(seed, i)`;
+//! * chunks are drawn in *waves* of up to `threads` chunks
+//!   (`rayon`-style fork-join inside a wave, one reused buffer per
+//!   lane), memory `O(threads × chunk)`, and a budget of `1` runs
+//!   one-chunk waves on the calling thread;
+//! * chunks are drawn out of order inside a wave but **presented to the
+//!   sink in schedule order**, so a sink never needs to reorder.
 //!
-//! `Sampler::sample_seeded` and `Sampler::sample_par` are thin wrappers
-//! over these functions with an in-memory [`CollectSink`].
+//! The bytes a sink sees therefore depend on the seed and the chunk width
+//! only — never on the thread budget or on how a request is split into
+//! shot ranges. [`stream_with_config`] is the whole-request form and
+//! [`collect`] gathers it into one in-memory batch via [`CollectSink`].
 
 use std::io;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::SampleBatch;
-use crate::{chunk_seed, Sampler};
+use crate::{chunk_seed, SampleBatch, Sampler, SimConfig};
 
 /// The fixed per-request shape a sink learns before the first chunk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,9 +82,9 @@ pub trait ShotSink {
 }
 
 /// An in-memory sink: collects every chunk into one full [`SampleBatch`].
-/// This is the adapter that turns the streaming path back into the
-/// batch-returning API (`Sampler::sample_seeded` / `Sampler::sample_par`)
-/// — and the reference sink of the streaming-equality tests.
+/// This is the adapter that turns the streaming path back into a batch
+/// ([`collect`]) — and the reference sink of the streaming-equality
+/// tests.
 #[derive(Debug, Default)]
 pub struct CollectSink {
     batch: Option<SampleBatch>,
@@ -186,20 +187,27 @@ impl ShotSink for FanoutSink<'_> {
     }
 }
 
-/// Asserts the chunk-width contract shared by the streaming entry points.
-fn check_chunk_shots(chunk_shots: usize) {
+/// The chunk schedule covering shot range `[start, end)` of a request of
+/// `end` total shots: `(global_start, width)` spans, all but the last
+/// `chunk_shots` wide. `start` must be chunk-aligned, so the spans are
+/// exactly the suffix of the full run's schedule that begins at `start`
+/// — which is what makes range-streamed bytes identical to the
+/// corresponding window of a full local run.
+///
+/// # Panics
+///
+/// Panics if `chunk_shots` is zero or not a multiple of 64, if `start`
+/// is not a multiple of `chunk_shots`, or if `start > end`.
+pub(crate) fn range_chunk_spans(
+    start: usize,
+    end: usize,
+    chunk_shots: usize,
+) -> impl Iterator<Item = (usize, usize)> {
     assert!(
         chunk_shots > 0 && chunk_shots.is_multiple_of(64),
         "chunk width must be a nonzero multiple of 64 shots, got {chunk_shots} \
          (SimConfig::validate rejects this before sampling starts)"
     );
-}
-
-/// Asserts the shot-range contract shared by the range streaming entry
-/// points: the start must sit on a chunk boundary (so the range is a
-/// suffix-aligned window of the global chunk schedule) and the range must
-/// not be inverted.
-fn check_range(start: usize, end: usize, chunk_shots: usize) {
     assert!(
         start.is_multiple_of(chunk_shots),
         "shot-range start must be a multiple of the chunk width \
@@ -208,21 +216,6 @@ fn check_range(start: usize, end: usize, chunk_shots: usize) {
          full-run schedule"
     );
     assert!(start <= end, "inverted shot range [{start}, {end})");
-}
-
-/// The chunk schedule covering shot range `[start, end)` of a request of
-/// `end` total shots: `(global_start, width)` spans, all but the last
-/// `chunk_shots` wide. `start` must be chunk-aligned, so the spans are
-/// exactly the suffix of [`crate::chunk_spans_with`]`(end, chunk_shots)` that
-/// begins at `start` — which is what makes range-streamed bytes identical
-/// to the corresponding window of a full local run.
-pub fn range_chunk_spans(
-    start: usize,
-    end: usize,
-    chunk_shots: usize,
-) -> impl Iterator<Item = (usize, usize)> {
-    check_chunk_shots(chunk_shots);
-    check_range(start, end, chunk_shots);
     (start..end)
         .step_by(chunk_shots)
         .map(move |s| (s, chunk_shots.min(end - s)))
@@ -230,210 +223,109 @@ pub fn range_chunk_spans(
 
 /// Streams `shots` shots into `sink` honoring every knob of `config`:
 /// seed, thread budget (`1` = serial, `0` = all cores), and chunk width.
-/// This is the config-driven entry point the CLI runs; the `Sampler`
-/// trait methods (`sample_to` / `sample_to_par`) are the fixed
-/// [`crate::CHUNK_SHOTS`]-width shorthand.
+/// This is [`stream_range_with_config`] over the whole request, the
+/// form the CLI runs.
 ///
 /// The configuration should be validated first
-/// ([`crate::SimConfig::validate`], or by building the sampler through
+/// ([`SimConfig::validate`], or by building the sampler through
 /// `build_sampler`); an invalid chunk width panics here.
 pub fn stream_with_config<S: Sampler + ?Sized>(
     sampler: &S,
     shots: usize,
-    config: &crate::SimConfig,
+    config: &SimConfig,
     sink: &mut dyn ShotSink,
 ) -> io::Result<()> {
     stream_range_with_config(sampler, 0, shots, config, sink)
 }
 
-/// [`stream_with_config`] restricted to the shot range `[start, end)` of
-/// a request of `end` total shots — the sharding entry point the
-/// `symphase serve` daemon runs.
+/// Collects `shots` shots into one in-memory batch:
+/// [`stream_with_config`] into a [`CollectSink`]. Prefer streaming when
+/// the shots are bound for a file or aggregator; this holds all of them
+/// in memory.
+pub fn collect<S: Sampler + ?Sized>(sampler: &S, shots: usize, config: &SimConfig) -> SampleBatch {
+    let mut out = CollectSink::new();
+    stream_with_config(sampler, shots, config, &mut out).expect("in-memory collection cannot fail");
+    out.into_batch()
+}
+
+/// Streams the shot range `[start, end)` of a request of `end` total
+/// shots into `sink` — **the** chunk loop every sampling call runs.
+///
+/// Chunk `i` of the global schedule draws from an RNG seeded by
+/// [`chunk_seed`]`(seed, i)`. Chunks are processed in waves of up to
+/// `config.threads()` lanes: each wave is drawn concurrently
+/// (rayon-style fork-join, one buffer per lane, reused across waves),
+/// then handed to the sink **in schedule order**. A budget of `1` runs
+/// one-chunk waves on the calling thread. Peak memory is
+/// `O(threads × chunk_shots)`; the sink — which is typically not
+/// thread-safe, it holds a writer — only ever runs on the calling
+/// thread.
 ///
 /// `start` must be a multiple of the configured chunk width; the range is
 /// then exactly a window of the global chunk schedule, so the bytes a
 /// sink receives are **identical** to the corresponding window of a full
-/// `stream_with_config(sampler, end, ..)` run — whether the range is
-/// computed locally, by one worker, or split across machines. The sink
-/// sees chunk starts *relative to* `start` (a range request delivers a
-/// self-contained `[0, end - start)` stream).
+/// `stream_with_config(sampler, end, ..)` run — whatever the thread
+/// budget, and whether the range is computed locally, by one `symphase
+/// serve` worker, or split across machines. The sink sees chunk starts
+/// *relative to* `start` (a range request delivers a self-contained
+/// `[0, end - start)` stream).
 ///
 /// # Panics
 ///
-/// Panics if `start` is not chunk-aligned or `start > end` (the serve
-/// protocol validates ranges before sampling starts).
+/// Panics if the chunk width is zero or not a multiple of 64, if `start`
+/// is not chunk-aligned, or if `start > end` (`SimConfig::validate` and
+/// the serve protocol reject these before sampling starts).
 pub fn stream_range_with_config<S: Sampler + ?Sized>(
     sampler: &S,
     start: usize,
     end: usize,
-    config: &crate::SimConfig,
+    config: &SimConfig,
     sink: &mut dyn ShotSink,
 ) -> io::Result<()> {
-    if config.threads() == 1 {
-        stream_range_seeded(
-            sampler,
-            start,
-            end,
-            config.seed(),
-            config.chunk_shots(),
-            sink,
-        )
-    } else {
-        stream_range_par(
-            sampler,
-            start,
-            end,
-            config.seed(),
-            config.chunk_shots(),
-            config.threads(),
-            sink,
-        )
-    }
-}
-
-/// Streams `shots` chunk-seeded shots serially into `sink`, holding one
-/// reused chunk buffer — memory `O(chunk_shots)` however many shots are
-/// requested. With `chunk_shots == CHUNK_SHOTS` the bytes delivered are
-/// bit-identical to `Sampler::sample_seeded(shots, seed)`.
-///
-/// # Panics
-///
-/// Panics if `chunk_shots` is zero or not a multiple of 64 (validated
-/// earlier by `SimConfig::validate` on the configured path).
-pub fn stream_seeded<S: Sampler + ?Sized>(
-    sampler: &S,
-    shots: usize,
-    seed: u64,
-    chunk_shots: usize,
-    sink: &mut dyn ShotSink,
-) -> io::Result<()> {
-    stream_range_seeded(sampler, 0, shots, seed, chunk_shots, sink)
-}
-
-/// [`stream_seeded`] restricted to the shot range `[start, end)` of a
-/// request of `end` total shots: serially streams exactly the chunks of
-/// the global schedule that cover the range, each seeded by its *global*
-/// chunk index, delivering chunk starts relative to `start`. The bytes a
-/// sink receives are therefore identical to the `[start, end)` window of
-/// `stream_seeded(sampler, end, seed, chunk_shots, ..)` — the property
-/// the serve daemon's shot-range sharding rests on.
-///
-/// # Panics
-///
-/// Panics if `chunk_shots` is zero or not a multiple of 64, if `start` is
-/// not a multiple of `chunk_shots`, or if `start > end`.
-pub fn stream_range_seeded<S: Sampler + ?Sized>(
-    sampler: &S,
-    start: usize,
-    end: usize,
-    seed: u64,
-    chunk_shots: usize,
-    sink: &mut dyn ShotSink,
-) -> io::Result<()> {
-    check_chunk_shots(chunk_shots);
-    check_range(start, end, chunk_shots);
+    let chunk_shots = config.chunk_shots();
+    let lanes = match config.threads() {
+        0 => rayon::current_num_threads(),
+        threads => threads,
+    };
+    let mut spans = range_chunk_spans(start, end, chunk_shots);
     sink.begin(&ShotSpec::of(sampler, end - start))?;
-    let mut buf: Option<SampleBatch> = None;
-    for (gstart, width) in range_chunk_spans(start, end, chunk_shots) {
-        if buf.as_ref().is_none_or(|b| b.shots() != width) {
-            buf = Some(SampleBatch::zeros(
+    let mut wave: Vec<(usize, usize)> = Vec::new();
+    let mut bufs: Vec<SampleBatch> = Vec::new();
+    let mut first_chunk = start / chunk_shots;
+    loop {
+        wave.clear();
+        wave.extend(spans.by_ref().take(lanes));
+        if wave.is_empty() {
+            break;
+        }
+        for &(_, width) in wave.iter().skip(bufs.len()) {
+            bufs.push(SampleBatch::zeros(
                 sampler.num_measurements(),
                 sampler.num_detectors(),
                 sampler.num_observables(),
                 width,
             ));
         }
-        let chunk = buf.as_mut().expect("buffer just ensured");
-        let chunk_index = (gstart / chunk_shots) as u64;
-        let mut rng = StdRng::seed_from_u64(chunk_seed(seed, chunk_index));
-        sampler.sample_into(chunk, &mut rng);
-        sink.chunk(chunk, gstart - start)?;
-    }
-    sink.finish()
-}
-
-/// Streams `shots` chunk-seeded shots into `sink` across up to `threads`
-/// threads (`0` = all available cores), bit-identical to
-/// [`stream_seeded`] with the same arguments.
-///
-/// Chunks are processed in waves of `threads`: each wave is drawn
-/// concurrently (rayon-style fork-join, one buffer per lane, reused
-/// across waves), then handed to the sink **in schedule order**. Peak
-/// memory is `O(threads × chunk_shots)`; the sink — which is typically
-/// not thread-safe, it holds a writer — only ever runs on the calling
-/// thread.
-///
-/// # Panics
-///
-/// Panics if `chunk_shots` is zero or not a multiple of 64.
-pub fn stream_par<S: Sampler + ?Sized>(
-    sampler: &S,
-    shots: usize,
-    seed: u64,
-    chunk_shots: usize,
-    threads: usize,
-    sink: &mut dyn ShotSink,
-) -> io::Result<()> {
-    stream_range_par(sampler, 0, shots, seed, chunk_shots, threads, sink)
-}
-
-/// [`stream_par`] restricted to the shot range `[start, end)` of a
-/// request of `end` total shots — the parallel twin of
-/// [`stream_range_seeded`], bit-identical to it for the same arguments.
-/// Chunk RNGs are seeded by *global* chunk index, so a range drawn here
-/// matches the corresponding window of a full run regardless of the
-/// thread count on either side.
-///
-/// # Panics
-///
-/// Panics if `chunk_shots` is zero or not a multiple of 64, if `start` is
-/// not a multiple of `chunk_shots`, or if `start > end`.
-pub fn stream_range_par<S: Sampler + ?Sized>(
-    sampler: &S,
-    start: usize,
-    end: usize,
-    seed: u64,
-    chunk_shots: usize,
-    threads: usize,
-    sink: &mut dyn ShotSink,
-) -> io::Result<()> {
-    check_chunk_shots(chunk_shots);
-    check_range(start, end, chunk_shots);
-    let threads = if threads == 0 {
-        rayon::current_num_threads()
-    } else {
-        threads
-    };
-    let spans: Vec<(usize, usize)> = range_chunk_spans(start, end, chunk_shots).collect();
-    if threads <= 1 || spans.len() <= 1 {
-        return stream_range_seeded(sampler, start, end, seed, chunk_shots, sink);
-    }
-    sink.begin(&ShotSpec::of(sampler, end - start))?;
-    let first_chunk = start / chunk_shots;
-    let mut bufs: Vec<SampleBatch> = Vec::new();
-    for (wave_index, wave) in spans.chunks(threads).enumerate() {
-        while bufs.len() < wave.len() {
-            // Shots == 0 placeholder; `fill_wave` reshapes lanes on use.
-            bufs.push(SampleBatch::zeros(0, 0, 0, 0));
-        }
         fill_wave(
             sampler,
-            wave,
-            first_chunk + wave_index * threads,
-            seed,
+            &wave,
+            first_chunk,
+            config.seed(),
             &mut bufs[..wave.len()],
         );
-        for (lane, &(gstart, _)) in wave.iter().enumerate() {
-            sink.chunk(&bufs[lane], gstart - start)?;
+        for (buf, &(gstart, _)) in bufs.iter().zip(&wave) {
+            sink.chunk(buf, gstart - start)?;
         }
+        first_chunk += wave.len();
     }
     sink.finish()
 }
 
-/// Draws one wave of chunks concurrently: recursive binary fork-join over
-/// the `(span, buffer)` lanes. Lane `i` of the wave samples chunk
+/// Draws one wave of chunks: recursive binary fork-join over the
+/// `(span, buffer)` lanes. Lane `i` of the wave samples chunk
 /// `first_chunk + i` of the schedule into `bufs[i]`, reshaping the lane
-/// buffer only when the width changes (the final, narrower chunk).
+/// buffer only when the width changes (the final, narrower chunk). A
+/// one-lane wave samples on the calling thread.
 fn fill_wave<S: Sampler + ?Sized>(
     sampler: &S,
     spans: &[(usize, usize)],
@@ -445,18 +337,13 @@ fn fill_wave<S: Sampler + ?Sized>(
     match spans {
         [] => {}
         [(_, width)] => {
-            let width = *width;
             let buf = &mut bufs[0];
-            if buf.shots() != width
-                || buf.measurements.rows() != sampler.num_measurements()
-                || buf.detectors.rows() != sampler.num_detectors()
-                || buf.observables.rows() != sampler.num_observables()
-            {
+            if buf.shots() != *width {
                 *buf = SampleBatch::zeros(
                     sampler.num_measurements(),
                     sampler.num_detectors(),
                     sampler.num_observables(),
-                    width,
+                    *width,
                 );
             }
             let mut rng = StdRng::seed_from_u64(chunk_seed(seed, first_chunk as u64));

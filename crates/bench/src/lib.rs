@@ -1,9 +1,11 @@
 //! Shared workload definitions and timing helpers for the benchmark
 //! harness that regenerates every table and figure of the paper.
 //!
-//! The Criterion benches (`benches/fig3a.rs`, …) and the `experiments`
-//! binary both build their circuits through this crate so that DESIGN.md's
-//! experiment index points at one set of definitions.
+//! The `experiments` binary builds its circuits through this crate, so
+//! every subcommand (`fig3a`, `table1`, `ablation`, …) and the
+//! `bench-json` report share one set of definitions. The README section
+//! "Reproducing the paper's figures and tables" lists the subcommands;
+//! `docs/performance.md` documents the `bench-json` schema.
 
 pub mod json;
 pub mod perf;
@@ -15,7 +17,7 @@ use rand::SeedableRng;
 
 use symphase::backend::build_sampler;
 pub use symphase::backend::{EngineKind, SimConfig};
-use symphase::sampler_api::{CountingSink, Sampler};
+use symphase::sampler_api::Sampler;
 use symphase_circuit::generators::{
     fig3a_circuit, fig3b_circuit, fig3c_circuit, noisy_ghz_chain, surface_code_memory,
     SurfaceCodeConfig,
@@ -113,50 +115,6 @@ pub fn time_backend(kind: EngineKind, circuit: &Circuit, shots: usize, seed: u64
         init,
         sample,
     }
-}
-
-/// Times `kind`'s parallel chunk-seeded sampling path
-/// (`Sampler::sample_par`) against the serial schedule.
-pub fn time_backend_par(
-    kind: EngineKind,
-    circuit: &Circuit,
-    shots: usize,
-    seed: u64,
-) -> (Duration, Duration) {
-    let sampler = build(kind, circuit);
-    let t = Instant::now();
-    let serial = sampler.sample_seeded(shots, seed);
-    let serial_time = t.elapsed();
-    let t = Instant::now();
-    let par = sampler.sample_par(shots, seed);
-    let par_time = t.elapsed();
-    assert_eq!(
-        serial, par,
-        "sample_par must match sample_seeded shot-for-shot"
-    );
-    (serial_time, par_time)
-}
-
-/// Times `kind`'s streaming path (`Sampler::sample_to` into a
-/// [`CountingSink`]) — the O(chunk)-memory delivery the CLI runs —
-/// returning the wall time. The delivered shot count is asserted equal
-/// to the request internally.
-pub fn time_backend_stream(
-    kind: EngineKind,
-    circuit: &Circuit,
-    shots: usize,
-    seed: u64,
-) -> Duration {
-    let sampler = build(kind, circuit);
-    let mut sink = CountingSink::default();
-    let t = Instant::now();
-    sampler
-        .sample_to(shots, seed, &mut sink)
-        .expect("counting sink cannot fail");
-    let time = t.elapsed();
-    assert_eq!(sink.shots, shots, "stream must deliver every shot");
-    std::hint::black_box(sink.measurement_ones);
-    time
 }
 
 /// One measured data point of a Fig. 3 style comparison.
@@ -430,13 +388,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn streaming_path_delivers_every_shot() {
-        let c = Workload::Fig3a.circuit(8, 2);
-        // Asserts delivered == requested internally.
-        let _ = time_backend_stream(EngineKind::SymPhaseSparse, &c, 10_000, 5);
-    }
-
     /// Nightly-free smoke bench: exercises the full sampling ablation
     /// matrix at a toy size (it asserts naive == blocked internally).
     /// Run explicitly with:
@@ -450,13 +401,5 @@ mod tests {
         for row in &rows {
             println!("{:<14} {:<12} {}s", row.circuit, row.kernel, secs(row.time));
         }
-    }
-
-    #[test]
-    fn par_path_verified_against_serial() {
-        let c = Workload::Fig3a.circuit(8, 2);
-        // time_backend_par asserts shot-for-shot equality internally.
-        let _ = time_backend_par(EngineKind::SymPhaseSparse, &c, 10_000, 5);
-        let _ = time_backend_par(EngineKind::Frame, &c, 10_000, 5);
     }
 }

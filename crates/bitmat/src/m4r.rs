@@ -470,7 +470,7 @@ mod tests {
     fn steady_state_chunked_stream_allocates_nothing() {
         // Chunk-shaped workload: one fixed measurement matrix multiplied
         // against a fresh symbol batch per chunk, accumulated into a
-        // reused output — the shape `sample_seeded` streams. After the
+        // reused output — the shape the chunk loop streams. After the
         // warm-up chunk the scratch slabs are at their maximum shape and
         // every further chunk must be allocation-free.
         let mut rng = StdRng::seed_from_u64(23);

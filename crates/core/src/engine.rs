@@ -256,8 +256,7 @@ fn apply_expr_fault<S: SymbolicPhases>(
 /// and apply `X^s` at the measured qubit", but a conjugating `X^s` would
 /// also flip every *other* generator containing `Z_q`, breaking
 /// measurement correlations; the paper's own §3.1 tableau shows the coin
-/// entering only the new stabilizer row, which is what we do. See
-/// DESIGN.md.)
+/// entering only the new stabilizer row, which is what we do.)
 fn measure_symbolic<S: SymbolicPhases>(
     tab: &mut Tableau<S>,
     table: &mut SymbolTable,

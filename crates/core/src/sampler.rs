@@ -145,8 +145,8 @@ impl EventTarget {
 /// Buffers a sampling call reuses across its shot batches: the
 /// assignment matrix, the blocked-kernel scratch, and the hybrid draw
 /// buffers. Held in a thread-local ([`SAMPLE_SCRATCH`]) so chunk-seeded
-/// sampling — which enters through `sample_into` once per 4096-shot
-/// chunk, serially or on each `sample_par` worker — also reuses them
+/// sampling — which enters through `sample_into` once per chunk, on the
+/// calling thread or on each wave lane's worker — also reuses them
 /// across a thread's chunks instead of reallocating per chunk. Every
 /// buffer is re-shaped/refilled on use, so sharing a thread between
 /// different samplers is safe.

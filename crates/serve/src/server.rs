@@ -123,12 +123,20 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:7app` or `127.0.0.1:0` for an
     /// ephemeral test port) with the given options and sampler factory.
+    ///
+    /// A chunk width every request would fail on (zero, or not a
+    /// multiple of 64) is rejected here with
+    /// [`io::ErrorKind::InvalidInput`] carrying the [`BuildError`] text.
     pub fn bind(
         addr: impl ToSocketAddrs,
         options: ServeOptions,
         factory: SamplerFactory,
         lint: Option<LintGate>,
     ) -> io::Result<Server> {
+        SimConfig::new()
+            .with_chunk_shots(options.chunk_shots)
+            .validate()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {

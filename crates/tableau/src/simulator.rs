@@ -338,8 +338,9 @@ mod tests {
     fn sampler_backend_par_is_deterministic() {
         let c = bell_pair();
         let s = TableauSampler::new(&c);
-        let a = s.sample_seeded(5000, 77);
-        let b = s.sample_par(5000, 77);
+        let cfg = symphase_backend::SimConfig::new().with_seed(77);
+        let a = symphase_backend::collect(&s, 5000, &cfg);
+        let b = symphase_backend::collect(&s, 5000, &cfg.with_threads(0));
         assert_eq!(a, b);
     }
 

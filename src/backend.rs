@@ -9,10 +9,11 @@
 //! ```
 //! use symphase::backend::{build_sampler, EngineKind, SimConfig};
 //! use symphase::circuit::generators::ghz;
+//! use symphase::prelude::collect;
 //!
 //! let cfg = SimConfig::new().with_engine(EngineKind::Frame).with_seed(7);
 //! let sampler = build_sampler(&ghz(3), &cfg)?;
-//! let batch = sampler.sample_seeded(100, cfg.seed());
+//! let batch = collect(&*sampler, 100, &cfg);
 //! assert_eq!(batch.measurements.rows(), 3);
 //! # Ok::<(), symphase::backend::BuildError>(())
 //! ```

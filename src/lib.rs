@@ -39,7 +39,7 @@
 //! // Stream 10k shots as packed binary into any io::Write.
 //! let mut bytes = Vec::new();
 //! let mut sink = SampleFormat::B8.sink(&mut bytes, RecordSource::Measurements);
-//! sampler.sample_to(10_000, cfg.seed(), &mut *sink)?;
+//! stream_with_config(&*sampler, 10_000, &cfg, &mut *sink)?;
 //! drop(sink);
 //! assert_eq!(bytes.len(), 10_000); // 3 measurements pack into 1 byte/shot
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -63,8 +63,8 @@ pub mod prelude {
     pub use crate::backend::build_sampler;
     pub use symphase_backend::formats::{RecordSource, SampleFormat};
     pub use symphase_backend::{
-        BuildError, CollectSink, EngineKind, PhaseRepr, SampleBatch, Sampler, SamplingMethod,
-        ShotSink, ShotSpec, SimConfig,
+        collect, stream_range_with_config, stream_with_config, BuildError, CollectSink, EngineKind,
+        PhaseRepr, SampleBatch, Sampler, SamplingMethod, ShotSink, ShotSpec, SimConfig,
     };
     pub use symphase_bitmat::{BitMatrix, BitVec};
     pub use symphase_circuit::{Circuit, Gate, Instruction, NoiseChannel, PauliKind};

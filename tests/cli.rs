@@ -527,43 +527,47 @@ fn obs_out_splits_observables_from_detectors() {
 #[test]
 fn threads_flag_matches_serial_output() {
     let f = write_circuit("H 0\nX_ERROR(0.3) 1\nM 0 1\n");
-    let serial = run(&args(&[
-        "sample",
-        "-c",
-        f.as_str(),
-        "--shots",
-        "500",
-        "--seed",
-        "9",
-    ]))
-    .expect("runs");
-    for threads in ["2", "3"] {
+    // 500 shots fit in one 4096-shot chunk; 2 * 4096 + 100 spans three,
+    // so the threaded runs draw chunks concurrently.
+    for shots in ["500", "8292"] {
+        let serial = run(&args(&[
+            "sample",
+            "-c",
+            f.as_str(),
+            "--shots",
+            shots,
+            "--seed",
+            "9",
+        ]))
+        .expect("runs");
+        for threads in ["2", "3"] {
+            let par = run(&args(&[
+                "sample",
+                "-c",
+                f.as_str(),
+                "--shots",
+                shots,
+                "--seed",
+                "9",
+                "--threads",
+                threads,
+            ]))
+            .expect("runs");
+            assert_eq!(serial, par, "--threads {threads} diverged");
+        }
         let par = run(&args(&[
             "sample",
             "-c",
             f.as_str(),
             "--shots",
-            "500",
+            shots,
             "--seed",
             "9",
-            "--threads",
-            threads,
+            "--par",
         ]))
         .expect("runs");
-        assert_eq!(serial, par, "--threads {threads} diverged");
+        assert_eq!(serial, par, "--par diverged");
     }
-    let par = run(&args(&[
-        "sample",
-        "-c",
-        f.as_str(),
-        "--shots",
-        "500",
-        "--seed",
-        "9",
-        "--par",
-    ]))
-    .expect("runs");
-    assert_eq!(serial, par, "--par diverged");
 }
 
 #[test]

@@ -20,7 +20,7 @@ use symphase::bitmat::BitVec;
 use symphase::circuit::generators::{repetition_code_memory, RepetitionCodeConfig};
 use symphase::circuit::{Circuit, Gate, NoiseChannel, PauliKind};
 use symphase::core::SymPhaseSampler;
-use symphase::sampler_api::SampleBatch;
+use symphase::sampler_api::{collect, SampleBatch};
 use symphase::tableau::reference_sample;
 
 /// A compact description of one random circuit.
@@ -452,7 +452,8 @@ fn cross_backend_measurement_distributions_agree() {
             .iter()
             .map(|kind| {
                 let sampler = build(*kind, &circuit);
-                (kind.name(), sampler.sample_seeded(shots, 0xC0FFEE))
+                let cfg = SimConfig::new().with_seed(0xC0FFEE);
+                (kind.name(), collect(sampler.as_ref(), shots, &cfg))
             })
             .collect();
         let (ref_name, reference) = &batches[0];
@@ -488,7 +489,8 @@ fn cross_backend_detector_rates_agree() {
         .iter()
         .map(|kind| {
             let sampler = build(*kind, circuit);
-            (kind.name(), sampler.sample_seeded(shots, 0xDE7EC7))
+            let cfg = SimConfig::new().with_seed(0xDE7EC7);
+            (kind.name(), collect(sampler.as_ref(), shots, &cfg))
         })
         .collect();
     let (ref_name, reference) = &batches[0];
@@ -554,16 +556,17 @@ fn sample_into_overwrites_reused_batches() {
 }
 
 /// The acceptance criterion on the parallel path: for every backend,
-/// `sample_par` agrees **shot for shot** with the serial chunk-seeded
-/// schedule, across chunk boundaries.
+/// collecting on every core agrees **shot for shot** with the serial
+/// chunk-seeded schedule, across chunk boundaries.
 #[test]
-fn sample_par_matches_sample_seeded_on_every_backend() {
+fn parallel_collect_matches_serial_collect_on_every_backend() {
     let shots = symphase::sampler_api::CHUNK_SHOTS + 123;
     for (name, circuit) in matrix_circuits() {
         for kind in MATRIX {
             let sampler = build(kind, &circuit);
-            let serial = sampler.sample_seeded(shots, 42);
-            let par = sampler.sample_par(shots, 42);
+            let cfg = SimConfig::new().with_seed(42);
+            let serial = collect(sampler.as_ref(), shots, &cfg);
+            let par = collect(sampler.as_ref(), shots, &cfg.with_threads(0));
             assert_eq!(
                 serial,
                 par,

@@ -245,20 +245,22 @@ fn b8_round_trips_on_multi_word_rows() {
 fn sampled_b8_stream_round_trips() {
     use symphase::backend::{build_sampler, SimConfig};
     use symphase::circuit::generators::{repetition_code_memory, RepetitionCodeConfig};
+    use symphase::sampler_api::{collect, stream_with_config};
     let circuit = repetition_code_memory(&RepetitionCodeConfig {
         distance: 3,
         rounds: 2,
         data_error: 0.05,
         measure_error: 0.05,
     });
-    let sampler = build_sampler(&circuit, &SimConfig::new()).unwrap();
+    let cfg = SimConfig::new().with_seed(17);
+    let sampler = build_sampler(&circuit, &cfg).unwrap();
     let shots = 300;
     let mut bytes = Vec::new();
     {
         let mut sink = SampleFormat::B8.sink(&mut bytes, RecordSource::Measurements);
-        sampler.sample_to(shots, 17, &mut *sink).unwrap();
+        stream_with_config(sampler.as_ref(), shots, &cfg, &mut *sink).unwrap();
     }
-    let expected = sampler.sample_seeded(shots, 17);
+    let expected = collect(sampler.as_ref(), shots, &cfg);
     assert_eq!(
         read_b8(&bytes, sampler.num_measurements()).unwrap(),
         expected.measurements

@@ -28,6 +28,7 @@ use symphase::bitmat::BitVec;
 use symphase::circuit::generators::{repetition_code_memory, RepetitionCodeConfig};
 use symphase::circuit::{Circuit, Gate, NoiseChannel};
 use symphase::core::SymPhaseSampler;
+use symphase::sampler_api::collect;
 
 const GATES1: [Gate; 9] = [
     Gate::X,
@@ -164,9 +165,10 @@ fn factory_optimize_knob_is_bit_identical_to_preoptimizing() {
                 .expect("builds with optimize");
             let direct =
                 build_sampler(&r.circuit, &SimConfig::new().with_engine(kind)).expect("builds");
+            let seeded = SimConfig::new().with_seed(0xFEED);
             assert_eq!(
-                knob.sample_seeded(128, 0xFEED),
-                direct.sample_seeded(128, 0xFEED),
+                collect(knob.as_ref(), 128, &seeded),
+                collect(direct.as_ref(), 128, &seeded),
                 "{} diverged from pre-optimized build on:\n{text}",
                 kind.name()
             );

@@ -51,7 +51,7 @@ fn start(options: ServeOptions, lint: Option<LintGate>) -> ServerHandle {
         .spawn()
 }
 
-/// The offline reference: what `sample_seeded` + the format sink produce
+/// The offline reference: what the local chunk loop + the format sink produce
 /// for the same (circuit, engine, seed, range, format, source).
 #[allow(clippy::too_many_arguments)]
 fn local_bytes(
@@ -504,6 +504,25 @@ fn typed_error_frames_cover_the_rejection_paths() {
     let stats = handle.stats();
     assert_eq!(stats.hits, 0);
     handle.shutdown().unwrap();
+}
+
+#[test]
+fn bind_rejects_a_chunk_width_every_request_would_fail_on() {
+    for chunk_shots in [0, 100] {
+        let options = ServeOptions {
+            chunk_shots,
+            ..ServeOptions::default()
+        };
+        let err = match Server::bind("127.0.0.1:0", options, factory(), None) {
+            Err(err) => err,
+            Ok(_) => panic!("chunk width {chunk_shots} must not bind"),
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(
+            err.to_string().contains("multiple of 64"),
+            "chunk width {chunk_shots}: {err}"
+        );
+    }
 }
 
 #[test]

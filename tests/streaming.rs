@@ -3,10 +3,10 @@
 //!
 //! For **every** engine:
 //!
-//! * `sample_to` into a collecting sink equals `sample_seeded`
+//! * `stream_with_config` into a collecting sink equals `collect`
 //!   bit-for-bit (the batch API *is* the streaming API plus an in-memory
 //!   sink);
-//! * parallel `sample_to_par` equals the serial stream for equal seeds,
+//! * a threaded stream equals the serial stream for equal seeds,
 //!   whatever the thread budget, and presents chunks to the sink in
 //!   schedule order;
 //! * a zero-shot request produces a well-formed empty stream.
@@ -17,7 +17,12 @@
 
 use symphase::backend::{build_sampler, BuildError, EngineKind, SimConfig};
 use symphase::prelude::*;
-use symphase::sampler_api::{sink, CollectSink, CountingSink, CHUNK_SHOTS};
+use symphase::sampler_api::{CollectSink, CountingSink, CHUNK_SHOTS};
+
+/// The default (serial) configuration with `seed`.
+fn seeded(seed: u64) -> SimConfig {
+    SimConfig::new().with_seed(seed)
+}
 
 /// A small noisy QEC workload every engine (including the ≤22-qubit
 /// state-vector ground truth) can run, with measurements, detectors, and
@@ -48,14 +53,14 @@ fn build(kind: EngineKind, circuit: &Circuit) -> Box<dyn Sampler> {
 }
 
 #[test]
-fn collecting_sink_equals_sample_seeded_on_every_engine() {
+fn collecting_sink_equals_collect_on_every_engine() {
     let circuit = small_circuit();
     for kind in EngineKind::ALL {
         let sampler = build(kind, &circuit);
         for shots in [0usize, 1, 63, 64, 65, 257] {
-            let batch = sampler.sample_seeded(shots, 0xABCD);
+            let batch = collect(sampler.as_ref(), shots, &seeded(0xABCD));
             let mut sink = CollectSink::new();
-            sampler.sample_to(shots, 0xABCD, &mut sink).unwrap();
+            stream_with_config(sampler.as_ref(), shots, &seeded(0xABCD), &mut sink).unwrap();
             assert_eq!(
                 sink.into_batch(),
                 batch,
@@ -72,10 +77,11 @@ fn parallel_stream_equals_serial_on_every_engine() {
     for kind in EngineKind::ALL {
         let sampler = build(kind, &circuit);
         let shots = 200;
-        let serial = sampler.sample_seeded(shots, 7);
+        let serial = collect(sampler.as_ref(), shots, &seeded(7));
         for threads in [2, 3, 8] {
             let mut sink = CollectSink::new();
-            sampler.sample_to_par(shots, 7, threads, &mut sink).unwrap();
+            let cfg = seeded(7).with_threads(threads);
+            stream_with_config(sampler.as_ref(), shots, &cfg, &mut sink).unwrap();
             assert_eq!(
                 sink.into_batch(),
                 serial,
@@ -92,18 +98,17 @@ fn multi_chunk_streams_agree_across_paths_on_fast_engines() {
     let shots = 2 * CHUNK_SHOTS + 100;
     for kind in fast_engines() {
         let sampler = build(kind, &circuit);
-        let serial = sampler.sample_seeded(shots, 99);
+        let serial = collect(sampler.as_ref(), shots, &seeded(99));
         // Streaming serial.
         let mut sink = CollectSink::new();
-        sampler.sample_to(shots, 99, &mut sink).unwrap();
+        stream_with_config(sampler.as_ref(), shots, &seeded(99), &mut sink).unwrap();
         assert_eq!(sink.into_batch(), serial, "{} serial stream", kind.name());
         // Streaming parallel with budgets that do and don't divide the
         // chunk count.
         for threads in [2, 3] {
             let mut sink = CollectSink::new();
-            sampler
-                .sample_to_par(shots, 99, threads, &mut sink)
-                .unwrap();
+            let cfg = seeded(99).with_threads(threads);
+            stream_with_config(sampler.as_ref(), shots, &cfg, &mut sink).unwrap();
             assert_eq!(
                 sink.into_batch(),
                 serial,
@@ -111,8 +116,11 @@ fn multi_chunk_streams_agree_across_paths_on_fast_engines() {
                 kind.name()
             );
         }
-        // The legacy batch parallel path is the same machinery.
-        assert_eq!(sampler.sample_par(shots, 99), serial);
+        // Collecting on every core is the same machinery.
+        assert_eq!(
+            collect(sampler.as_ref(), shots, &seeded(99).with_threads(0)),
+            serial
+        );
     }
 }
 
@@ -132,7 +140,7 @@ fn config_thread_budgets_1_2_8_are_bit_identical_on_every_engine() {
                 .with_chunk_shots(64)
                 .with_threads(threads);
             let mut sink = CollectSink::new();
-            sink::stream_with_config(sampler.as_ref(), 300, &cfg, &mut sink).unwrap();
+            stream_with_config(sampler.as_ref(), 300, &cfg, &mut sink).unwrap();
             let batch = sink.into_batch();
             match &reference {
                 None => reference = Some(batch),
@@ -169,7 +177,8 @@ fn streams_deliver_chunks_in_schedule_order() {
             next_start: 0,
             max_chunk: 0,
         };
-        sampler.sample_to_par(shots, 3, threads, &mut sink).unwrap();
+        let cfg = seeded(3).with_threads(threads);
+        stream_with_config(sampler.as_ref(), shots, &cfg, &mut sink).unwrap();
         assert_eq!(sink.next_start, shots);
         // The memory contract: no delivery ever exceeds one chunk.
         assert_eq!(sink.max_chunk, CHUNK_SHOTS);
@@ -180,31 +189,33 @@ fn streams_deliver_chunks_in_schedule_order() {
 fn explicit_chunk_width_changes_schedule_but_not_totals() {
     let circuit = small_circuit();
     let sampler = build(EngineKind::SymPhase, &circuit);
+    let narrow_cfg = seeded(5).with_chunk_shots(128);
     let mut narrow = CountingSink::default();
-    sink::stream_seeded(sampler.as_ref(), 1000, 5, 128, &mut narrow).unwrap();
+    stream_with_config(sampler.as_ref(), 1000, &narrow_cfg, &mut narrow).unwrap();
     assert_eq!(narrow.shots, 1000);
     assert_eq!(narrow.chunks, 8); // ⌈1000 / 128⌉
                                   // Same custom width in parallel: bit-identical to its own serial run.
     let mut a = CollectSink::new();
     let mut b = CollectSink::new();
-    sink::stream_seeded(sampler.as_ref(), 1000, 5, 128, &mut a).unwrap();
-    sink::stream_par(sampler.as_ref(), 1000, 5, 128, 3, &mut b).unwrap();
+    stream_with_config(sampler.as_ref(), 1000, &narrow_cfg, &mut a).unwrap();
+    let threaded_cfg = narrow_cfg.clone().with_threads(3);
+    stream_with_config(sampler.as_ref(), 1000, &threaded_cfg, &mut b).unwrap();
     let a = a.into_batch();
     assert_eq!(&a, &b.into_batch());
-    // The config-driven entry point honors the configured width: same
-    // bytes as the explicit-width call, serial and threaded.
+    // A config built from scratch with the same knobs gives the same
+    // bytes, serial and threaded.
     for threads in [1, 3] {
         let cfg = SimConfig::new()
             .with_seed(5)
             .with_chunk_shots(128)
             .with_threads(threads);
         let mut c = CollectSink::new();
-        sink::stream_with_config(sampler.as_ref(), 1000, &cfg, &mut c).unwrap();
+        stream_with_config(sampler.as_ref(), 1000, &cfg, &mut c).unwrap();
         assert_eq!(&a, &c.into_batch(), "{threads} threads");
     }
     let mut counted = CountingSink::default();
     let cfg = SimConfig::new().with_chunk_shots(128);
-    sink::stream_with_config(sampler.as_ref(), 1000, &cfg, &mut counted).unwrap();
+    stream_with_config(sampler.as_ref(), 1000, &cfg, &mut counted).unwrap();
     assert_eq!(
         counted.chunks, 8,
         "configured width must drive the schedule"
@@ -217,10 +228,10 @@ fn zero_shots_stream_empty_everywhere() {
     for kind in EngineKind::ALL {
         let sampler = build(kind, &circuit);
         let mut counting = CountingSink::default();
-        sampler.sample_to(0, 1, &mut counting).unwrap();
+        stream_with_config(sampler.as_ref(), 0, &seeded(1), &mut counting).unwrap();
         assert_eq!(counting.shots, 0);
         assert_eq!(counting.chunks, 0);
-        let batch = sampler.sample_seeded(0, 1);
+        let batch = collect(sampler.as_ref(), 0, &seeded(1));
         assert_eq!(batch.shots(), 0);
         assert_eq!(batch.measurements.rows(), sampler.num_measurements());
     }
@@ -231,9 +242,9 @@ fn config_seed_controls_the_stream() {
     let circuit = small_circuit();
     let cfg = SimConfig::new().with_seed(123);
     let sampler = build_sampler(&circuit, &cfg).unwrap();
-    let a = sampler.sample_seeded(500, cfg.seed());
-    let b = sampler.sample_seeded(500, cfg.seed());
-    let c = sampler.sample_seeded(500, cfg.seed() + 1);
+    let a = collect(sampler.as_ref(), 500, &cfg);
+    let b = collect(sampler.as_ref(), 500, &cfg);
+    let c = collect(sampler.as_ref(), 500, &seeded(cfg.seed() + 1));
     assert_eq!(a, b);
     assert_ne!(a, c);
 }
@@ -264,12 +275,12 @@ fn sampling_methods_agree_through_the_config_path() {
     // The chunk-seeded stream must be method-independent, config-built.
     let circuit = small_circuit();
     let reference = build_sampler(&circuit, &SimConfig::new()).unwrap();
-    let expected = reference.sample_seeded(300, 11);
+    let expected = collect(reference.as_ref(), 300, &seeded(11));
     for method in SamplingMethod::ALL {
         let cfg = SimConfig::new().with_sampling(method);
         let sampler = build_sampler(&circuit, &cfg).unwrap();
         assert_eq!(
-            sampler.sample_seeded(300, 11),
+            collect(sampler.as_ref(), 300, &seeded(11)),
             expected,
             "method {} diverged",
             method.name()

@@ -6,7 +6,7 @@
 use symphase::backend::{build_sampler, EngineKind, SimConfig};
 use symphase::circuit::{Circuit, Instruction};
 use symphase::core::SymPhaseSampler;
-use symphase::sampler_api::record;
+use symphase::sampler_api::{collect, record};
 
 /// A million-round memory loop parses in O(file) and initializes without
 /// hitting any expansion cap. The body uses `MR`, so the per-round error
@@ -89,8 +89,9 @@ M 0 1 2
         let build = |c: &Circuit| {
             build_sampler(c, &SimConfig::new().with_engine(kind)).expect("backend builds")
         };
-        let a = build(&structured).sample_seeded(256, 7);
-        let b = build(&flat).sample_seeded(256, 7);
+        let cfg = SimConfig::new().with_seed(7);
+        let a = collect(build(&structured).as_ref(), 256, &cfg);
+        let b = collect(build(&flat).as_ref(), 256, &cfg);
         assert_eq!(a, b, "{} diverged between structured and flat", kind.name());
     }
 }
