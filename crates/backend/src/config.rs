@@ -3,11 +3,11 @@
 //!
 //! This module is the data half of the sampler-construction API. A
 //! [`SimConfig`] names an engine ([`EngineKind`]) plus every tuning knob
-//! the workspace exposes — symbolic phase store ([`PhaseRepr`]), `M · B`
-//! multiplication strategy ([`SamplingMethod`]), RNG seed, thread budget,
-//! and streaming chunk width — and validates the combination up front,
-//! reporting problems as a [`BuildError`] instead of panicking deep inside
-//! an engine. The construction half, `symphase::backend::build_sampler`,
+//! the workspace exposes — `M · B` multiplication strategy
+//! ([`SamplingMethod`]), RNG seed, thread budget, streaming chunk width
+//! and the pre-simulation optimizer — and validates the combination up
+//! front, reporting problems as a [`BuildError`] instead of panicking
+//! deep inside an engine. The construction half, `symphase::backend::build_sampler`,
 //! lives in the facade crate (it must link every engine); everything a
 //! caller writes *before* touching a circuit is here.
 
@@ -16,9 +16,11 @@ use symphase_circuit::Circuit;
 use crate::CHUNK_SHOTS;
 
 /// Which symbolic phase store Initialization uses (paper Eq. (3) dense
-/// bit-matrix vs sparse rows; the phase-store half of `experiments
-/// ablation`, see the README's "Reproducing the paper's figures and
-/// tables").
+/// bit-matrix vs sparse rows). The `symphase` engine always builds with
+/// [`PhaseRepr::Auto`]; the pinned stores are reachable only through
+/// `SymPhaseSampler::with_repr` (in `symphase-core`), for the phase-store
+/// half of `experiments ablation` (see the README's "Reproducing the
+/// paper's figures and tables").
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PhaseRepr {
     /// Choose per circuit (the paper's conclusion suggests "dynamically
@@ -61,15 +63,6 @@ impl PhaseRepr {
             other => other,
         }
     }
-
-    /// Short stable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            PhaseRepr::Auto => "auto",
-            PhaseRepr::Sparse => "sparse",
-            PhaseRepr::Dense => "dense",
-        }
-    }
 }
 
 /// How the Sampling step multiplies `M · B` (the matmul half of
@@ -87,10 +80,9 @@ pub enum SamplingMethod {
     /// entanglement — promote to the blocked
     /// [`SamplingMethod::DenseMatMul`] kernel; at realistic (small) fault
     /// rates the event-driven [`SamplingMethod::Hybrid`] wins; in
-    /// between, [`SamplingMethod::SparseRows`]. See
-    /// [`SamplingMethod::resolve`] for the statistics-only rule and
-    /// `SymPhaseSampler::resolved_method` (in `symphase-core`) for the
-    /// matrix-informed refinement.
+    /// between, [`SamplingMethod::SparseRows`]. The cost model reads the
+    /// measurement matrix Initialization built; see
+    /// `SymPhaseSampler::resolved_method` (in `symphase-core`).
     #[default]
     Auto,
     /// Coins (fair measurement randomness) are multiplied densely — they
@@ -114,37 +106,6 @@ pub enum SamplingMethod {
 }
 
 impl SamplingMethod {
-    /// Resolves `Auto` against a circuit's pre-initialization statistics;
-    /// fixed methods resolve to themselves.
-    ///
-    /// From counts alone only the event-rate side is observable: if the
-    /// mean noise fire probability is at most `1/64`, fault sites fire
-    /// less than once per packed word of shots, so flipping individual
-    /// bits per event ([`SamplingMethod::Hybrid`]) beats XORing whole
-    /// shot-rows; otherwise [`SamplingMethod::SparseRows`].
-    ///
-    /// The *density* side — promoting to the blocked
-    /// [`SamplingMethod::DenseMatMul`] when measurement rows carry more
-    /// set bits than the kernel has column groups — needs the measurement
-    /// matrix itself, which only exists after Initialization; the SymPhase
-    /// sampler applies that refinement itself. (Deep *random* circuits do
-    /// not densify `M`: random outcomes are fresh coins, so fault symbols
-    /// stay out of their rows. Density comes from *determined*
-    /// measurements downstream of noise and entanglement — see
-    /// `noisy_ghz_chain`.)
-    pub fn resolve(self, circuit: &Circuit) -> SamplingMethod {
-        match self {
-            SamplingMethod::Auto => {
-                if circuit.mean_noise_probability() <= 1.0 / 64.0 {
-                    SamplingMethod::Hybrid
-                } else {
-                    SamplingMethod::SparseRows
-                }
-            }
-            other => other,
-        }
-    }
-
     /// CLI name (`--sampling` value).
     pub fn name(self) -> &'static str {
         match self {
@@ -177,13 +138,9 @@ impl SamplingMethod {
 /// only layer that links every engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
-    /// SymPhase (Algorithm 1) honoring the configured [`PhaseRepr`]
-    /// (`Auto` picks the store per circuit).
+    /// SymPhase (Algorithm 1); [`PhaseRepr::Auto`] picks the phase store
+    /// per circuit.
     SymPhase,
-    /// SymPhase pinned to the sparse phase store.
-    SymPhaseSparse,
-    /// SymPhase pinned to the dense phase store.
-    SymPhaseDense,
     /// Stim-style Pauli-frame batch propagation.
     Frame,
     /// Per-shot concrete Aaronson–Gottesman tableau trajectories.
@@ -194,10 +151,8 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// Every engine, in documentation order.
-    pub const ALL: [EngineKind; 6] = [
+    pub const ALL: [EngineKind; 4] = [
         EngineKind::SymPhase,
-        EngineKind::SymPhaseSparse,
-        EngineKind::SymPhaseDense,
         EngineKind::Frame,
         EngineKind::Tableau,
         EngineKind::StateVec,
@@ -207,8 +162,6 @@ impl EngineKind {
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::SymPhase => "symphase",
-            EngineKind::SymPhaseSparse => "symphase-sparse",
-            EngineKind::SymPhaseDense => "symphase-dense",
             EngineKind::Frame => "frame",
             EngineKind::Tableau => "tableau",
             EngineKind::StateVec => "statevec",
@@ -219,21 +172,11 @@ impl EngineKind {
     pub fn from_name(name: &str) -> Option<EngineKind> {
         Self::ALL.into_iter().find(|k| k.name() == name)
     }
-
-    /// Whether this is one of the SymPhase variants (the engines that
-    /// honor a [`PhaseRepr`] / [`SamplingMethod`] choice — only they
-    /// multiply a measurement matrix).
-    pub fn is_symphase(self) -> bool {
-        matches!(
-            self,
-            EngineKind::SymPhase | EngineKind::SymPhaseSparse | EngineKind::SymPhaseDense
-        )
-    }
 }
 
 /// Everything needed to build and drive a sampler, with validation up
-/// front: engine, phase store, sampling method, seed, thread budget, and
-/// streaming chunk width.
+/// front: engine, sampling method, seed, thread budget, streaming chunk
+/// width, and the optimizer switch.
 ///
 /// `SimConfig` is a by-value builder — start from [`SimConfig::new`] (or
 /// `Default`) and chain `with_*` setters:
@@ -250,15 +193,13 @@ impl EngineKind {
 /// ```
 ///
 /// Validation ([`SimConfig::validate`]) rejects contradictory requests —
-/// a sampling method on an engine without a measurement matrix, a phase
-/// store conflicting with a pinned engine variant, a chunk width that
-/// breaks word alignment — as typed [`BuildError`]s. The factory
+/// a sampling method on an engine without a measurement matrix, a chunk
+/// width that breaks word alignment — as typed [`BuildError`]s. The factory
 /// (`symphase::backend::build_sampler`) validates again, so a config that
 /// skipped `validate` still cannot build a broken sampler.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimConfig {
     engine: EngineKind,
-    phase_repr: PhaseRepr,
     sampling: SamplingMethod,
     seed: u64,
     threads: usize,
@@ -270,7 +211,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             engine: EngineKind::SymPhase,
-            phase_repr: PhaseRepr::Auto,
             sampling: SamplingMethod::Auto,
             seed: 0,
             threads: 1,
@@ -303,13 +243,7 @@ impl SimConfig {
         }
     }
 
-    /// Selects the symbolic phase store (SymPhase engines only).
-    pub fn with_phase_repr(mut self, repr: PhaseRepr) -> Self {
-        self.phase_repr = repr;
-        self
-    }
-
-    /// Selects the `M · B` multiplication strategy (SymPhase engines
+    /// Selects the `M · B` multiplication strategy (SymPhase engine
     /// only).
     pub fn with_sampling(mut self, method: SamplingMethod) -> Self {
         self.sampling = method;
@@ -377,20 +311,10 @@ impl SimConfig {
         self.engine
     }
 
-    /// The selected phase store.
-    pub fn phase_repr(&self) -> PhaseRepr {
-        self.phase_repr
-    }
-
-    /// The phase store the engine will actually be built with: the pinned
-    /// engine variants (`symphase-sparse`, `symphase-dense`) override the
-    /// configured store; plain `symphase` honors it.
+    /// The phase store the engine is built with: always
+    /// [`PhaseRepr::Auto`], which picks the store per circuit.
     pub fn effective_phase_repr(&self) -> PhaseRepr {
-        match self.engine {
-            EngineKind::SymPhaseSparse => PhaseRepr::Sparse,
-            EngineKind::SymPhaseDense => PhaseRepr::Dense,
-            _ => self.phase_repr,
-        }
+        PhaseRepr::Auto
     }
 
     /// The selected sampling method.
@@ -423,30 +347,14 @@ impl SimConfig {
                 got: self.chunk_shots,
             });
         }
-        if !self.engine.is_symphase() {
-            if self.sampling != SamplingMethod::Auto {
-                return Err(BuildError::SamplingMethodUnsupported {
-                    engine: self.engine.name(),
-                    method: self.sampling.name(),
-                });
-            }
-            if self.phase_repr != PhaseRepr::Auto {
-                return Err(BuildError::PhaseReprUnsupported {
-                    engine: self.engine.name(),
-                    repr: self.phase_repr.name(),
-                });
-            }
+        // Only SymPhase multiplies a measurement matrix.
+        if self.engine != EngineKind::SymPhase && self.sampling != SamplingMethod::Auto {
+            return Err(BuildError::SamplingMethodUnsupported {
+                engine: self.engine.name(),
+                method: self.sampling.name(),
+            });
         }
-        match (self.engine, self.phase_repr) {
-            (EngineKind::SymPhaseSparse, PhaseRepr::Dense)
-            | (EngineKind::SymPhaseDense, PhaseRepr::Sparse) => {
-                Err(BuildError::PhaseReprConflict {
-                    engine: self.engine.name(),
-                    repr: self.phase_repr.name(),
-                })
-            }
-            _ => Ok(()),
-        }
+        Ok(())
     }
 }
 
@@ -482,21 +390,6 @@ pub enum BuildError {
         engine: &'static str,
         /// The rejected method name.
         method: &'static str,
-    },
-    /// A non-`Auto` phase store was configured for a non-SymPhase engine.
-    PhaseReprUnsupported {
-        /// Engine name.
-        engine: &'static str,
-        /// The rejected store name.
-        repr: &'static str,
-    },
-    /// A phase store conflicting with a pinned engine variant (e.g.
-    /// `symphase-sparse` plus [`PhaseRepr::Dense`]).
-    PhaseReprConflict {
-        /// Engine name.
-        engine: &'static str,
-        /// The conflicting store name.
-        repr: &'static str,
     },
     /// The chunk width is zero or not a multiple of 64, which would break
     /// word alignment of the bit-packed chunk boundaries.
@@ -536,16 +429,7 @@ impl std::fmt::Display for BuildError {
             ),
             BuildError::SamplingMethodUnsupported { engine, method } => write!(
                 f,
-                "--sampling {method} only applies to symphase engines, not '{engine}'"
-            ),
-            BuildError::PhaseReprUnsupported { engine, repr } => write!(
-                f,
-                "phase representation '{repr}' only applies to symphase engines, not '{engine}'"
-            ),
-            BuildError::PhaseReprConflict { engine, repr } => write!(
-                f,
-                "engine '{engine}' pins its phase store and conflicts with \
-                 the requested '{repr}' representation"
+                "--sampling {method} only applies to the symphase engine, not '{engine}'"
             ),
             BuildError::InvalidChunkShots { got } => write!(
                 f,
@@ -580,7 +464,7 @@ mod tests {
     fn name_setters_reject_unknown_values() {
         let e = SimConfig::new().with_engine_name("warp-drive").unwrap_err();
         assert!(matches!(e, BuildError::UnknownEngine { .. }), "{e}");
-        assert!(e.to_string().contains("symphase-sparse"));
+        assert!(e.to_string().contains("statevec"));
         let e = SimConfig::new().with_sampling_name("quantum").unwrap_err();
         assert!(matches!(e, BuildError::UnknownSamplingMethod { .. }), "{e}");
     }
@@ -594,20 +478,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(e, BuildError::SamplingMethodUnsupported { .. }));
 
-        let e = SimConfig::new()
-            .with_engine(EngineKind::Tableau)
-            .with_phase_repr(PhaseRepr::Dense)
-            .validate()
-            .unwrap_err();
-        assert!(matches!(e, BuildError::PhaseReprUnsupported { .. }));
-
-        let e = SimConfig::new()
-            .with_engine(EngineKind::SymPhaseSparse)
-            .with_phase_repr(PhaseRepr::Dense)
-            .validate()
-            .unwrap_err();
-        assert!(matches!(e, BuildError::PhaseReprConflict { .. }));
-
         for bad in [0usize, 1, 63, 100] {
             let e = SimConfig::new()
                 .with_chunk_shots(bad)
@@ -616,15 +486,5 @@ mod tests {
             assert_eq!(e, BuildError::InvalidChunkShots { got: bad });
         }
         assert!(SimConfig::new().with_chunk_shots(128).validate().is_ok());
-    }
-
-    #[test]
-    fn pinned_engines_override_the_phase_store() {
-        let cfg = SimConfig::new().with_engine(EngineKind::SymPhaseDense);
-        assert_eq!(cfg.effective_phase_repr(), PhaseRepr::Dense);
-        let cfg = SimConfig::new()
-            .with_engine(EngineKind::SymPhase)
-            .with_phase_repr(PhaseRepr::Sparse);
-        assert_eq!(cfg.effective_phase_repr(), PhaseRepr::Sparse);
     }
 }

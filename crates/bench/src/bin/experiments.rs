@@ -29,12 +29,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use symphase::backend::build_sampler;
-use symphase::sampler_api::{sink, CountingSink};
+use symphase::sampler_api::{sink, CountingSink, Sampler};
 use symphase_bench::json::Json;
 use symphase_bench::perf::{self, PerfConfig};
 use symphase_bench::{
-    measure_fig3_point, measure_scale_point, secs, table1_circuit, EngineKind, SimConfig, Workload,
-    PAPER_SHOTS,
+    measure_fig3_point, measure_scale_point, secs, table1_circuit, SimConfig, Workload, PAPER_SHOTS,
 };
 use symphase_bitmat::layout::{ChpLayout, StimLayout, SymLayout512, TableauLayout};
 use symphase_bitmat::simd::SimdLevel;
@@ -391,10 +390,16 @@ fn par_scaling(n: usize, shots: usize, strict: bool) {
     let mut slower_than_serial = Vec::new();
     for workload in [Workload::Fig3a, Workload::Fig3c] {
         let c = workload.circuit(n, 13);
-        for kind in [workload.symphase_backend(), EngineKind::Frame] {
-            let label = format!("{}/{}", workload.name(), kind.name());
-            let sampler =
-                build_sampler(&c, &SimConfig::new().with_engine(kind)).expect("engine builds");
+        // SymPhase on the phase store this workload wins with.
+        let engines: [(&str, Box<dyn Sampler>); 2] = [
+            (
+                "symphase",
+                Box::new(SymPhaseSampler::with_repr(&c, workload.phase_repr())),
+            ),
+            ("frame", Box::new(FrameSampler::new(&c))),
+        ];
+        for (name, sampler) in engines {
+            let label = format!("{}/{}", workload.name(), name);
             let mut serial = None;
             for &threads in &budgets {
                 let cfg = SimConfig::new().with_seed(1).with_threads(threads);

@@ -63,15 +63,6 @@ impl Workload {
         }
     }
 
-    /// The SymPhase backend pinned to this workload's best representation.
-    pub fn symphase_backend(self) -> EngineKind {
-        match self.phase_repr() {
-            PhaseRepr::Sparse => EngineKind::SymPhaseSparse,
-            PhaseRepr::Dense => EngineKind::SymPhaseDense,
-            PhaseRepr::Auto => EngineKind::SymPhase,
-        }
-    }
-
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -94,16 +85,30 @@ pub struct BackendTiming {
     pub sample: Duration,
 }
 
-/// Builds `kind` for `circuit` through the configured factory, panicking
-/// on the (impossible-for-bench-workloads) construction failures.
-fn build(kind: EngineKind, circuit: &Circuit) -> Box<dyn Sampler> {
-    build_sampler(circuit, &SimConfig::new().with_engine(kind)).expect("bench backend builds")
+/// Times `kind` on `circuit`, built through the configured factory:
+/// build, then draw `shots` from `seed`.
+pub fn time_backend(kind: EngineKind, circuit: &Circuit, shots: usize, seed: u64) -> BackendTiming {
+    time_sampler(
+        kind.name(),
+        || {
+            build_sampler(circuit, &SimConfig::new().with_engine(kind))
+                .expect("bench backend builds")
+        },
+        shots,
+        seed,
+    )
 }
 
-/// Times `kind` on `circuit`: build, then draw `shots` from `seed`.
-pub fn time_backend(kind: EngineKind, circuit: &Circuit, shots: usize, seed: u64) -> BackendTiming {
+/// Times `build` (the engine's initialization), then draws `shots` from
+/// `seed` through the shared `Sampler` trait.
+fn time_sampler(
+    label: &'static str,
+    build: impl FnOnce() -> Box<dyn Sampler>,
+    shots: usize,
+    seed: u64,
+) -> BackendTiming {
     let t = Instant::now();
-    let sampler = build(kind, circuit);
+    let sampler = build();
     let init = t.elapsed();
     let mut rng = StdRng::seed_from_u64(seed);
     let t = Instant::now();
@@ -111,7 +116,7 @@ pub fn time_backend(kind: EngineKind, circuit: &Circuit, shots: usize, seed: u64
     let sample = t.elapsed();
     std::hint::black_box(batch.measurements.count_ones());
     BackendTiming {
-        label: kind.name(),
+        label,
         init,
         sample,
     }
@@ -133,10 +138,16 @@ pub struct FigPoint {
 }
 
 /// Measures one point of a Fig. 3 comparison (both engines through the
-/// shared [`Sampler`] trait).
+/// shared [`Sampler`] trait; SymPhase on the phase store the workload
+/// wins with, [`Workload::phase_repr`]).
 pub fn measure_fig3_point(workload: Workload, n: usize, shots: usize) -> FigPoint {
     let circuit = workload.circuit(n, 0xF16_3000 + n as u64);
-    let sym = time_backend(workload.symphase_backend(), &circuit, shots, 1);
+    let sym = time_sampler(
+        "symphase",
+        || Box::new(SymPhaseSampler::with_repr(&circuit, workload.phase_repr())),
+        shots,
+        1,
+    );
     let frame = time_backend(EngineKind::Frame, &circuit, shots, 2);
     FigPoint {
         n,
@@ -377,12 +388,7 @@ mod tests {
     #[test]
     fn all_backend_choices_sample_through_the_trait() {
         let c = Workload::Fig3a.circuit(8, 2);
-        for kind in [
-            EngineKind::SymPhaseSparse,
-            EngineKind::SymPhaseDense,
-            EngineKind::Frame,
-            EngineKind::Tableau,
-        ] {
+        for kind in [EngineKind::SymPhase, EngineKind::Frame, EngineKind::Tableau] {
             let t = time_backend(kind, &c, 64, 3);
             assert_eq!(t.label, kind.name());
         }

@@ -45,9 +45,6 @@ use crate::symbol::{SymbolGroup, SymbolTable};
 /// ```
 #[derive(Debug)]
 pub struct SymPhaseSampler {
-    /// The representation the caller asked for (`Auto` when unpinned);
-    /// reported through `Sampler::name`.
-    requested_repr: PhaseRepr,
     /// The sampling method the `Sampler` trait entry points use (`Auto`
     /// when unpinned).
     method: SamplingMethod,
@@ -55,30 +52,51 @@ pub struct SymPhaseSampler {
     /// (precomputed so sampling never needs the circuit back).
     auto_method: SamplingMethod,
     table: SymbolTable,
-    measurement_exprs: Vec<SymExpr>,
     random_records: Vec<bool>,
-    meas_rows: SparseRowMatrix,
-    det_rows: SparseRowMatrix,
-    obs_rows: SparseRowMatrix,
-    dense_meas: OnceLock<BitMatrix>,
-    dense_det: OnceLock<BitMatrix>,
-    dense_obs: OnceLock<BitMatrix>,
+    meas: Record,
+    det: Record,
+    obs: Record,
     hybrid_index: OnceLock<HybridIndex>,
 }
 
-/// Precomputed structure for [`SamplingMethod::Hybrid`]: the coin
-/// remapping plus, per record matrix (measurements / detectors /
-/// observables), the coin-only restriction of its rows and the
-/// fault-symbol → rows index.
+/// One record matrix (measurements, detectors or observables): its sparse
+/// rows over the assignment columns, plus the forms the other kernels
+/// multiply with, each built on first use.
+#[derive(Debug)]
+struct Record {
+    rows: SparseRowMatrix,
+    /// The densified rows for [`SamplingMethod::DenseMatMul`].
+    dense: OnceLock<BitMatrix>,
+    /// The coin/fault split for [`SamplingMethod::Hybrid`].
+    hybrid: OnceLock<EventTarget>,
+}
+
+impl Record {
+    fn new(rows: SparseRowMatrix) -> Self {
+        Self {
+            rows,
+            dense: OnceLock::new(),
+            hybrid: OnceLock::new(),
+        }
+    }
+
+    fn dense(&self) -> &BitMatrix {
+        self.dense.get_or_init(|| self.rows.to_dense())
+    }
+
+    fn hybrid(&self, idx: &HybridIndex) -> &EventTarget {
+        self.hybrid
+            .get_or_init(|| EventTarget::build(&idx.coin_rank, idx.num_coins, &self.rows))
+    }
+}
+
+/// The coin remapping [`SamplingMethod::Hybrid`] shares across records.
 #[derive(Debug)]
 struct HybridIndex {
     /// `coin_rank[id]` = 1-based coin index, 0 for fault symbols (and for
     /// the constant at index 0).
     coin_rank: Vec<u32>,
     num_coins: usize,
-    meas: EventTarget,
-    det: EventTarget,
-    obs: EventTarget,
 }
 
 /// One record matrix as the hybrid strategy sees it.
@@ -93,14 +111,8 @@ struct EventTarget {
 }
 
 impl HybridIndex {
-    fn build(
-        table: &SymbolTable,
-        meas: &SparseRowMatrix,
-        det: &SparseRowMatrix,
-        obs: &SparseRowMatrix,
-    ) -> Self {
-        let len = table.assignment_len();
-        let mut coin_rank = vec![0u32; len];
+    fn build(table: &SymbolTable) -> Self {
+        let mut coin_rank = vec![0u32; table.assignment_len()];
         let mut num_coins = 0u32;
         for g in table.groups() {
             if let SymbolGroup::Coin { id } = g {
@@ -109,9 +121,6 @@ impl HybridIndex {
             }
         }
         Self {
-            meas: EventTarget::build(&coin_rank, num_coins as usize, meas),
-            det: EventTarget::build(&coin_rank, num_coins as usize, det),
-            obs: EventTarget::build(&coin_rank, num_coins as usize, obs),
             coin_rank,
             num_coins: num_coins as usize,
         }
@@ -186,15 +195,6 @@ impl SymPhaseSampler {
             PhaseRepr::Sparse => initialize::<SparsePhases>(circuit),
             PhaseRepr::Dense | PhaseRepr::Auto => initialize::<DensePhases>(circuit),
         };
-        Self::from_init(circuit, init, repr, method)
-    }
-
-    fn from_init(
-        circuit: &Circuit,
-        init: InitResult,
-        requested_repr: PhaseRepr,
-        method: SamplingMethod,
-    ) -> Self {
         let cols = init.table.assignment_len();
         let mut meas_rows = SparseRowMatrix::new(cols);
         for e in &init.measurements {
@@ -215,32 +215,15 @@ impl SymPhaseSampler {
         let obs_rows = build_derived(observable_measurement_sets(circuit));
         let auto_method = resolve_auto_from_matrix(&init.table, &meas_rows);
         Self {
-            requested_repr,
             method,
             auto_method,
             table: init.table,
-            measurement_exprs: init.measurements,
             random_records: init.random_records,
-            meas_rows,
-            det_rows,
-            obs_rows,
-            dense_meas: OnceLock::new(),
-            dense_det: OnceLock::new(),
-            dense_obs: OnceLock::new(),
+            meas: Record::new(meas_rows),
+            det: Record::new(det_rows),
+            obs: Record::new(obs_rows),
             hybrid_index: OnceLock::new(),
         }
-    }
-
-    /// The phase representation this sampler was requested with
-    /// (`Auto` when the per-circuit heuristic chose).
-    pub fn requested_repr(&self) -> PhaseRepr {
-        self.requested_repr
-    }
-
-    /// The sampling method this sampler was requested with (`Auto` when
-    /// the per-circuit heuristic chooses).
-    pub fn requested_method(&self) -> SamplingMethod {
-        self.method
     }
 
     /// What [`SamplingMethod::Auto`] resolves to on this circuit.
@@ -250,17 +233,17 @@ impl SymPhaseSampler {
 
     /// Number of measurement outcomes per shot.
     pub fn num_measurements(&self) -> usize {
-        self.measurement_exprs.len()
+        self.meas.rows.rows()
     }
 
     /// Number of detectors.
     pub fn num_detectors(&self) -> usize {
-        self.det_rows.rows()
+        self.det.rows.rows()
     }
 
     /// Number of observables.
     pub fn num_observables(&self) -> usize {
-        self.obs_rows.rows()
+        self.obs.rows.rows()
     }
 
     /// The symbol registry built during Initialization.
@@ -271,12 +254,14 @@ impl SymPhaseSampler {
     /// The symbolic expression of measurement `m` — which coins and faults
     /// flip it (the fault-sensitivity view of paper Fig. 1).
     pub fn measurement_expr(&self, m: usize) -> SymExpr {
-        self.measurement_exprs[m].clone()
+        SymExpr::from_sparse_row(self.meas.rows.row(m))
     }
 
     /// All measurement expressions in record order.
-    pub fn measurement_exprs(&self) -> &[SymExpr] {
-        &self.measurement_exprs
+    pub fn measurement_exprs(&self) -> Vec<SymExpr> {
+        (0..self.num_measurements())
+            .map(|m| self.measurement_expr(m))
+            .collect()
     }
 
     /// Per record, whether the measurement's collapse was **random** —
@@ -293,27 +278,27 @@ impl SymPhaseSampler {
     /// only fault symbols remain, which is exactly the circuit's
     /// detector-error structure.
     pub fn detector_expr(&self, d: usize) -> SymExpr {
-        SymExpr::from_sparse_row(self.det_rows.row(d))
+        SymExpr::from_sparse_row(self.det.rows.row(d))
     }
 
     /// The symbolic expression of observable `o`.
     pub fn observable_expr(&self, o: usize) -> SymExpr {
-        SymExpr::from_sparse_row(self.obs_rows.row(o))
+        SymExpr::from_sparse_row(self.obs.rows.row(o))
     }
 
     /// The measurement matrix `M` in sparse form.
     pub fn measurement_matrix(&self) -> &SparseRowMatrix {
-        &self.meas_rows
+        &self.meas.rows
     }
 
     /// The detector rows (XORs of measurement rows) in sparse form.
     pub fn detector_rows(&self) -> &SparseRowMatrix {
-        &self.det_rows
+        &self.det.rows
     }
 
     /// The observable rows in sparse form.
     pub fn observable_rows(&self) -> &SparseRowMatrix {
-        &self.obs_rows
+        &self.obs.rows
     }
 
     /// Sampling (Algorithm 1, line 2): draws `shots` assignment vectors and
@@ -327,84 +312,32 @@ impl SymPhaseSampler {
     const SHOT_BATCH: usize = 4096;
 
     /// Sampling with an explicit multiplication strategy.
-    ///
-    /// Scratch buffers (the assignment matrix, the blocked-kernel tables,
-    /// the hybrid draw buffers) live in a thread-local and are reused
-    /// across the internal shot batches *and* across calls on the same
-    /// thread (the chunk-seeded sampling paths).
     pub fn sample_with_method(
         &self,
         shots: usize,
         rng: &mut impl Rng,
         method: SamplingMethod,
     ) -> BitMatrix {
-        let method = self.resolve_method(method);
-        let mut out = BitMatrix::zeros(self.meas_rows.rows(), shots);
-        SAMPLE_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            for start in (0..shots).step_by(Self::SHOT_BATCH) {
-                let width = Self::SHOT_BATCH.min(shots - start);
-                debug_assert_eq!(start % 64, 0, "batch starts must be word-aligned");
-                match method {
-                    SamplingMethod::Auto => unreachable!("resolved above"),
-                    SamplingMethod::Hybrid => {
-                        self.draw_hybrid(width, rng, scratch);
-                        let idx = self.hybrid_index();
-                        let coins = scratch.coins.as_ref().expect("drawn above");
-                        apply_hybrid(&idx.meas, coins, &scratch.events, &mut out, start);
-                    }
-                    SamplingMethod::SparseRows => {
-                        let b = fill_assignments(&self.table, &mut scratch.assignments, width, rng);
-                        self.meas_rows.mul_dense_into(b, &mut out, start / 64);
-                    }
-                    SamplingMethod::DenseMatMul => {
-                        let b = fill_assignments(&self.table, &mut scratch.assignments, width, rng);
-                        let dense = self.dense_meas.get_or_init(|| self.meas_rows.to_dense());
-                        dense.mul_into(b, &mut out, start / 64, &mut scratch.m4r);
-                    }
-                }
-            }
-        });
+        let mut out = BitMatrix::zeros(self.num_measurements(), shots);
+        self.fill_records(shots, rng, method, &mut [(&self.meas, &mut out)]);
         out
-    }
-
-    /// `Auto` → the per-circuit pick; fixed methods pass through.
-    fn resolve_method(&self, method: SamplingMethod) -> SamplingMethod {
-        if method == SamplingMethod::Auto {
-            self.auto_method
-        } else {
-            method
-        }
-    }
-
-    fn hybrid_index(&self) -> &HybridIndex {
-        self.hybrid_index.get_or_init(|| {
-            HybridIndex::build(&self.table, &self.meas_rows, &self.det_rows, &self.obs_rows)
-        })
     }
 
     /// Samples measurements, detectors and observables from one shared
     /// assignment draw (columns are shot-aligned across the three
-    /// matrices).
+    /// matrices), with the sampler's configured method.
     pub fn sample_batch(&self, shots: usize, rng: &mut impl Rng) -> SampleBatch {
         let mut batch = SampleBatch::zeros(
-            self.meas_rows.rows(),
-            self.det_rows.rows(),
-            self.obs_rows.rows(),
+            self.num_measurements(),
+            self.num_detectors(),
+            self.num_observables(),
             shots,
         );
-        self.sample_batch_into(&mut batch, rng);
+        self.sample_batch_with_method(&mut batch, rng, self.method);
         batch
     }
 
-    /// In-place variant of [`SymPhaseSampler::sample_batch`]: refills a
-    /// pre-shaped [`SampleBatch`] (previous contents are cleared) with the
-    /// sampler's configured method.
-    pub fn sample_batch_into(&self, batch: &mut SampleBatch, rng: &mut impl Rng) {
-        self.sample_batch_with_method(batch, rng, self.method);
-    }
-
-    /// [`SymPhaseSampler::sample_batch_into`] with an explicit
+    /// Refills a pre-shaped [`SampleBatch`] with an explicit
     /// multiplication strategy. One assignment draw per shot batch feeds
     /// all three record matrices, whatever the method, so columns stay
     /// shot-aligned and the RNG stream is method-independent.
@@ -417,9 +350,40 @@ impl SymPhaseSampler {
         rng: &mut impl Rng,
         method: SamplingMethod,
     ) {
-        let method = self.resolve_method(method);
         let shots = batch.shots();
         batch.clear();
+        self.fill_records(
+            shots,
+            rng,
+            method,
+            &mut [
+                (&self.meas, &mut batch.measurements),
+                (&self.det, &mut batch.detectors),
+                (&self.obs, &mut batch.observables),
+            ],
+        );
+    }
+
+    /// The one shot-batch loop: per batch of [`Self::SHOT_BATCH`] shots,
+    /// draws once, then XOR-accumulates `rows · B` into every output
+    /// (each zeroed by the caller) with `method`'s kernel.
+    ///
+    /// Scratch buffers (the assignment matrix, the blocked-kernel tables,
+    /// the hybrid draw buffers) live in a thread-local and are reused
+    /// across the shot batches *and* across calls on the same thread (the
+    /// chunk-seeded sampling paths).
+    fn fill_records(
+        &self,
+        shots: usize,
+        rng: &mut impl Rng,
+        method: SamplingMethod,
+        outs: &mut [(&Record, &mut BitMatrix)],
+    ) {
+        let method = if method == SamplingMethod::Auto {
+            self.auto_method
+        } else {
+            method
+        };
         SAMPLE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             for start in (0..shots).step_by(Self::SHOT_BATCH) {
@@ -431,62 +395,38 @@ impl SymPhaseSampler {
                         self.draw_hybrid(width, rng, scratch);
                         let idx = self.hybrid_index();
                         let coins = scratch.coins.as_ref().expect("drawn above");
-                        apply_hybrid(
-                            &idx.meas,
-                            coins,
-                            &scratch.events,
-                            &mut batch.measurements,
-                            start,
-                        );
-                        apply_hybrid(
-                            &idx.det,
-                            coins,
-                            &scratch.events,
-                            &mut batch.detectors,
-                            start,
-                        );
-                        apply_hybrid(
-                            &idx.obs,
-                            coins,
-                            &scratch.events,
-                            &mut batch.observables,
-                            start,
-                        );
+                        for (record, out) in outs.iter_mut() {
+                            apply_hybrid(record.hybrid(idx), coins, &scratch.events, out, start);
+                        }
                     }
                     SamplingMethod::SparseRows => {
                         let b = fill_assignments(&self.table, &mut scratch.assignments, width, rng);
-                        self.meas_rows
-                            .mul_dense_into(b, &mut batch.measurements, start / 64);
-                        self.det_rows
-                            .mul_dense_into(b, &mut batch.detectors, start / 64);
-                        self.obs_rows
-                            .mul_dense_into(b, &mut batch.observables, start / 64);
+                        for (record, out) in outs.iter_mut() {
+                            record.rows.mul_dense_into(b, out, start / 64);
+                        }
                     }
                     SamplingMethod::DenseMatMul => {
                         let b = fill_assignments(&self.table, &mut scratch.assignments, width, rng);
-                        self.dense_meas
-                            .get_or_init(|| self.meas_rows.to_dense())
-                            .mul_into(b, &mut batch.measurements, start / 64, &mut scratch.m4r);
-                        self.dense_det
-                            .get_or_init(|| self.det_rows.to_dense())
-                            .mul_into(b, &mut batch.detectors, start / 64, &mut scratch.m4r);
-                        self.dense_obs
-                            .get_or_init(|| self.obs_rows.to_dense())
-                            .mul_into(b, &mut batch.observables, start / 64, &mut scratch.m4r);
+                        for (record, out) in outs.iter_mut() {
+                            record
+                                .dense()
+                                .mul_into(b, out, start / 64, &mut scratch.m4r);
+                        }
                     }
                 }
             }
         });
     }
+
+    fn hybrid_index(&self) -> &HybridIndex {
+        self.hybrid_index
+            .get_or_init(|| HybridIndex::build(&self.table))
+    }
 }
 
 impl Sampler for SymPhaseSampler {
     fn name(&self) -> &'static str {
-        match self.requested_repr {
-            PhaseRepr::Auto => "symphase",
-            PhaseRepr::Sparse => "symphase-sparse",
-            PhaseRepr::Dense => "symphase-dense",
-        }
+        "symphase"
     }
 
     fn num_measurements(&self) -> usize {
@@ -502,9 +442,9 @@ impl Sampler for SymPhaseSampler {
     }
 
     fn sample_into(&self, batch: &mut SampleBatch, mut rng: &mut dyn RngCore) {
-        // `sample_batch_into` clears the batch itself, so reused batches
-        // never mix draws.
-        self.sample_batch_into(batch, &mut rng);
+        // The batch path clears the batch itself, so reused batches never
+        // mix draws.
+        self.sample_batch_with_method(batch, &mut rng, self.method);
     }
 }
 
@@ -678,8 +618,7 @@ fn apply_hybrid(
 const FLIP_COST: f64 = 8.0;
 
 /// [`SamplingMethod::Auto`] resolution from what Initialization actually
-/// built (the precise counterpart of the statistics-only estimate in
-/// [`SamplingMethod::resolve`]). Costs are per 64-shot word:
+/// built. Costs are per 64-shot word:
 ///
 /// * `Hybrid` — the coin-restricted product plus, per fault symbol, its
 ///   fire probability times the rows it touches, weighted by
@@ -878,7 +817,7 @@ mod tests {
         });
         let s = SymPhaseSampler::new(&c);
         let mut batch = s.sample_batch(300, &mut rng(41));
-        s.sample_batch_into(&mut batch, &mut rng(42));
+        Sampler::sample_into(&s, &mut batch, &mut rng(42));
         assert_eq!(batch, s.sample_batch(300, &mut rng(42)));
     }
 

@@ -627,6 +627,29 @@ mod tests {
     }
 
     #[test]
+    fn engine_codes_are_pinned() {
+        let pinned = [
+            (EngineKind::SymPhase, 0),
+            (EngineKind::Frame, 1),
+            (EngineKind::Tableau, 2),
+            (EngineKind::StateVec, 3),
+        ];
+        for (engine, code) in pinned {
+            assert_eq!(engine_code(engine), code, "{}", engine.name());
+        }
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&MAGIC);
+        wire.extend_from_slice(&[1, 4, 0, 0]);
+        wire.extend_from_slice(&[0; 24]); // seed/start/end
+        wire.extend_from_slice(&0u32.to_le_bytes());
+        let e = read_request(&mut wire.as_slice()).unwrap_err();
+        assert!(
+            matches!(&e, WireError::Malformed(m) if m.contains("engine code 4")),
+            "{e}"
+        );
+    }
+
+    #[test]
     fn malformed_requests_are_typed_not_io() {
         // Bad magic.
         let e = read_request(&mut &b"NOPE\x03"[..]).unwrap_err();

@@ -32,10 +32,11 @@ pub use symphase_backend::{BuildError, EngineKind, PhaseRepr, SamplingMethod, Si
 ///
 /// Validates the configuration ([`SimConfig::validate`]) and the
 /// circuit/engine pairing (the state-vector qubit cap), then runs the
-/// engine's initialization: a symbolic traversal for the SymPhase
-/// variants, a reference tableau sample for the frame baseline, a circuit
-/// copy for the per-shot engines. Every failure mode is a typed
-/// [`BuildError`] — this function does not panic.
+/// engine's initialization: a symbolic traversal for SymPhase (phase
+/// store picked per circuit by [`PhaseRepr::Auto`]), a reference tableau
+/// sample for the frame baseline, a circuit copy for the per-shot
+/// engines. Every failure mode is a typed [`BuildError`] — this function
+/// does not panic.
 pub fn build_sampler(
     circuit: &Circuit,
     config: &SimConfig,
@@ -52,9 +53,11 @@ pub fn build_sampler(
         circuit
     };
     Ok(match config.engine() {
-        EngineKind::SymPhase | EngineKind::SymPhaseSparse | EngineKind::SymPhaseDense => Box::new(
-            SymPhaseSampler::with_config(circuit, config.effective_phase_repr(), config.sampling()),
-        ),
+        EngineKind::SymPhase => Box::new(SymPhaseSampler::with_config(
+            circuit,
+            config.effective_phase_repr(),
+            config.sampling(),
+        )),
         EngineKind::Frame => Box::new(FrameSampler::new(circuit)),
         EngineKind::Tableau => Box::new(TableauSampler::new(circuit)),
         EngineKind::StateVec => Box::new(StateVecSampler::try_new(circuit)?),
@@ -135,14 +138,5 @@ mod tests {
             build_sampler(&c, &cfg).err().expect("must fail"),
             BuildError::SamplingMethodUnsupported { .. }
         ));
-    }
-
-    #[test]
-    fn phase_repr_flows_through_the_config() {
-        let c = ghz(2);
-        let cfg = SimConfig::new().with_phase_repr(PhaseRepr::Dense);
-        // `symphase` honoring a pinned store reports the pinned name.
-        let s = build_sampler(&c, &cfg).expect("builds");
-        assert_eq!(s.name(), "symphase-dense");
     }
 }

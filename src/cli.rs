@@ -139,9 +139,9 @@ options:
       --out <path>       stream sample output to a file instead of stdout
       --obs-out <path>   detect: stream observables to their own file (the main
                          output then carries detectors only)
-      --engine <e>       backend: symphase (default), symphase-sparse,
-                         symphase-dense, frame, tableau, or statevec
-      --sampling <s>     M·B strategy for symphase engines: auto (default),
+      --engine <e>       backend: symphase (default; phase store picked per
+                         circuit), frame, tableau, or statevec
+      --sampling <s>     M·B strategy for the symphase engine: auto (default),
                          hybrid, sparse, or dense (blocked kernel); all
                          strategies sample identical bits for equal seeds
       --par              sample across all cores (chunks stream in order)

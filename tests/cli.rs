@@ -352,6 +352,28 @@ fn usage_and_runtime_errors_have_distinct_exit_codes() {
 }
 
 #[test]
+fn pinned_phase_store_engine_names_are_gone() {
+    // The phase store is picked per circuit; the old pinned-store names
+    // are unknown engines, and the usage error lists the four left.
+    let f = write_circuit("H 0\nM 0\n");
+    let e = run(&args(&[
+        "sample",
+        "-c",
+        f.as_str(),
+        "--engine",
+        "symphase-dense",
+    ]))
+    .unwrap_err();
+    assert_eq!(e.code, 2, "{}", e.message);
+    assert!(
+        e.message
+            .contains("(expected one of: symphase, frame, tableau, statevec)"),
+        "{}",
+        e.message
+    );
+}
+
+#[test]
 fn option_values_are_validated_before_the_circuit_loads() {
     // A bad --format must fail as a usage error even when the circuit
     // file does not exist (i.e. before any loading/sampling).

@@ -400,12 +400,11 @@ fn matrix_circuits() -> Vec<(&'static str, Circuit)> {
     ]
 }
 
-/// The backend matrix of the acceptance criteria: SymPhase in both phase
-/// representations, the frame baseline, the tableau reference, and the
-/// dense ground truth.
-const MATRIX: [EngineKind; 5] = [
-    EngineKind::SymPhaseSparse,
-    EngineKind::SymPhaseDense,
+/// The backend matrix of the acceptance criteria: SymPhase, the frame
+/// baseline, the tableau reference, and the dense ground truth. (Both
+/// SymPhase phase stores stream the same bytes: `tests/phase_repr.rs`.)
+const MATRIX: [EngineKind; 4] = [
+    EngineKind::SymPhase,
     EngineKind::Frame,
     EngineKind::Tableau,
     EngineKind::StateVec,

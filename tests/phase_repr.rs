@@ -11,6 +11,7 @@ use proptest::prelude::*;
 use symphase::circuit::generators::{LayeredCircuitConfig, PairsPerLayer};
 use symphase::circuit::Circuit;
 use symphase::core::{PhaseRepr, SymPhaseSampler};
+use symphase::prelude::{collect, SimConfig};
 
 /// Random layered-circuit configurations spanning both sides of the
 /// Auto heuristic's crossover (sparse QEC-like and dense noisy).
@@ -63,7 +64,8 @@ proptest! {
 
     /// Initialization through the sparse and dense phase stores yields
     /// identical measurement expressions (and therefore identical
-    /// detector/observable rows) on random layered circuits.
+    /// detector/observable rows) on random layered circuits, so both
+    /// stores stream the same bytes.
     #[test]
     fn sparse_and_dense_init_results_agree(config in config_strategy()) {
         let circuit = config.generate();
@@ -80,6 +82,8 @@ proptest! {
         for o in 0..sparse.num_observables() {
             prop_assert_eq!(sparse.observable_expr(o), dense.observable_expr(o));
         }
+        let cfg = SimConfig::new().with_seed(config.seed).with_chunk_shots(64);
+        prop_assert_eq!(collect(&sparse, 300, &cfg), collect(&dense, 300, &cfg));
     }
 }
 

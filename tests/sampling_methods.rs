@@ -142,17 +142,10 @@ fn batch_methods_bit_identical() {
 
 /// `Auto` resolution is a deterministic pure function of the circuit,
 /// never `Auto` itself, and lands on the expected side for the
-/// representative workloads. (The circuit-statistics estimate
-/// `SamplingMethod::resolve` and the sampler's matrix-aware
-/// `resolved_method` are different layers; each must be deterministic.)
+/// representative workloads.
 #[test]
 fn auto_resolution_is_deterministic_and_pinned() {
     for (name, c) in representative_circuits() {
-        let estimate = SamplingMethod::Auto.resolve(&c);
-        assert_ne!(estimate, SamplingMethod::Auto, "{name}: must resolve");
-        for _ in 0..3 {
-            assert_eq!(SamplingMethod::Auto.resolve(&c), estimate, "{name}");
-        }
         let first = SymPhaseSampler::new(&c).resolved_method();
         assert_ne!(first, SamplingMethod::Auto, "{name}: must resolve");
         // Rebuilding the sampler (and round-tripping the circuit through
@@ -163,13 +156,6 @@ fn auto_resolution_is_deterministic_and_pinned() {
             first,
             "{name}"
         );
-        for m in [
-            SamplingMethod::Hybrid,
-            SamplingMethod::SparseRows,
-            SamplingMethod::DenseMatMul,
-        ] {
-            assert_eq!(m.resolve(&c), m, "{name}: fixed methods are fixed points");
-        }
     }
     // Pin the crossover: dense (determined) measurement rows → blocked
     // dense product; QEC-style rare faults → event-driven hybrid;
@@ -187,10 +173,6 @@ fn auto_resolution_is_deterministic_and_pinned() {
     heavy.noise(NoiseChannel::XError(0.25), &[0, 1]);
     heavy.h(0);
     heavy.measure_many(&[0, 1]);
-    assert_eq!(
-        SamplingMethod::Auto.resolve(&heavy),
-        SamplingMethod::SparseRows
-    );
     assert_eq!(
         SymPhaseSampler::new(&heavy).resolved_method(),
         SamplingMethod::SparseRows

@@ -40,12 +40,7 @@ fn small_circuit() -> Circuit {
 /// A deeper workload for the fast engines: enough shots to cross several
 /// chunk boundaries without making the per-shot engines crawl.
 fn fast_engines() -> Vec<EngineKind> {
-    vec![
-        EngineKind::SymPhase,
-        EngineKind::SymPhaseSparse,
-        EngineKind::SymPhaseDense,
-        EngineKind::Frame,
-    ]
+    vec![EngineKind::SymPhase, EngineKind::Frame]
 }
 
 fn build(kind: EngineKind, circuit: &Circuit) -> Box<dyn Sampler> {
