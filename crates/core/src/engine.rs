@@ -12,7 +12,7 @@ use symphase_circuit::{
 use symphase_tableau::{Collapse, Tableau};
 
 use crate::expr::SymExpr;
-use crate::phases::SymbolicPhases;
+use crate::phases::{symbol_bound, SymbolicPhases};
 use crate::symbol::{SymbolId, SymbolTable};
 
 /// Everything the Initialization produces: symbol distributions and the
@@ -43,6 +43,9 @@ pub(crate) fn initialize<S: SymbolicPhases>(circuit: &Circuit) -> InitResult {
     // Destabilizer phases never influence outcomes — skip their symbol
     // bookkeeping (see `SymbolicPhases::set_symbol_tracking_floor`).
     tab.phases_mut().set_symbol_tracking_floor(n);
+    if let Some(bound) = symbol_bound(&circuit.stats()) {
+        tab.phases_mut().reserve_symbols(bound);
+    }
     let mut table = SymbolTable::new();
     let mut measurements: Vec<SymExpr> = Vec::with_capacity(circuit.num_measurements());
     let mut random_records: Vec<bool> = Vec::with_capacity(circuit.num_measurements());

@@ -10,7 +10,9 @@
 //!   proportional to the number of symbols actually present, which stays
 //!   tiny for QEC-style circuits (the "sparse circuits" case of Table 1).
 
+use symphase_bitmat::word::xor_into;
 use symphase_bitmat::{BitVec, SparseBitVec, WORD_BITS};
+use symphase_circuit::CircuitStats;
 use symphase_tableau::PhaseStore;
 
 use crate::expr::SymExpr;
@@ -21,6 +23,12 @@ use crate::symbol::SymbolId;
 pub trait SymbolicPhases: PhaseStore {
     /// Makes room for symbol ids up to and including `max_id`.
     fn ensure_symbol_capacity(&mut self, max_id: SymbolId);
+
+    /// Sizes the store up front for `count` symbols (see
+    /// [`symbol_bound`]), so it need not grow while the circuit is
+    /// traversed. A hint: symbols past `count` still fit through
+    /// [`Self::ensure_symbol_capacity`], and stores may decline.
+    fn reserve_symbols(&mut self, count: usize);
 
     /// Declares rows below `first_tracked` as *untracked*: their symbol
     /// coefficients are never read, so stores may skip maintaining them.
@@ -54,32 +62,47 @@ pub trait SymbolicPhases: PhaseStore {
 
 /// Dense symbolic phases: per-row packed coefficient words (symbol `k` at
 /// bit `k−1`), plus a shared constant-term bit-vector.
+///
+/// Row operations touch only the *active prefix* of each row — the words
+/// the symbols allocated so far can occupy — so a stride reserved up front
+/// for the whole circuit ([`SymbolicPhases::reserve_symbols`]) costs
+/// nothing until its symbols appear. Words past the active prefix stay
+/// zero in every row.
 #[derive(Clone, Debug)]
 pub struct DensePhases {
     constants: BitVec,
     rows: usize,
     /// Words per row of the symbol block.
     stride: usize,
+    /// Words per row that can hold a nonzero coefficient (`≤ stride`).
+    active: usize,
     /// `sym[row * stride ..][..stride]`.
     sym: Vec<u64>,
     /// Rows below this index skip symbol maintenance.
     first_tracked: usize,
 }
 
+/// Largest symbol block [`DensePhases`] reserves up front. A bigger bound
+/// (a long `REPEAT`) falls back to growing as its symbols appear, so
+/// memory is only paid for symbols the traversal actually reaches.
+const MAX_RESERVED_BYTES: usize = 1 << 30;
+
 impl DensePhases {
-    fn grow_stride(&mut self, needed_words: usize) {
-        let new_stride = needed_words.max(self.stride * 2).max(1);
+    /// Re-lays the symbol block out at `new_stride` words per row.
+    fn set_stride(&mut self, new_stride: usize) {
+        let active = self.active;
         let mut new_sym = vec![0u64; self.rows * new_stride];
         for r in 0..self.rows {
-            new_sym[r * new_stride..r * new_stride + self.stride]
-                .copy_from_slice(&self.sym[r * self.stride..(r + 1) * self.stride]);
+            new_sym[r * new_stride..r * new_stride + active]
+                .copy_from_slice(&self.sym[r * self.stride..r * self.stride + active]);
         }
         self.sym = new_sym;
         self.stride = new_stride;
     }
 
+    /// The active words of `row`.
     fn row_words(&self, row: usize) -> &[u64] {
-        &self.sym[row * self.stride..(row + 1) * self.stride]
+        &self.sym[row * self.stride..row * self.stride + self.active]
     }
 }
 
@@ -89,6 +112,7 @@ impl PhaseStore for DensePhases {
             constants: BitVec::zeros(rows),
             rows,
             stride: 0,
+            active: 0,
             sym: Vec::new(),
             first_tracked: 0,
         }
@@ -106,48 +130,36 @@ impl PhaseStore for DensePhases {
     fn add_row_into(&mut self, src: usize, dst: usize, extra_constant: bool) {
         let c = self.constants.get(dst) ^ self.constants.get(src) ^ extra_constant;
         self.constants.set(dst, c);
-        if self.stride == 0 || dst < self.first_tracked {
+        if self.active == 0 || dst < self.first_tracked {
             return;
         }
         debug_assert!(src >= self.first_tracked, "untracked row used as source");
-        let stride = self.stride;
+        let (stride, active) = (self.stride, self.active);
         let (s_off, d_off) = (src * stride, dst * stride);
         if s_off < d_off {
             let (lo, hi) = self.sym.split_at_mut(d_off);
-            for i in 0..stride {
-                hi[i] ^= lo[s_off + i];
-            }
+            xor_into(&mut hi[..active], &lo[s_off..s_off + active]);
         } else {
             let (lo, hi) = self.sym.split_at_mut(s_off);
-            for i in 0..stride {
-                lo[d_off + i] ^= hi[i];
-            }
+            xor_into(&mut lo[d_off..d_off + active], &hi[..active]);
         }
     }
 
     fn copy_row(&mut self, src: usize, dst: usize) {
         let c = self.constants.get(src);
         self.constants.set(dst, c);
-        if self.stride == 0 || dst < self.first_tracked {
+        if self.active == 0 || dst < self.first_tracked {
             return;
         }
-        let stride = self.stride;
-        let (s_off, d_off) = (src * stride, dst * stride);
-        if s_off < d_off {
-            let (lo, hi) = self.sym.split_at_mut(d_off);
-            hi[..stride].copy_from_slice(&lo[s_off..s_off + stride]);
-        } else {
-            let (lo, hi) = self.sym.split_at_mut(s_off);
-            lo[d_off..d_off + stride].copy_from_slice(&hi[..stride]);
-        }
+        let (stride, active) = (self.stride, self.active);
+        self.sym
+            .copy_within(src * stride..src * stride + active, dst * stride);
     }
 
     fn clear_row(&mut self, row: usize) {
         self.constants.set(row, false);
-        let stride = self.stride;
-        self.sym[row * stride..(row + 1) * stride]
-            .iter_mut()
-            .for_each(|w| *w = 0);
+        let start = row * self.stride;
+        self.sym[start..start + self.active].fill(0);
     }
 
     fn constant_bit(&self, row: usize) -> bool {
@@ -163,7 +175,18 @@ impl SymbolicPhases for DensePhases {
     fn ensure_symbol_capacity(&mut self, max_id: SymbolId) {
         let needed_words = (max_id as usize).div_ceil(WORD_BITS);
         if needed_words > self.stride {
-            self.grow_stride(needed_words);
+            self.set_stride(needed_words.max(self.stride * 2));
+        }
+        self.active = self.active.max(needed_words);
+    }
+
+    fn reserve_symbols(&mut self, count: usize) {
+        let words = count.div_ceil(WORD_BITS);
+        let fits = words
+            .checked_mul(self.rows * std::mem::size_of::<u64>())
+            .is_some_and(|bytes| bytes <= MAX_RESERVED_BYTES);
+        if words > self.stride && fits {
+            self.set_stride(words);
         }
     }
 
@@ -289,6 +312,8 @@ impl PhaseStore for SparsePhases {
 impl SymbolicPhases for SparsePhases {
     fn ensure_symbol_capacity(&mut self, _max_id: SymbolId) {}
 
+    fn reserve_symbols(&mut self, _count: usize) {}
+
     fn set_symbol_tracking_floor(&mut self, first_tracked: usize) {
         self.first_tracked = first_tracked;
     }
@@ -321,6 +346,18 @@ impl SymbolicPhases for SparsePhases {
         e.xor_constant(self.constants.get(row));
         e
     }
+}
+
+/// An upper bound on the symbols Initialization allocates for a circuit
+/// with these statistics: every noise symbol, plus at most one coin per
+/// measurement or reset. `None` when a count saturated (a `REPEAT` trip
+/// count too large to multiply out), so no store is sized from it.
+pub(crate) fn symbol_bound(stats: &CircuitStats) -> Option<usize> {
+    let counts = [stats.noise_symbols, stats.measurements, stats.resets];
+    if counts.contains(&usize::MAX) {
+        return None;
+    }
+    counts.into_iter().try_fold(0usize, usize::checked_add)
 }
 
 /// Clears the bits of `mask` that select rows below `first_tracked`.
@@ -396,6 +433,149 @@ mod tests {
         d.ensure_symbol_capacity(5000);
         d.xor_symbol_word(5000, 0, 0b1);
         assert_eq!(d.row_expr(0).symbol_ids(), &[1, 5000]);
+    }
+
+    /// One random store operation, applied identically to every store in
+    /// `stores` (symbols `1..=max_sym`, rows `0..rows`).
+    fn random_op(rng: &mut impl rand::Rng, stores: &mut [&mut DensePhases], max_sym: u32) {
+        let rows = stores[0].rows();
+        let row_mask = |rng: &mut dyn rand::RngCore, w: usize| {
+            let valid = (rows - w * WORD_BITS).min(WORD_BITS);
+            let m = rng.next_u64();
+            if valid == WORD_BITS {
+                m
+            } else {
+                m & ((1 << valid) - 1)
+            }
+        };
+        let words = rows.div_ceil(WORD_BITS);
+        match rng.random_range(0..5) {
+            0 => {
+                let sym = rng.random_range(1..=max_sym);
+                let w = rng.random_range(0..words);
+                let mask = row_mask(rng, w);
+                for s in stores.iter_mut() {
+                    s.ensure_symbol_capacity(sym);
+                    s.xor_symbol_word(sym, w, mask);
+                }
+            }
+            1 => {
+                let src = rng.random_range(0..rows);
+                let dst = (src + rng.random_range(1..rows)) % rows;
+                let extra: bool = rng.random();
+                for s in stores.iter_mut() {
+                    s.add_row_into(src, dst, extra);
+                }
+            }
+            2 => {
+                let src = rng.random_range(0..rows);
+                let dst = (src + rng.random_range(1..rows)) % rows;
+                for s in stores.iter_mut() {
+                    s.copy_row(src, dst);
+                }
+            }
+            3 => {
+                let row = rng.random_range(0..rows);
+                for s in stores.iter_mut() {
+                    s.clear_row(row);
+                }
+            }
+            _ => {
+                let ids: Vec<u32> = (0..3).map(|_| rng.random_range(1..=max_sym)).collect();
+                let expr = SymExpr::from_symbols(ids.iter().copied());
+                let w = rng.random_range(0..words);
+                let mask = row_mask(rng, w);
+                for s in stores.iter_mut() {
+                    s.ensure_symbol_capacity(*ids.iter().max().expect("three ids"));
+                    s.xor_expr_word(&expr, w, mask);
+                }
+            }
+        }
+    }
+
+    /// Every word past the active prefix is zero, in every row.
+    fn tail_is_zero(d: &DensePhases) -> bool {
+        (0..d.rows).all(|r| {
+            d.sym[r * d.stride + d.active..(r + 1) * d.stride]
+                .iter()
+                .all(|&w| w == 0)
+        })
+    }
+
+    #[test]
+    fn reserved_store_equals_grown_store() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(15);
+        let rows = 131;
+        let mut grown = DensePhases::with_rows(rows);
+        let mut reserved = DensePhases::with_rows(rows);
+        reserved.reserve_symbols(700);
+        assert_eq!(reserved.stride, 700usize.div_ceil(WORD_BITS));
+        assert_eq!(reserved.active, 0);
+        // Symbols arrive in increasing order, as in a traversal.
+        for step in 0..2000u32 {
+            random_op(
+                &mut rng,
+                &mut [&mut grown, &mut reserved],
+                1 + step * 700 / 2000,
+            );
+        }
+        for r in 0..rows {
+            assert_eq!(grown.row_expr(r), reserved.row_expr(r), "row {r}");
+        }
+        assert!(tail_is_zero(&grown) && tail_is_zero(&reserved));
+    }
+
+    #[test]
+    fn symbol_past_the_reservation_still_grows() {
+        let mut d = DensePhases::with_rows(5);
+        d.reserve_symbols(64);
+        d.ensure_symbol_capacity(3);
+        d.xor_symbol_word(3, 0, 0b10);
+        assert_eq!(d.stride, 1);
+        d.ensure_symbol_capacity(200);
+        d.xor_symbol_word(200, 0, 0b11);
+        assert!(d.stride >= 4 && d.active == 4);
+        assert_eq!(d.row_expr(0).symbol_ids(), &[200]);
+        assert_eq!(d.row_expr(1).symbol_ids(), &[3, 200]);
+    }
+
+    #[test]
+    fn words_past_the_active_prefix_stay_zero() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(16);
+        let mut d = DensePhases::with_rows(70);
+        d.reserve_symbols(64 * 16);
+        for _ in 0..1000 {
+            random_op(&mut rng, &mut [&mut d], 150);
+            assert!(d.active <= 3);
+            assert!(tail_is_zero(&d));
+        }
+    }
+
+    #[test]
+    fn reservation_skips_saturated_and_oversized_bounds() {
+        use symphase_circuit::{Circuit, NoiseChannel};
+        let mut c = Circuit::new(2);
+        c.noise(NoiseChannel::Depolarize1(0.1), &[0])
+            .measure_many(&[0])
+            .reset(1);
+        assert_eq!(symbol_bound(&c.stats()), Some(4));
+        // A trip count the statistics cannot multiply out saturates them.
+        c.repeat_with(u64::MAX, |body| {
+            body.noise(NoiseChannel::XError(0.1), &[0])
+                .measure_many(&[0]);
+        });
+        assert_eq!(c.stats().measurements, usize::MAX);
+        assert_eq!(symbol_bound(&c.stats()), None);
+        // A bound past the reservation cap leaves the store to grow.
+        let mut d = DensePhases::with_rows(1 << 10);
+        d.reserve_symbols(MAX_RESERVED_BYTES);
+        assert_eq!(d.stride, 0);
+        d.reserve_symbols(64);
+        assert_eq!(d.stride, 1);
     }
 
     #[test]

@@ -23,24 +23,6 @@ pub enum Collapse {
     Deterministic,
 }
 
-/// A-G phase-product table: `G_TABLE[p1][p2]` is the power of `i` produced
-/// when multiplying single-qubit Paulis `p1 · p2`, with `p = 2x + z`
-/// (`0=I, 2=X, 1=Z, 3=Y`). Values are in `{-1, 0, 1}`.
-const G_TABLE: [[i32; 4]; 4] = {
-    // index = 2x + z: 0 = I, 1 = Z, 2 = X, 3 = Y
-    let mut t = [[0i32; 4]; 4];
-    // P1 = X: g = z2 * (2x2 - 1)
-    t[2][1] = -1; // X·Z
-    t[2][3] = 1; // X·Y
-                 // P1 = Y: g = z2 - x2
-    t[3][1] = 1; // Y·Z
-    t[3][2] = -1; // Y·X
-                  // P1 = Z: g = x2 * (1 - 2z2)
-    t[1][2] = 1; // Z·X
-    t[1][3] = -1; // Z·Y
-    t
-};
-
 /// The 2n×(2n+1) Aaronson–Gottesman tableau (plus one scratch row), generic
 /// over the phase representation.
 ///
@@ -73,6 +55,9 @@ pub struct Tableau<P: PhaseStore> {
     /// `z[q * wpc + w]`: Z bits of qubit `q`.
     z: Vec<u64>,
     phases: P,
+    /// Three `wpc`-word buffers the measurement sweeps reuse: a row mask
+    /// and the low/high bit-slices of the per-row mod-4 phase counters.
+    sweep: Vec<u64>,
 }
 
 impl<P: PhaseStore> Tableau<P> {
@@ -88,6 +73,7 @@ impl<P: PhaseStore> Tableau<P> {
             x: vec![0; n * wpc],
             z: vec![0; n * wpc],
             phases: P::with_rows(rows),
+            sweep: vec![0; 3 * wpc],
         };
         for i in 0..n {
             t.set_x_bit(i, i, true); // destabilizer i = X_i
@@ -240,29 +226,6 @@ impl<P: PhaseStore> Tableau<P> {
 
     // -- row operations -----------------------------------------------
 
-    /// A-G `rowsum`: replaces generator `h` with the product
-    /// `generator(i) · generator(h)`, updating phases through the store.
-    pub fn rowsum(&mut self, h: usize, i: usize) {
-        debug_assert!(h < self.rows && i < self.rows && h != i);
-        let mut g_sum: i32 = 0;
-        let (wh, bh) = (h / WORD_BITS, (h % WORD_BITS) as u32);
-        let (wi, bi) = (i / WORD_BITS, (i % WORD_BITS) as u32);
-        for q in 0..self.n {
-            let base = q * self.wpc;
-            let x1 = (self.x[base + wi] >> bi) & 1;
-            let z1 = (self.z[base + wi] >> bi) & 1;
-            let x2 = (self.x[base + wh] >> bh) & 1;
-            let z2 = (self.z[base + wh] >> bh) & 1;
-            g_sum += G_TABLE[(2 * x1 + z1) as usize][(2 * x2 + z2) as usize];
-            self.x[base + wh] ^= x1 << bh;
-            self.z[base + wh] ^= z1 << bh;
-        }
-        // For commuting rows the total phase exponent 2r_h + 2r_i + Σg is 0
-        // or 2 mod 4; the constant correction is the Σg ≡ 2 case.
-        let extra = (g_sum.rem_euclid(4) & 2) != 0;
-        self.phases.add_row_into(i, h, extra);
-    }
-
     /// Copies row `src` onto row `dst` (bits and phase).
     pub fn copy_row(&mut self, src: usize, dst: usize) {
         debug_assert!(src != dst);
@@ -298,6 +261,13 @@ impl<P: PhaseStore> Tableau<P> {
     /// — the outcome is fixed to 0 and the caller supplies the randomness
     /// (concrete coin, or fresh symbol + `X^s` for Algorithm 1).
     ///
+    /// Every other row that anticommutes with `Z_a` is multiplied by the
+    /// pivot (A-G `rowsum`) in one column sweep: for each qubit where the
+    /// pivot is not the identity, the anticommuting-row mask is XORed into
+    /// that qubit's X/Z column words, and each row's phase exponent
+    /// accumulates in bit-sliced mod-4 counters. The phase store then sees
+    /// one `add_row_into(pivot, row, extra)` per row, in ascending order.
+    ///
     /// # Panics
     ///
     /// Panics if `a` is out of range.
@@ -306,16 +276,42 @@ impl<P: PhaseStore> Tableau<P> {
         let Some(pivot) = self.find_pivot(a) else {
             return Collapse::Deterministic;
         };
-        // Multiply every other row that anticommutes with Z_a by the pivot.
-        let anticommuting: Vec<usize> = self
-            .rows_with_x_bit(a)
-            .filter(|&r| r != pivot && r < 2 * self.n)
-            .collect();
-        for r in anticommuting {
-            self.rowsum(r, pivot);
+        let (n, wpc) = (self.n, self.wpc);
+        let (pw, pb) = (pivot / WORD_BITS, pivot % WORD_BITS);
+        let (mask, counters) = self.sweep.split_at_mut(wpc);
+        let (lo, hi) = counters.split_at_mut(wpc);
+        // Rows below the scratch row that anticommute with Z_a, bar the pivot.
+        for (w, (m, &xa)) in mask.iter_mut().zip(&self.x[a * wpc..]).enumerate() {
+            *m = xa & row_range_mask(w, 0, 2 * n);
+        }
+        mask[pw] &= !(1 << pb);
+        let words = nonzero_span(mask);
+        lo.fill(0);
+        hi.fill(0);
+        for q in 0..n {
+            let cols = q * wpc..(q + 1) * wpc;
+            let (xc, zc) = (&mut self.x[cols.clone()], &mut self.z[cols]);
+            let x1 = 0u64.wrapping_sub((xc[pw] >> pb) & 1);
+            let z1 = 0u64.wrapping_sub((zc[pw] >> pb) & 1);
+            if x1 | z1 == 0 {
+                continue;
+            }
+            for w in words.clone() {
+                let m = mask[w];
+                let (plus, minus) = phase_signs(x1, z1, xc[w], zc[w]);
+                add_mod4(&mut lo[w], &mut hi[w], plus & m, minus & m);
+                xc[w] ^= x1 & m;
+                zc[w] ^= z1 & m;
+            }
+        }
+        for w in words {
+            for_each_bit(mask[w], |b| {
+                let row = w * WORD_BITS + b;
+                self.phases.add_row_into(pivot, row, (hi[w] >> b) & 1 == 1);
+            });
         }
         // The old pivot becomes the destabilizer; the new stabilizer is +Z_a.
-        self.copy_row(pivot, pivot - self.n);
+        self.copy_row(pivot, pivot - n);
         self.clear_row(pivot);
         self.set_z_bit(pivot, a, true);
         Collapse::Random { pivot }
@@ -325,17 +321,59 @@ impl<P: PhaseStore> Tableau<P> {
     /// returned [`Collapse::Deterministic`]): accumulates into the scratch
     /// row the product of stabilizers indicated by the destabilizers that
     /// anticommute with `Z_a`. The outcome is the scratch row's phase.
+    ///
+    /// The ordered product is built in one column sweep: the running
+    /// product's bits before each factor are a masked prefix-XOR of the
+    /// factors' column bits, so every factor's phase exponent accumulates
+    /// word-parallel in the mod-4 counters. The phase store then sees one
+    /// `add_row_into(factor, scratch, extra)` per factor, in ascending
+    /// order.
     pub fn accumulate_deterministic(&mut self, a: usize) {
         assert!(a < self.n, "qubit {a} out of range");
+        let (n, wpc) = (self.n, self.wpc);
         let scratch = self.scratch_row();
         self.clear_row(scratch);
-        let indicated: Vec<usize> = self
-            .rows_with_x_bit(a)
-            .filter(|&r| r < self.n)
-            .map(|r| r + self.n)
-            .collect();
-        for r in indicated {
-            self.rowsum(scratch, r);
+        let (mask, counters) = self.sweep.split_at_mut(wpc);
+        let (lo, hi) = counters.split_at_mut(wpc);
+        // Stabilizer `n + r` is a factor when destabilizer `r` anticommutes
+        // with Z_a.
+        mask.fill(0);
+        for (w, &xa) in self.x[a * wpc..(a + 1) * wpc].iter().enumerate() {
+            for_each_bit(xa & row_range_mask(w, 0, n), |b| {
+                let row = n + w * WORD_BITS + b;
+                mask[row / WORD_BITS] |= 1 << (row % WORD_BITS);
+            });
+        }
+        let words = nonzero_span(mask);
+        lo.fill(0);
+        hi.fill(0);
+        let (sw, sb) = (scratch / WORD_BITS, scratch % WORD_BITS);
+        for q in 0..n {
+            let cols = q * wpc..(q + 1) * wpc;
+            let (xc, zc) = (&mut self.x[cols.clone()], &mut self.z[cols]);
+            // Running-product bits so far, as all-zero or all-one words.
+            let (mut px, mut pz) = (0u64, 0u64);
+            for w in words.clone() {
+                let m = mask[w];
+                let (x1, z1) = (xc[w] & m, zc[w] & m);
+                if x1 | z1 == 0 {
+                    continue;
+                }
+                let (ix, iz) = (prefix_xor(x1), prefix_xor(z1));
+                let (plus, minus) = phase_signs(x1, z1, (ix ^ x1) ^ px, (iz ^ z1) ^ pz);
+                add_mod4(&mut lo[w], &mut hi[w], plus, minus);
+                px ^= 0u64.wrapping_sub(ix >> 63);
+                pz ^= 0u64.wrapping_sub(iz >> 63);
+            }
+            xc[sw] |= (px & 1) << sb;
+            zc[sw] |= (pz & 1) << sb;
+        }
+        for w in words {
+            for_each_bit(mask[w], |b| {
+                let row = w * WORD_BITS + b;
+                self.phases
+                    .add_row_into(row, scratch, (hi[w] >> b) & 1 == 1);
+            });
         }
         debug_assert!(
             (0..self.n).all(|q| !self.x_bit(scratch, q)),
@@ -345,28 +383,88 @@ impl<P: PhaseStore> Tableau<P> {
 
     /// First stabilizer row whose X bit at qubit `a` is set.
     fn find_pivot(&self, a: usize) -> Option<usize> {
-        self.rows_with_x_bit(a)
-            .find(|&r| r >= self.n && r < 2 * self.n)
-    }
-
-    /// Iterates rows (ascending) whose X bit at qubit `a` is set, snapshot
-    /// at call time.
-    fn rows_with_x_bit(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
-        let col = self.x_col(a).to_vec();
-        let rows = self.rows;
-        col.into_iter().enumerate().flat_map(move |(w, mut word)| {
-            let mut out = Vec::new();
-            while word != 0 {
-                let b = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let r = w * WORD_BITS + b;
-                if r < rows {
-                    out.push(r);
-                }
-            }
-            out
+        let (n, col) = (self.n, self.x_col(a));
+        (n / WORD_BITS..self.wpc).find_map(|w| {
+            let word = col[w] & row_range_mask(w, n, 2 * n);
+            (word != 0).then(|| w * WORD_BITS + word.trailing_zeros() as usize)
         })
     }
+}
+
+/// The bits of row word `w` that select rows in `lo..hi`.
+#[inline]
+fn row_range_mask(w: usize, lo: usize, hi: usize) -> u64 {
+    let start = w * WORD_BITS;
+    let from = if lo <= start {
+        !0
+    } else if lo - start < WORD_BITS {
+        !0 << (lo - start)
+    } else {
+        0
+    };
+    let below = if hi >= start + WORD_BITS {
+        !0
+    } else if hi > start {
+        (1 << (hi - start)) - 1
+    } else {
+        0
+    };
+    from & below
+}
+
+/// The words of `mask` from its first to its last nonzero word (empty
+/// when `mask` is zero).
+#[inline]
+fn nonzero_span(mask: &[u64]) -> std::ops::Range<usize> {
+    let first = mask.iter().position(|&m| m != 0).unwrap_or(0);
+    let end = mask
+        .iter()
+        .rposition(|&m| m != 0)
+        .map_or(0, |last| last + 1);
+    first..end
+}
+
+/// Calls `f` with the index of every set bit of `word`, ascending.
+#[inline]
+fn for_each_bit(mut word: u64, mut f: impl FnMut(usize)) {
+    while word != 0 {
+        f(word.trailing_zeros() as usize);
+        word &= word - 1;
+    }
+}
+
+/// Inclusive prefix XOR: bit `i` of the result is the parity of bits
+/// `0..=i` of `v`.
+#[inline]
+fn prefix_xor(mut v: u64) -> u64 {
+    v ^= v << 1;
+    v ^= v << 2;
+    v ^= v << 4;
+    v ^= v << 8;
+    v ^= v << 16;
+    v ^= v << 32;
+    v
+}
+
+/// Bit-sliced A-G phase function `g(P1, P2)` of the product `P1 · P2`,
+/// the power of `i` it contributes, over 64 lanes at once: returns the
+/// lanes where `g = +1` and where `g = −1` (all others are 0). `g` is
+/// nonzero exactly when the two Paulis anticommute, and `+1` when `P2`
+/// follows `P1` in the cycle X → Y → Z → X (`X·Y = iZ`), which in `(x, z)`
+/// bits means `x2 = x1 ⊕ z1` and `z2 = x1`.
+#[inline]
+fn phase_signs(x1: u64, z1: u64, x2: u64, z2: u64) -> (u64, u64) {
+    let anti = (x1 & z2) ^ (z1 & x2);
+    let plus = anti & !(x2 ^ x1 ^ z1) & !(z2 ^ x1);
+    (plus, anti ^ plus)
+}
+
+/// Adds `+1` on the `plus` lanes and `−1` on the (disjoint) `minus` lanes
+/// of 64 two-bit counters mod 4, held as low/high bit-slices.
+#[inline]
+fn add_mod4(lo: &mut u64, hi: &mut u64, plus: u64, minus: u64) {
+    *hi ^= (*lo & plus) | (!*lo & minus);
+    *lo ^= plus | minus;
 }
 
 /// Splits two distinct same-length column slices out of the backing vector.
