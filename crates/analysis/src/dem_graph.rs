@@ -21,7 +21,7 @@
 //!   only arise in hand-written `.dem` files; the probabilities should be
 //!   XOR-combined into one mechanism.
 
-use symphase_core::{DemError, DetectorErrorModel};
+use symphase_core::{xor_sorted, DemError, DetectorErrorModel};
 
 use crate::{diag, Diagnostic, Payload};
 
@@ -127,13 +127,13 @@ impl<'a> DemGraph<'a> {
                 let pos = remaining.binary_search(d).expect("checked above");
                 remaining.remove(pos);
             }
-            xor_set(obs, &e.observables);
+            xor_sorted(obs, &e.observables);
             chosen.push(m);
             if self.cover(remaining, obs, target_obs, exclude, chosen) {
                 return true;
             }
             chosen.pop();
-            xor_set(obs, &e.observables);
+            xor_sorted(obs, &e.observables);
             for &d in &e.detectors {
                 let pos = remaining.binary_search(&d).unwrap_err();
                 remaining.insert(pos, d);
@@ -261,17 +261,6 @@ impl<'a> DemGraph<'a> {
 
 fn signature(e: &DemError) -> (&[u32], &[u32]) {
     (&e.detectors, &e.observables)
-}
-
-fn xor_set(acc: &mut Vec<u32>, items: &[u32]) {
-    for &i in items {
-        match acc.binary_search(&i) {
-            Ok(pos) => {
-                acc.remove(pos);
-            }
-            Err(pos) => acc.insert(pos, i),
-        }
-    }
 }
 
 #[cfg(test)]

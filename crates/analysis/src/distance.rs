@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 
-use symphase_core::DetectorErrorModel;
+use symphase_core::{xor_sorted, DetectorErrorModel};
 
 use crate::dem_graph::DemGraph;
 
@@ -166,7 +166,7 @@ pub fn min_weight_logical_error(
             for &m in graph.incident(lowest) {
                 let e = &errors[m];
                 let mut new_syndrome = syndrome.clone();
-                xor_set(&mut new_syndrome, &e.detectors);
+                xor_sorted(&mut new_syndrome, &e.detectors);
                 let new_mask = mask ^ masks[m];
                 if new_syndrome.is_empty() {
                     if new_mask != 0 {
@@ -229,17 +229,6 @@ pub fn min_weight_logical_error(
         frontier = next;
     }
     Distance::AboveWeight { max_weight }
-}
-
-fn xor_set(acc: &mut Vec<u32>, items: &[u32]) {
-    for &i in items {
-        match acc.binary_search(&i) {
-            Ok(pos) => {
-                acc.remove(pos);
-            }
-            Err(pos) => acc.insert(pos, i),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -54,7 +54,8 @@
 
 use std::collections::BTreeSet;
 
-use symphase_circuit::{Circuit, Gate, Instruction, NoiseChannel, PauliKind, SmallPauli};
+use symphase_circuit::{Circuit, Gate, Instruction, PauliKind, SmallPauli};
+use symphase_core::noise::channel_slots;
 
 use crate::{diag, Diagnostic};
 
@@ -177,27 +178,6 @@ fn fixes_all(gate: Gate, mask: u8, slot: usize) -> bool {
     })
 }
 
-/// The per-qubit single-qubit kinds a noise channel's symbolized fault
-/// generators act with, per application (see
-/// [`NoiseChannel::symbols_per_application`]): each allocated symbol
-/// multiplies one of these components.
-fn channel_generators(channel: NoiseChannel) -> &'static [(usize, PauliKind)] {
-    match channel {
-        NoiseChannel::XError(_) => &[(0, PauliKind::X)],
-        NoiseChannel::YError(_) => &[(0, PauliKind::Y)],
-        NoiseChannel::ZError(_) => &[(0, PauliKind::Z)],
-        NoiseChannel::Depolarize1(_) | NoiseChannel::PauliChannel1 { .. } => {
-            &[(0, PauliKind::X), (0, PauliKind::Z)]
-        }
-        NoiseChannel::Depolarize2(_) | NoiseChannel::PauliChannel2 { .. } => &[
-            (0, PauliKind::X),
-            (0, PauliKind::Z),
-            (1, PauliKind::X),
-            (1, PauliKind::Z),
-        ],
-    }
-}
-
 /// Backward dataflow state at one circuit position.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct LiveState {
@@ -300,10 +280,12 @@ impl Liveness {
                 }
             }
             Instruction::Noise { channel, targets } if self.flag_noise => {
+                // Each allocated symbol multiplies one slot's Pauli.
+                let n = channel.symbols_per_application();
                 let live = targets.chunks_exact(channel.arity()).any(|app| {
-                    channel_generators(*channel)
+                    channel_slots(*channel, app)[..n]
                         .iter()
-                        .any(|&(slot, k)| anticommuting(s.det[app[slot] as usize], k) != 0)
+                        .any(|&(k, q)| anticommuting(s.det[q as usize], k) != 0)
                 });
                 if !live {
                     self.diags.push(diag(
@@ -407,9 +389,10 @@ impl Liveness {
                 }
             }
             Instruction::Noise { channel, targets } => {
+                let n = channel.symbols_per_application();
                 for app in targets.chunks_exact(channel.arity()) {
-                    for &(slot, k) in channel_generators(*channel) {
-                        s.any[app[slot] as usize] |= bit(k);
+                    for &(k, q) in &channel_slots(*channel, app)[..n] {
+                        s.any[q as usize] |= bit(k);
                     }
                 }
             }

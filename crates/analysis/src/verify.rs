@@ -21,8 +21,10 @@ use std::collections::HashSet;
 use std::mem::discriminant;
 
 use symphase_bitmat::BitVec;
-use symphase_circuit::{Block, Circuit, Gate, Instruction, NoiseChannel, PauliKind};
+use symphase_circuit::{Block, Circuit, Gate, Instruction, PauliKind};
+use symphase_core::noise::{channel_slots, NoiseSite};
 use symphase_core::{SymPhaseSampler, SymbolGroup, SymbolId, SymbolTable};
+use symphase_tableau::record::{detector_measurement_sets, observable_measurement_sets};
 
 use crate::rewrite::{absolute_flips, FlipSite};
 use crate::{lint, symbolic, walk_flat};
@@ -241,8 +243,7 @@ pub fn fault_set_check(
     if clean_ref.len() != fault_ref.len() {
         return Err("concrete: injection changed the measurement count".into());
     }
-    let (det_sets, obs_sets) = measurement_sets(circuit);
-    for (d, set) in det_sets.iter().enumerate() {
+    for (d, set) in detector_measurement_sets(circuit).iter().enumerate() {
         let flipped = set
             .iter()
             .fold(false, |p, &m| p ^ clean_ref.get(m) ^ fault_ref.get(m));
@@ -253,7 +254,7 @@ pub fn fault_set_check(
         }
     }
     let mut concrete_obs = Vec::new();
-    for (o, set) in obs_sets.iter().enumerate() {
+    for (o, set) in observable_measurement_sets(circuit).iter().enumerate() {
         let flipped = set
             .iter()
             .fold(false, |p, &m| p ^ clean_ref.get(m) ^ fault_ref.get(m));
@@ -312,61 +313,18 @@ fn inject_faults(
                         return;
                     };
                     gi += 1;
-                    match (channel, group) {
-                        (NoiseChannel::XError(_), SymbolGroup::Bernoulli { id, .. }) => {
-                            if fired.contains(id) {
-                                pauli(PauliKind::X, chunk[0]);
-                            }
-                        }
-                        (NoiseChannel::YError(_), SymbolGroup::Bernoulli { id, .. }) => {
-                            if fired.contains(id) {
-                                pauli(PauliKind::Y, chunk[0]);
-                            }
-                        }
-                        (NoiseChannel::ZError(_), SymbolGroup::Bernoulli { id, .. }) => {
-                            if fired.contains(id) {
-                                pauli(PauliKind::Z, chunk[0]);
-                            }
-                        }
-                        (
-                            NoiseChannel::Depolarize1(_),
-                            SymbolGroup::Depolarize1 { x_id, z_id, .. },
-                        )
-                        | (
-                            NoiseChannel::PauliChannel1 { .. },
-                            SymbolGroup::PauliChannel1 { x_id, z_id, .. },
-                        ) => {
-                            if fired.contains(x_id) {
-                                pauli(PauliKind::X, chunk[0]);
-                            }
-                            if fired.contains(z_id) {
-                                pauli(PauliKind::Z, chunk[0]);
-                            }
-                        }
-                        (NoiseChannel::Depolarize2(_), SymbolGroup::Depolarize2 { ids, .. })
-                        | (
-                            NoiseChannel::PauliChannel2 { .. },
-                            SymbolGroup::PauliChannel2 { ids, .. },
-                        ) => {
-                            // `[xa, za, xb, zb]`, the pinned channel layout.
-                            for (j, id) in ids.iter().enumerate() {
-                                if fired.contains(id) {
-                                    pauli(
-                                        if j % 2 == 0 {
-                                            PauliKind::X
-                                        } else {
-                                            PauliKind::Z
-                                        },
-                                        chunk[j / 2],
-                                    );
-                                }
-                            }
-                        }
-                        _ => {
-                            err = Some(format!(
-                                "channel/symbol-group mismatch at noise site {gi}: {channel:?} \
-                                 vs {group:?}"
-                            ));
+                    let (site, ids) = group.site();
+                    if discriminant(&site) != discriminant(&NoiseSite::from(*channel)) {
+                        err = Some(format!(
+                            "channel/symbol-group mismatch at noise site {gi}: {channel:?} vs \
+                             {group:?}"
+                        ));
+                        return;
+                    }
+                    let slots = channel_slots(*channel, chunk);
+                    for (&(kind, q), id) in slots.iter().zip(&ids[..site.slots()]) {
+                        if fired.contains(id) {
+                            pauli(kind, q);
                         }
                     }
                 }
@@ -402,56 +360,9 @@ fn inject_faults(
     Ok(out)
 }
 
-/// Absolute measurement-index sets of every detector and observable,
-/// streamed from the flattened circuit (duplicated lookbacks XOR-cancel).
-fn measurement_sets(circuit: &Circuit) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
-    let mut dets: Vec<Vec<usize>> = Vec::new();
-    let mut obs: Vec<Vec<usize>> = vec![Vec::new(); circuit.num_observables()];
-    let mut mcount = 0usize;
-    for ins in circuit.flat_instructions() {
-        match ins {
-            Instruction::Detector { lookbacks, .. } => {
-                let mut set: Vec<usize> = Vec::with_capacity(lookbacks.len());
-                for &lb in lookbacks {
-                    let m = (mcount as i64 + lb) as usize;
-                    match set.iter().position(|&x| x == m) {
-                        Some(pos) => {
-                            set.remove(pos);
-                        }
-                        None => set.push(m),
-                    }
-                }
-                dets.push(set);
-            }
-            Instruction::ObservableInclude { index, lookbacks } => {
-                let set = &mut obs[*index as usize];
-                for &lb in lookbacks {
-                    let m = (mcount as i64 + lb) as usize;
-                    match set.iter().position(|&x| x == m) {
-                        Some(pos) => {
-                            set.remove(pos);
-                        }
-                        None => set.push(m),
-                    }
-                }
-            }
-            _ => mcount += ins.measurements_added(),
-        }
-    }
-    (dets, obs)
-}
-
 fn group_ids(group: &SymbolGroup) -> Vec<u32> {
-    match group {
-        SymbolGroup::Coin { id }
-        | SymbolGroup::Bernoulli { id, .. }
-        | SymbolGroup::Correlated { id, .. } => vec![*id],
-        SymbolGroup::Depolarize1 { x_id, z_id, .. }
-        | SymbolGroup::PauliChannel1 { x_id, z_id, .. } => vec![*x_id, *z_id],
-        SymbolGroup::Depolarize2 { ids, .. } | SymbolGroup::PauliChannel2 { ids, .. } => {
-            ids.to_vec()
-        }
-    }
+    let (site, ids) = group.site();
+    ids[..site.slots()].to_vec()
 }
 
 /// Translation validation for the optimizer's rewrite passes: proves

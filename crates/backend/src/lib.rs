@@ -23,6 +23,9 @@
 //! * [`exec`] — the single-shot instruction-walk driver (measure / reset /
 //!   measure-reset / feedback bookkeeping) and the trajectory sampling of
 //!   noise channels into concrete Paulis;
+//! * [`noise`] — the batch noise draw every batch engine shares: one
+//!   routine decides how a noise site consumes the RNG, and each engine
+//!   only says where fired slots land ([`noise::FaultSink`]);
 //! * [`record`] — detector/observable measurement-set resolution and
 //!   record evaluation (moved here from the tableau crate so every layer,
 //!   including the dense simulator, shares it).
@@ -47,6 +50,7 @@ use symphase_bitmat::BitMatrix;
 pub mod config;
 pub mod exec;
 pub mod formats;
+pub mod noise;
 pub mod record;
 pub mod sink;
 

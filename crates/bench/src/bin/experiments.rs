@@ -1,5 +1,7 @@
 //! Experiment harness: regenerates the paper's tables and figures as text
-//! series (EXPERIMENTS.md records its output).
+//! series on stdout (listed in the README's "Reproducing the paper's
+//! figures and tables"; `bench-json` writes the `BENCH_<n>.json` reports
+//! described in `docs/performance.md`).
 //!
 //! Usage:
 //!

@@ -131,17 +131,13 @@ impl<R: Rng> Iterator for GeometricBits<'_, R> {
 
 /// Calls `f` with every index of a set bit in an `nbits`-long
 /// Bernoulli(`p`) stream, without materializing the bits. Used by the
-/// sampler's event-driven handling of single-symbol fault sites: for
+/// hybrid sampler's event sink for single-symbol fault sites: for
 /// realistic (small) fault rates only a handful of shots fire per site.
-/// (Jointly-distributed sites cannot use it — their per-event choice
-/// draws must come after the whole fire mask to keep the stream order of
-/// the assignment-matrix draw.)
 ///
 /// Consumes **exactly the same RNG stream** as [`fill_bernoulli`] with
 /// the same `(p, nbits)` — the indices reported are precisely the bits
-/// that call would set. The sampler's bit-identical method-equivalence
-/// contract relies on every Bernoulli primitive sharing this stream, so
-/// keep the branch structure in lockstep with [`fill_bernoulli`].
+/// that call would set. The shared noise draw lets a sink use either
+/// for a Bernoulli slot, so the two must keep the same branch structure.
 ///
 /// # Panics
 ///

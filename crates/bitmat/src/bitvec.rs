@@ -4,7 +4,7 @@ use std::fmt;
 
 use rand::Rng;
 
-use crate::word::{count_ones, split_index, tail_mask, words_for, xor_into, Word, WORD_BITS};
+use crate::word::{count_ones, split_index, tail_mask, words_for, xor_into, IterOnes, Word};
 
 /// A packed vector of bits, the basic container for tableau columns, phase
 /// rows, and measurement records.
@@ -220,11 +220,7 @@ impl BitVec {
 
     /// Iterates over the indices of set bits in increasing order.
     pub fn iter_ones(&self) -> IterOnes<'_> {
-        IterOnes {
-            words: &self.words,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
+        crate::word::iter_ones(&self.words)
     }
 
     /// Backing words (little-endian bit order within each word).
@@ -276,31 +272,6 @@ impl Extend<bool> for BitVec {
         for b in iter {
             self.push(b);
         }
-    }
-}
-
-/// Iterator over set-bit indices of a [`BitVec`], produced by
-/// [`BitVec::iter_ones`].
-pub struct IterOnes<'a> {
-    words: &'a [Word],
-    word_idx: usize,
-    current: Word,
-}
-
-impl Iterator for IterOnes<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        while self.current == 0 {
-            self.word_idx += 1;
-            if self.word_idx >= self.words.len() {
-                return None;
-            }
-            self.current = self.words[self.word_idx];
-        }
-        let bit = self.current.trailing_zeros() as usize;
-        self.current &= self.current - 1;
-        Some(self.word_idx * WORD_BITS + bit)
     }
 }
 

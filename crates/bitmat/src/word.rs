@@ -56,6 +56,40 @@ pub fn count_ones(words: &[Word]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
+/// Iterates over the indices of the set bits of `words`, ascending.
+pub fn iter_ones(words: &[Word]) -> IterOnes<'_> {
+    IterOnes {
+        words,
+        word_idx: 0,
+        current: words.first().copied().unwrap_or(0),
+    }
+}
+
+/// Iterator over the set-bit indices of a word slice, produced by
+/// [`iter_ones`] and [`BitVec::iter_ones`](crate::BitVec::iter_ones).
+pub struct IterOnes<'a> {
+    words: &'a [Word],
+    word_idx: usize,
+    current: Word,
+}
+
+impl Iterator for IterOnes<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.current == 0 {
+            self.word_idx += 1;
+            if self.word_idx >= self.words.len() {
+                return None;
+            }
+            self.current = self.words[self.word_idx];
+        }
+        let bit = self.current.trailing_zeros() as usize;
+        self.current &= self.current - 1;
+        Some(self.word_idx * WORD_BITS + bit)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

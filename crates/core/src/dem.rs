@@ -29,7 +29,7 @@ use std::fmt;
 use symphase_bitmat::SparseRowMatrix;
 
 use crate::sampler::SymPhaseSampler;
-use crate::symbol::{SymbolGroup, SymbolId};
+use crate::symbol::SymbolId;
 
 /// One error mechanism: with `probability`, flip the listed detectors and
 /// logical observables.
@@ -204,12 +204,12 @@ impl DetectorErrorModel {
                         let d: u32 = d
                             .parse()
                             .map_err(|_| format!("line {ln}: bad detector target `{tok}`"))?;
-                        xor_into(&mut detectors, &[d]);
+                        xor_sorted(&mut detectors, &[d]);
                     } else if let Some(o) = tok.strip_prefix('L') {
                         let o: u32 = o
                             .parse()
                             .map_err(|_| format!("line {ln}: bad observable target `{tok}`"))?;
-                        xor_into(&mut observables, &[o]);
+                        xor_sorted(&mut observables, &[o]);
                     } else {
                         return Err(format!("line {ln}: unknown target `{tok}`"));
                     }
@@ -302,9 +302,11 @@ impl fmt::Display for DetectorErrorModel {
     }
 }
 
-/// Symptom accumulator: symmetric-difference lists of detector/observable
-/// indices.
-fn xor_into(acc: &mut Vec<u32>, items: &[u32]) {
+/// Replaces the sorted set `acc` with its symmetric difference with
+/// `items`: each item present in `acc` is removed, each absent one is
+/// inserted in order. This is how detector/observable symptom sets
+/// XOR-combine.
+pub fn xor_sorted(acc: &mut Vec<u32>, items: &[u32]) {
     for &i in items {
         match acc.binary_search(&i) {
             Ok(pos) => {
@@ -352,8 +354,8 @@ impl SymPhaseSampler {
             let mut dets = Vec::new();
             let mut obs = Vec::new();
             for &s in symbols {
-                xor_into(&mut dets, &det_cols[s as usize]);
-                xor_into(&mut obs, &obs_cols[s as usize]);
+                xor_sorted(&mut dets, &det_cols[s as usize]);
+                xor_sorted(&mut obs, &obs_cols[s as usize]);
             }
             if dets.is_empty() && obs.is_empty() {
                 return;
@@ -366,65 +368,7 @@ impl SymPhaseSampler {
             entry.0 = entry.0 * (1.0 - probability) + probability * (1.0 - entry.0);
         };
 
-        // Probability that the current correlated chain has not fired yet
-        // (chain elements are contiguous in allocation order).
-        let mut chain_none = 1.0f64;
-        for group in self.symbol_table().groups() {
-            match *group {
-                SymbolGroup::Coin { .. } => {}
-                SymbolGroup::Bernoulli { id, p } => add(&[id], p),
-                SymbolGroup::Depolarize1 { x_id, z_id, p } => {
-                    add(&[x_id], p / 3.0);
-                    add(&[x_id, z_id], p / 3.0);
-                    add(&[z_id], p / 3.0);
-                }
-                SymbolGroup::Depolarize2 { ids, p } => {
-                    for k in 1u32..16 {
-                        let subset: Vec<SymbolId> = ids
-                            .iter()
-                            .enumerate()
-                            .filter(|(j, _)| k & (1 << j) != 0)
-                            .map(|(_, &id)| id)
-                            .collect();
-                        add(&subset, p / 15.0);
-                    }
-                }
-                SymbolGroup::PauliChannel1 {
-                    x_id,
-                    z_id,
-                    px,
-                    py,
-                    pz,
-                } => {
-                    add(&[x_id], px);
-                    add(&[x_id, z_id], py);
-                    add(&[z_id], pz);
-                }
-                SymbolGroup::PauliChannel2 { ids, probs } => {
-                    for (m, &p) in probs.iter().enumerate() {
-                        let bits = symphase_circuit::pauli_channel_2_bits(m + 1);
-                        let subset: Vec<SymbolId> = ids
-                            .iter()
-                            .enumerate()
-                            .filter(|&(j, _)| bits[j])
-                            .map(|(_, &id)| id)
-                            .collect();
-                        add(&subset, p);
-                    }
-                }
-                SymbolGroup::Correlated { id, p, else_branch } => {
-                    // Marginal probability: conditional `p` scaled by the
-                    // chain not having fired yet.
-                    let marginal = if else_branch { chain_none * p } else { p };
-                    if else_branch {
-                        chain_none *= 1.0 - p;
-                    } else {
-                        chain_none = 1.0 - p;
-                    }
-                    add(&[id], marginal);
-                }
-            }
-        }
+        self.symbol_table().for_each_outcome(&mut add);
 
         let errors: Vec<DemError> = merged
             .into_iter()
@@ -449,7 +393,7 @@ impl SymPhaseSampler {
 mod tests {
     use super::*;
     use symphase_circuit::generators::{repetition_code_memory, RepetitionCodeConfig};
-    use symphase_circuit::{Circuit, NoiseChannel};
+    use symphase_circuit::{Circuit, NoiseChannel, PauliKind};
 
     #[test]
     fn repetition_code_matching_graph() {
@@ -533,6 +477,32 @@ mod tests {
         let expect = p3 * (1.0 - p3) + p3 * (1.0 - p3);
         assert!((dem.errors()[0].probability - expect).abs() < 1e-12);
         assert_eq!(dem.errors()[0].detectors, vec![0, 1]);
+    }
+
+    #[test]
+    fn correlated_chain_mechanisms_carry_their_marginals() {
+        // E(0.4) / ELSE(0.5) / ELSE(1.0): exactly one element fires per
+        // shot, with marginals 0.4, 0.6·0.5 and 0.6·0.5·1.
+        let mut c = Circuit::new(3);
+        c.correlated_error(0.4, &[(PauliKind::X, 0)]);
+        c.else_correlated_error(0.5, &[(PauliKind::X, 1)]);
+        c.else_correlated_error(1.0, &[(PauliKind::X, 2)]);
+        for q in 0..3 {
+            c.measure(q);
+        }
+        c.detector(&[-3]).detector(&[-2]).detector(&[-1]);
+        let dem = SymPhaseSampler::new(&c).detector_error_model();
+        let got: Vec<(Vec<u32>, f64)> = dem
+            .errors()
+            .iter()
+            .map(|e| (e.detectors.clone(), e.probability))
+            .collect();
+        let expect = [(vec![0], 0.4), (vec![1], 0.3), (vec![2], 0.3)];
+        assert_eq!(got.len(), expect.len(), "{got:?}");
+        for ((dets, p), (want_dets, want_p)) in got.iter().zip(&expect) {
+            assert_eq!(dets, want_dets);
+            assert!((p - want_p).abs() < 1e-12, "D{dets:?}: {p} vs {want_p}");
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! outcomes are read off the scratch row). Resets and feedback reuse the
 //! `X^e` mechanism of paper §6.
 
+use symphase_backend::noise::{channel_slots, NoiseSite};
 use symphase_circuit::{
     pauli_product_plan, Circuit, Instruction, NoiseChannel, PauliFactor, PauliKind,
 };
@@ -101,7 +102,10 @@ pub(crate) fn initialize<S: SymbolicPhases>(circuit: &Circuit) -> InitResult {
                 // mask is XORed with the same coefficient, so the product
                 // fires atomically (the per-Pauli injection of Table 1
                 // lifted to correlated multi-qubit channels).
-                let s = table.fresh_correlated(*probability, *else_branch);
+                let [s, ..] = table.fresh_site(NoiseSite::Correlated {
+                    p: *probability,
+                    else_branch: *else_branch,
+                });
                 for &(kind, q) in product {
                     apply_symbol_fault(&mut tab, &mut mask, kind, q as usize, s);
                 }
@@ -133,7 +137,8 @@ pub(crate) fn initialize<S: SymbolicPhases>(circuit: &Circuit) -> InitResult {
     }
 }
 
-/// Init-P: decomposes a noise channel into symbolic single-qubit faults.
+/// Init-P: decomposes a noise channel into symbolic single-qubit faults,
+/// one fresh symbol per slot of each application.
 fn apply_channel<S: SymbolicPhases>(
     tab: &mut Tableau<S>,
     table: &mut SymbolTable,
@@ -141,56 +146,11 @@ fn apply_channel<S: SymbolicPhases>(
     channel: NoiseChannel,
     targets: &[u32],
 ) {
-    match channel {
-        NoiseChannel::XError(p) => {
-            for &q in targets {
-                let s = table.fresh_bernoulli(p);
-                apply_symbol_fault(tab, mask, PauliKind::X, q as usize, s);
-            }
-        }
-        NoiseChannel::YError(p) => {
-            for &q in targets {
-                let s = table.fresh_bernoulli(p);
-                apply_symbol_fault(tab, mask, PauliKind::Y, q as usize, s);
-            }
-        }
-        NoiseChannel::ZError(p) => {
-            for &q in targets {
-                let s = table.fresh_bernoulli(p);
-                apply_symbol_fault(tab, mask, PauliKind::Z, q as usize, s);
-            }
-        }
-        NoiseChannel::Depolarize1(p) => {
-            for &q in targets {
-                let (sx, sz) = table.fresh_depolarize1(p);
-                apply_symbol_fault(tab, mask, PauliKind::X, q as usize, sx);
-                apply_symbol_fault(tab, mask, PauliKind::Z, q as usize, sz);
-            }
-        }
-        NoiseChannel::Depolarize2(p) => {
-            for pair in targets.chunks_exact(2) {
-                let [xa, za, xb, zb] = table.fresh_depolarize2(p);
-                apply_symbol_fault(tab, mask, PauliKind::X, pair[0] as usize, xa);
-                apply_symbol_fault(tab, mask, PauliKind::Z, pair[0] as usize, za);
-                apply_symbol_fault(tab, mask, PauliKind::X, pair[1] as usize, xb);
-                apply_symbol_fault(tab, mask, PauliKind::Z, pair[1] as usize, zb);
-            }
-        }
-        NoiseChannel::PauliChannel1 { px, py, pz } => {
-            for &q in targets {
-                let (sx, sz) = table.fresh_pauli_channel1(px, py, pz);
-                apply_symbol_fault(tab, mask, PauliKind::X, q as usize, sx);
-                apply_symbol_fault(tab, mask, PauliKind::Z, q as usize, sz);
-            }
-        }
-        NoiseChannel::PauliChannel2 { probs } => {
-            for pair in targets.chunks_exact(2) {
-                let [xa, za, xb, zb] = table.fresh_pauli_channel2(probs);
-                apply_symbol_fault(tab, mask, PauliKind::X, pair[0] as usize, xa);
-                apply_symbol_fault(tab, mask, PauliKind::Z, pair[0] as usize, za);
-                apply_symbol_fault(tab, mask, PauliKind::X, pair[1] as usize, xb);
-                apply_symbol_fault(tab, mask, PauliKind::Z, pair[1] as usize, zb);
-            }
+    let site = NoiseSite::from(channel);
+    for t in targets.chunks_exact(channel.arity()) {
+        let ids = table.fresh_site(site);
+        for (&(kind, q), &s) in channel_slots(channel, t).iter().zip(&ids[..site.slots()]) {
+            apply_symbol_fault(tab, mask, kind, q as usize, s);
         }
     }
 }

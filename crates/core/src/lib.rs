@@ -48,8 +48,11 @@ mod phases;
 mod sampler;
 mod symbol;
 
-pub use dem::{DemError, DetectorErrorModel};
+pub use dem::{xor_sorted, DemError, DetectorErrorModel};
 pub use expr::SymExpr;
 pub use phases::{DensePhases, SparsePhases, SymbolicPhases};
 pub use sampler::{PhaseRepr, SampleBatch, SamplingMethod, SymPhaseSampler};
 pub use symbol::{SymbolGroup, SymbolId, SymbolTable};
+/// The shared batch noise draw ([`NoiseSite`](noise::NoiseSite) is the
+/// site type of [`SymbolGroup::site`]).
+pub use symphase_backend::noise;

@@ -25,7 +25,7 @@ pub trait SymbolicPhases: PhaseStore {
     fn ensure_symbol_capacity(&mut self, max_id: SymbolId);
 
     /// Sizes the store up front for `count` symbols (see
-    /// [`symbol_bound`]), so it need not grow while the circuit is
+    /// `symbol_bound`), so it need not grow while the circuit is
     /// traversed. A hint: symbols past `count` still fit through
     /// [`Self::ensure_symbol_capacity`], and stores may decline.
     fn reserve_symbols(&mut self, count: usize);

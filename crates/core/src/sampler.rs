@@ -4,18 +4,20 @@ use std::sync::OnceLock;
 
 use rand::{Rng, RngCore};
 
+use symphase_backend::noise::FaultSink;
 use symphase_backend::record::{detector_measurement_sets, observable_measurement_sets};
 pub use symphase_backend::SampleBatch;
 use symphase_backend::Sampler;
 pub use symphase_backend::{PhaseRepr, SamplingMethod};
 use symphase_bitmat::bernoulli::{fill_bernoulli, for_each_bernoulli_index};
+use symphase_bitmat::word::iter_ones;
 use symphase_bitmat::{BitMatrix, SparseBitVec, SparseRowMatrix};
 use symphase_circuit::Circuit;
 
 use crate::engine::{initialize, InitResult};
 use crate::expr::SymExpr;
 use crate::phases::{DensePhases, SparsePhases};
-use crate::symbol::{SymbolGroup, SymbolTable};
+use crate::symbol::{SymbolGroup, SymbolId, SymbolSink, SymbolTable};
 
 /// The SymPhase measurement sampler (paper Algorithm 1).
 ///
@@ -165,9 +167,6 @@ struct SampleScratch {
     m4r: symphase_bitmat::M4rScratch,
     coins: Option<BitMatrix>,
     events: Vec<(u32, u32)>,
-    fire: Vec<u64>,
-    /// Correlated-chain "already fired" mask (see `SymbolGroup::Correlated`).
-    chain: Vec<u64>,
 }
 
 thread_local! {
@@ -399,18 +398,18 @@ impl SymPhaseSampler {
                             apply_hybrid(record.hybrid(idx), coins, &scratch.events, out, start);
                         }
                     }
-                    SamplingMethod::SparseRows => {
-                        let b = fill_assignments(&self.table, &mut scratch.assignments, width, rng);
+                    SamplingMethod::SparseRows | SamplingMethod::DenseMatMul => {
+                        let b =
+                            shaped(&mut scratch.assignments, self.table.assignment_len(), width);
+                        self.table.sample_assignments_into(b, rng);
                         for (record, out) in outs.iter_mut() {
-                            record.rows.mul_dense_into(b, out, start / 64);
-                        }
-                    }
-                    SamplingMethod::DenseMatMul => {
-                        let b = fill_assignments(&self.table, &mut scratch.assignments, width, rng);
-                        for (record, out) in outs.iter_mut() {
-                            record
-                                .dense()
-                                .mul_into(b, out, start / 64, &mut scratch.m4r);
+                            if method == SamplingMethod::SparseRows {
+                                record.rows.mul_dense_into(b, out, start / 64);
+                            } else {
+                                record
+                                    .dense()
+                                    .mul_into(b, out, start / 64, &mut scratch.m4r);
+                            }
                         }
                     }
                 }
@@ -451,140 +450,61 @@ impl Sampler for SymPhaseSampler {
 impl SymPhaseSampler {
     /// The [`SamplingMethod::Hybrid`] draw for one shot window: fills the
     /// coin matrix (constant row + one row per coin) and collects every
-    /// fired fault as a `(symbol, shot)` event into the scratch.
-    ///
-    /// Groups are drawn **in allocation order with the same primitives as
-    /// [`SymbolTable::sample_assignments`]**, so the RNG stream — and
-    /// therefore the sampled bits — are identical across all
-    /// [`SamplingMethod`]s. Keep the two in lockstep.
+    /// fired fault as a `(symbol, shot)` event into the scratch. The draw
+    /// itself is the table's shared noise draw, so the sampled bits match
+    /// every other [`SamplingMethod`].
     fn draw_hybrid(&self, width: usize, rng: &mut impl Rng, scratch: &mut SampleScratch) {
         let idx = self.hybrid_index();
-        if scratch
-            .coins
-            .as_ref()
-            .is_none_or(|c| c.rows() != idx.num_coins + 1 || c.cols() != width)
-        {
-            scratch.coins = Some(BitMatrix::zeros(idx.num_coins + 1, width));
-        }
-        let coins = scratch.coins.as_mut().expect("just ensured");
-        let cstride = coins.stride();
-        {
-            // Row 0: the constant symbol s₀ = 1.
-            let tail = symphase_bitmat::word::tail_mask(width);
-            let row0 = &mut coins.words_mut()[..cstride];
-            row0.iter_mut().for_each(|w| *w = !0);
-            if let Some(last) = row0.last_mut() {
-                *last &= tail;
-            }
-        }
-        scratch.fire.clear();
-        scratch.fire.resize(cstride, 0);
-        scratch.chain.clear();
-        scratch.chain.resize(cstride, 0);
+        let coins = shaped(&mut scratch.coins, idx.num_coins + 1, width);
+        // Row 0: the constant symbol s₀ = 1 (p = 1 draws no randomness).
+        fill_bernoulli(coins.row_mut(0), width, 1.0, rng);
         scratch.events.clear();
-        for group in self.table.groups() {
-            match *group {
-                SymbolGroup::Coin { id } => {
-                    let k = idx.coin_rank[id as usize] as usize;
-                    let row = &mut coins.words_mut()[k * cstride..(k + 1) * cstride];
-                    fill_bernoulli(row, width, 0.5, rng);
-                }
-                SymbolGroup::Bernoulli { id, p } => {
-                    // No per-event choice draws, so the mask need not be
-                    // materialized (same RNG stream either way).
-                    for_each_bernoulli_index(p, width, rng, |shot| {
-                        scratch.events.push((id, shot as u32));
-                    });
-                }
-                SymbolGroup::Depolarize1 { x_id, z_id, p } => {
-                    fill_bernoulli(&mut scratch.fire, width, p, rng);
-                    for_each_set_bit(&scratch.fire, |shot| {
-                        match rng.random_range(0..3u32) {
-                            0 => scratch.events.push((x_id, shot)), // X
-                            1 => {
-                                scratch.events.push((x_id, shot)); // Y
-                                scratch.events.push((z_id, shot));
-                            }
-                            _ => scratch.events.push((z_id, shot)), // Z
-                        }
-                    });
-                }
-                SymbolGroup::Depolarize2 { ids, p } => {
-                    fill_bernoulli(&mut scratch.fire, width, p, rng);
-                    for_each_set_bit(&scratch.fire, |shot| {
-                        let k = rng.random_range(1..16u32);
-                        for (j, &id) in ids.iter().enumerate() {
-                            if k & (1 << j) != 0 {
-                                scratch.events.push((id, shot));
-                            }
-                        }
-                    });
-                }
-                SymbolGroup::PauliChannel1 {
-                    x_id,
-                    z_id,
-                    px,
-                    py,
-                    pz,
-                } => {
-                    let total = px + py + pz;
-                    fill_bernoulli(&mut scratch.fire, width, total, rng);
-                    for_each_set_bit(&scratch.fire, |shot| {
-                        let u: f64 = rng.random::<f64>() * total;
-                        if u < px + py {
-                            scratch.events.push((x_id, shot));
-                        }
-                        if u >= px {
-                            scratch.events.push((z_id, shot));
-                        }
-                    });
-                }
-                SymbolGroup::PauliChannel2 { ids, probs } => {
-                    let total: f64 = probs.iter().sum();
-                    fill_bernoulli(&mut scratch.fire, width, total.min(1.0), rng);
-                    for_each_set_bit(&scratch.fire, |shot| {
-                        let u: f64 = rng.random::<f64>() * total;
-                        let m = symphase_circuit::pauli_channel_2_select(u, &probs);
-                        let bits = symphase_circuit::pauli_channel_2_bits(m);
-                        for (j, &id) in ids.iter().enumerate() {
-                            if bits[j] {
-                                scratch.events.push((id, shot));
-                            }
-                        }
-                    });
-                }
-                SymbolGroup::Correlated { id, p, else_branch } => {
-                    // Same draw primitives and chain masking as the
-                    // assignment-matrix path, so the RNG stream — and the
-                    // sampled bits — stay method-independent.
-                    fill_bernoulli(&mut scratch.fire, width, p, rng);
-                    if else_branch {
-                        for (f, c) in scratch.fire.iter_mut().zip(scratch.chain.iter_mut()) {
-                            *f &= !*c;
-                            *c |= *f;
-                        }
-                    } else {
-                        scratch.chain.copy_from_slice(&scratch.fire);
-                    }
-                    for_each_set_bit(&scratch.fire, |shot| {
-                        scratch.events.push((id, shot));
-                    });
-                }
-            }
-        }
+        let mut sink = HybridSink {
+            ids: [0; 4],
+            coin_rank: &idx.coin_rank,
+            coins,
+            events: &mut scratch.events,
+        };
+        self.table.draw(width, rng, &mut sink);
     }
 }
 
-/// Calls `f` with the index of every set bit, in ascending order (the
-/// same order the merged assignment-matrix draw visits fired shots).
-fn for_each_set_bit(words: &[u64], mut f: impl FnMut(u32)) {
-    for (w, &word) in words.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let shot = (w * 64) as u32 + bits.trailing_zeros();
-            bits &= bits - 1;
-            f(shot);
+/// Routes coins to their rows of the coin matrix and fault symbols to
+/// `(symbol, shot)` events.
+struct HybridSink<'a> {
+    ids: [SymbolId; 4],
+    coin_rank: &'a [u32],
+    coins: &'a mut BitMatrix,
+    events: &'a mut Vec<(u32, u32)>,
+}
+
+impl FaultSink for HybridSink<'_> {
+    fn bernoulli<R: Rng>(&mut self, slot: usize, p: f64, width: usize, rng: &mut R) {
+        let id = self.ids[slot];
+        match self.coin_rank[id as usize] as usize {
+            // No per-event choice draws, so a fault's mask need not be
+            // materialized (same RNG stream either way).
+            0 => for_each_bernoulli_index(p, width, rng, |shot| {
+                self.events.push((id, shot as u32));
+            }),
+            k => fill_bernoulli(self.coins.row_mut(k), width, p, rng),
         }
+    }
+
+    fn set(&mut self, slot: usize, shot: usize) {
+        self.events.push((self.ids[slot], shot as u32));
+    }
+
+    fn mask(&mut self, slot: usize, fired: &[u64]) {
+        let id = self.ids[slot];
+        self.events
+            .extend(iter_ones(fired).map(|shot| (id, shot as u32)));
+    }
+}
+
+impl SymbolSink for HybridSink<'_> {
+    fn set_group(&mut self, ids: [SymbolId; 4]) {
+        self.ids = ids;
     }
 }
 
@@ -620,8 +540,9 @@ const FLIP_COST: f64 = 8.0;
 /// [`SamplingMethod::Auto`] resolution from what Initialization actually
 /// built. Costs are per 64-shot word:
 ///
-/// * `Hybrid` — the coin-restricted product plus, per fault symbol, its
-///   fire probability times the rows it touches, weighted by
+/// * `Hybrid` — the coin-restricted product plus, per noise outcome, its
+///   probability times the rows its symbols touch (the same as each fault
+///   symbol's marginal fire probability times its rows), weighted by
 ///   [`FLIP_COST`] (events are scattered single-bit flips).
 /// * matrix product — one word XOR per set bit of `M`; within that, the
 ///   blocked kernel wins once rows average more set bits than the kernel
@@ -638,67 +559,21 @@ fn resolve_auto_from_matrix(table: &SymbolTable, meas_rows: &SparseRowMatrix) ->
     }
     // Constant + coin columns are multiplied densely by the hybrid path.
     let mut coin_nnz = colcount[0] as f64;
-    // Expected fault-bit flips per shot: marginal fire probability of
-    // each symbol times the measurement rows containing it.
-    let mut flips_per_shot = 0.0;
-    // Probability that the current correlated chain has not fired yet
-    // (groups are visited in allocation order, chains contiguous).
-    let mut chain_none = 1.0;
     for group in table.groups() {
-        match *group {
-            SymbolGroup::Coin { id } => coin_nnz += colcount[id as usize] as f64,
-            SymbolGroup::Bernoulli { id, p } => {
-                flips_per_shot += p * colcount[id as usize] as f64;
-            }
-            SymbolGroup::Depolarize1 { x_id, z_id, p } => {
-                // Each component fires in 2 of the 3 equiprobable faults.
-                let marginal = 2.0 * p / 3.0;
-                flips_per_shot +=
-                    marginal * (colcount[x_id as usize] + colcount[z_id as usize]) as f64;
-            }
-            SymbolGroup::Depolarize2 { ids, p } => {
-                // Each of the four symbols is set in 8 of the 15 Paulis.
-                let marginal = 8.0 * p / 15.0;
-                for id in ids {
-                    flips_per_shot += marginal * colcount[id as usize] as f64;
-                }
-            }
-            SymbolGroup::PauliChannel1 {
-                x_id,
-                z_id,
-                px,
-                py,
-                pz,
-            } => {
-                flips_per_shot += (px + py) * colcount[x_id as usize] as f64
-                    + (py + pz) * colcount[z_id as usize] as f64;
-            }
-            SymbolGroup::PauliChannel2 { ids, probs } => {
-                // Marginal of each symbol: sum of the outcomes setting it.
-                let mut marginals = [0.0f64; 4];
-                for (m, &p) in probs.iter().enumerate() {
-                    let bits = symphase_circuit::pauli_channel_2_bits(m + 1);
-                    for (j, marg) in marginals.iter_mut().enumerate() {
-                        if bits[j] {
-                            *marg += p;
-                        }
-                    }
-                }
-                for (j, &id) in ids.iter().enumerate() {
-                    flips_per_shot += marginals[j] * colcount[id as usize] as f64;
-                }
-            }
-            SymbolGroup::Correlated { id, p, else_branch } => {
-                let marginal = if else_branch { chain_none * p } else { p };
-                if else_branch {
-                    chain_none *= 1.0 - p;
-                } else {
-                    chain_none = 1.0 - p;
-                }
-                flips_per_shot += marginal * colcount[id as usize] as f64;
-            }
+        if let SymbolGroup::Coin { id } = *group {
+            coin_nnz += colcount[id as usize] as f64;
         }
     }
+    // Expected fault-bit flips per shot: each outcome's probability times
+    // the measurement rows its symbols touch.
+    let mut flips_per_shot = 0.0;
+    table.for_each_outcome(|symbols, p| {
+        let rows: f64 = symbols
+            .iter()
+            .map(|&s| f64::from(colcount[s as usize]))
+            .sum();
+        flips_per_shot += p * rows;
+    });
     let hybrid_cost = coin_nnz + FLIP_COST * 64.0 * flips_per_shot;
     let matrix_cost = nnz as f64;
     if hybrid_cost < matrix_cost {
@@ -710,24 +585,16 @@ fn resolve_auto_from_matrix(table: &SymbolTable, meas_rows: &SparseRowMatrix) ->
     }
 }
 
-/// Ensures `slot` holds an `assignment_len × width` matrix and refills it
-/// from the table; reallocation happens only when the width changes (the
-/// final, narrower shot batch).
-fn fill_assignments<'a>(
-    table: &SymbolTable,
-    slot: &'a mut Option<BitMatrix>,
-    width: usize,
-    rng: &mut impl Rng,
-) -> &'a BitMatrix {
+/// The matrix in `slot`, reallocated as `rows × cols` zeros only when
+/// its shape differs (the final, narrower shot batch).
+fn shaped(slot: &mut Option<BitMatrix>, rows: usize, cols: usize) -> &mut BitMatrix {
     if slot
         .as_ref()
-        .is_none_or(|b| b.rows() != table.assignment_len() || b.cols() != width)
+        .is_none_or(|m| m.rows() != rows || m.cols() != cols)
     {
-        *slot = Some(BitMatrix::zeros(table.assignment_len(), width));
+        *slot = Some(BitMatrix::zeros(rows, cols));
     }
-    let b = slot.as_mut().expect("just ensured");
-    table.sample_assignments_into(b, rng);
-    b
+    slot.as_mut().expect("just ensured")
 }
 
 #[cfg(test)]

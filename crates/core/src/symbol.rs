@@ -8,6 +8,7 @@
 
 use rand::Rng;
 
+use symphase_backend::noise::{self, FaultSink, NoiseScratch, NoiseSite};
 use symphase_bitmat::bernoulli::fill_bernoulli;
 use symphase_bitmat::BitMatrix;
 
@@ -144,57 +145,37 @@ impl SymbolTable {
         id
     }
 
-    /// Allocates a Bernoulli fault symbol.
-    pub fn fresh_bernoulli(&mut self, p: f64) -> SymbolId {
-        let id = self.alloc();
-        self.groups.push(SymbolGroup::Bernoulli { id, p });
-        id
-    }
-
-    /// Allocates the `(s_x, s_z)` pair of a `DEPOLARIZE1` site.
-    pub fn fresh_depolarize1(&mut self, p: f64) -> (SymbolId, SymbolId) {
-        let x_id = self.alloc();
-        let z_id = self.alloc();
-        self.groups.push(SymbolGroup::Depolarize1 { x_id, z_id, p });
-        (x_id, z_id)
-    }
-
-    /// Allocates the four symbols of a `DEPOLARIZE2` site, in order
-    /// `x_a, z_a, x_b, z_b`.
-    pub fn fresh_depolarize2(&mut self, p: f64) -> [SymbolId; 4] {
-        let ids = [self.alloc(), self.alloc(), self.alloc(), self.alloc()];
-        self.groups.push(SymbolGroup::Depolarize2 { ids, p });
-        ids
-    }
-
-    /// Allocates the `(s_x, s_z)` pair of a `PAULI_CHANNEL_1` site.
-    pub fn fresh_pauli_channel1(&mut self, px: f64, py: f64, pz: f64) -> (SymbolId, SymbolId) {
-        let x_id = self.alloc();
-        let z_id = self.alloc();
-        self.groups.push(SymbolGroup::PauliChannel1 {
-            x_id,
-            z_id,
-            px,
-            py,
-            pz,
+    /// Allocates the symbols of one noise site, in slot order (unused
+    /// slots are 0), and records their group.
+    pub fn fresh_site(&mut self, site: NoiseSite) -> [SymbolId; 4] {
+        let mut ids = [0; 4];
+        for id in &mut ids[..site.slots()] {
+            *id = self.alloc();
+        }
+        let [a, b, ..] = ids;
+        self.groups.push(match site {
+            NoiseSite::Bernoulli(p) => SymbolGroup::Bernoulli { id: a, p },
+            NoiseSite::Depolarize1(p) => SymbolGroup::Depolarize1 {
+                x_id: a,
+                z_id: b,
+                p,
+            },
+            NoiseSite::Depolarize2(p) => SymbolGroup::Depolarize2 { ids, p },
+            NoiseSite::PauliChannel1 { px, py, pz } => SymbolGroup::PauliChannel1 {
+                x_id: a,
+                z_id: b,
+                px,
+                py,
+                pz,
+            },
+            NoiseSite::PauliChannel2 { probs } => SymbolGroup::PauliChannel2 { ids, probs },
+            NoiseSite::Correlated { p, else_branch } => SymbolGroup::Correlated {
+                id: a,
+                p,
+                else_branch,
+            },
         });
-        (x_id, z_id)
-    }
-
-    /// Allocates the four symbols of a `PAULI_CHANNEL_2` site, in order
-    /// `x_a, z_a, x_b, z_b`.
-    pub fn fresh_pauli_channel2(&mut self, probs: [f64; 15]) -> [SymbolId; 4] {
-        let ids = [self.alloc(), self.alloc(), self.alloc(), self.alloc()];
-        self.groups.push(SymbolGroup::PauliChannel2 { ids, probs });
         ids
-    }
-
-    /// Allocates the symbol of one correlated-error chain element.
-    pub fn fresh_correlated(&mut self, p: f64, else_branch: bool) -> SymbolId {
-        let id = self.alloc();
-        self.groups
-            .push(SymbolGroup::Correlated { id, p, else_branch });
-        id
     }
 
     /// Samples the assignment matrix `B ∈ F₂^{(n_s+1) × shots}`: row 0 is
@@ -219,164 +200,121 @@ impl SymbolTable {
         assert_eq!(b.rows(), self.assignment_len(), "assignment row mismatch");
         let shots = b.cols();
         b.words_mut().fill(0);
-        // Row 0: the constant symbol s₀ = 1.
-        {
-            let stride = b.stride();
-            let tail = symphase_bitmat::word::tail_mask(shots);
-            let row0 = &mut b.words_mut()[..stride];
-            row0.iter_mut().for_each(|w| *w = !0);
-            if let Some(last) = row0.last_mut() {
-                *last &= tail;
-            }
-        }
+        // Row 0: the constant symbol s₀ = 1 (p = 1 draws no randomness).
+        fill_bernoulli(b.row_mut(0), shots, 1.0, rng);
         let stride = b.stride();
-        // Scratch fire-mask reused across all jointly-distributed groups.
-        let mut fire = vec![0u64; stride];
-        // Per-shot "this correlated chain already fired" mask; rewritten
-        // by every chain-starting `Correlated` group.
-        let mut chain = vec![0u64; stride];
+        let mut sink = MatrixSink {
+            ids: [0; 4],
+            words: b.words_mut(),
+            stride,
+        };
+        self.draw(shots, rng, &mut sink);
+    }
+
+    /// Draws every group, in allocation order, for a window of `width`
+    /// shots through the shared noise draw; before each group, `sink`
+    /// learns the group's symbols in slot order.
+    pub(crate) fn draw<S: SymbolSink>(&self, width: usize, rng: &mut impl Rng, sink: &mut S) {
+        let mut scratch = NoiseScratch::default();
         for group in &self.groups {
-            match *group {
-                SymbolGroup::Coin { id } => {
-                    let row = row_mut(b, id, stride);
-                    fill_bernoulli(row, shots, 0.5, rng);
-                }
-                SymbolGroup::Bernoulli { id, p } => {
-                    let row = row_mut(b, id, stride);
-                    fill_bernoulli(row, shots, p, rng);
-                }
-                SymbolGroup::Depolarize1 { x_id, z_id, p } => {
-                    fill_bernoulli(&mut fire, shots, p, rng);
-                    scatter_choice(
-                        b,
-                        stride,
-                        &fire,
-                        rng,
-                        |k| match k {
-                            0 => (Some(x_id), None),       // X
-                            1 => (Some(x_id), Some(z_id)), // Y
-                            _ => (None, Some(z_id)),       // Z
-                        },
-                        3,
-                    );
-                }
-                SymbolGroup::Depolarize2 { ids, p } => {
-                    fill_bernoulli(&mut fire, shots, p, rng);
-                    for (w, &fire_word) in fire.iter().enumerate().take(stride) {
-                        let mut fired = fire_word;
-                        while fired != 0 {
-                            let bit = fired.trailing_zeros() as usize;
-                            fired &= fired - 1;
-                            let k = rng.random_range(1..16u32);
-                            for (j, &id) in ids.iter().enumerate() {
-                                if k & (1 << j) != 0 {
-                                    set_bit(b, id, stride, w, bit);
-                                }
-                            }
-                        }
+            let (site, ids) = group.site();
+            sink.set_group(ids);
+            noise::draw(&site, width, rng, &mut scratch, sink);
+        }
+    }
+
+    /// Calls `f(symbols, p)` for every non-identity outcome of every noise
+    /// group (coins are not noise and are skipped), in allocation order:
+    /// `symbols` are the fault symbols the outcome sets, `p` its marginal
+    /// probability — for correlated-chain elements, the conditional
+    /// probability scaled by the chain not having fired yet.
+    pub fn for_each_outcome(&self, mut f: impl FnMut(&[SymbolId], f64)) {
+        let mut chain_none = 1.0;
+        for group in &self.groups {
+            if matches!(group, SymbolGroup::Coin { .. }) {
+                continue;
+            }
+            let (site, ids) = group.site();
+            site.for_each_outcome(&mut chain_none, |slots, p| {
+                let mut symbols = [0; 4];
+                let mut n = 0;
+                for (j, &id) in ids.iter().enumerate() {
+                    if slots & (1 << j) != 0 {
+                        symbols[n] = id;
+                        n += 1;
                     }
                 }
-                SymbolGroup::PauliChannel1 {
-                    x_id,
-                    z_id,
-                    px,
-                    py,
-                    pz,
-                } => {
-                    let total = px + py + pz;
-                    fill_bernoulli(&mut fire, shots, total, rng);
-                    for (w, &fire_word) in fire.iter().enumerate().take(stride) {
-                        let mut fired = fire_word;
-                        while fired != 0 {
-                            let bit = fired.trailing_zeros() as usize;
-                            fired &= fired - 1;
-                            let u: f64 = rng.random::<f64>() * total;
-                            let (fx, fz) = if u < px {
-                                (true, false)
-                            } else if u < px + py {
-                                (true, true)
-                            } else {
-                                (false, true)
-                            };
-                            if fx {
-                                set_bit(b, x_id, stride, w, bit);
-                            }
-                            if fz {
-                                set_bit(b, z_id, stride, w, bit);
-                            }
-                        }
-                    }
-                }
-                SymbolGroup::PauliChannel2 { ids, probs } => {
-                    let total: f64 = probs.iter().sum();
-                    fill_bernoulli(&mut fire, shots, total.min(1.0), rng);
-                    for (w, &fire_word) in fire.iter().enumerate().take(stride) {
-                        let mut fired = fire_word;
-                        while fired != 0 {
-                            let bit = fired.trailing_zeros() as usize;
-                            fired &= fired - 1;
-                            let u: f64 = rng.random::<f64>() * total;
-                            let m = symphase_circuit::pauli_channel_2_select(u, &probs);
-                            let bits = symphase_circuit::pauli_channel_2_bits(m);
-                            for (j, &id) in ids.iter().enumerate() {
-                                if bits[j] {
-                                    set_bit(b, id, stride, w, bit);
-                                }
-                            }
-                        }
-                    }
-                }
-                SymbolGroup::Correlated { id, p, else_branch } => {
-                    // An independent Bernoulli(p) draw masked by "chain
-                    // not fired yet" realizes the conditional probability
-                    // exactly; the chain mask accumulates fired shots.
-                    fill_bernoulli(&mut fire, shots, p, rng);
-                    if else_branch {
-                        for (f, c) in fire.iter_mut().zip(chain.iter_mut()) {
-                            *f &= !*c;
-                            *c |= *f;
-                        }
-                    } else {
-                        chain.copy_from_slice(&fire);
-                    }
-                    row_mut(b, id, stride).copy_from_slice(&fire);
-                }
+                f(&symbols[..n], p);
+            });
+        }
+    }
+}
+
+impl SymbolGroup {
+    /// The group's noise site and its symbols in slot order
+    /// (`[x_a, z_a, x_b, z_b]`; unused slots are 0). A coin is a
+    /// `Bernoulli(0.5)` site.
+    pub fn site(&self) -> (NoiseSite, [SymbolId; 4]) {
+        match *self {
+            SymbolGroup::Coin { id } => (NoiseSite::Bernoulli(0.5), [id, 0, 0, 0]),
+            SymbolGroup::Bernoulli { id, p } => (NoiseSite::Bernoulli(p), [id, 0, 0, 0]),
+            SymbolGroup::Depolarize1 { x_id, z_id, p } => {
+                (NoiseSite::Depolarize1(p), [x_id, z_id, 0, 0])
+            }
+            SymbolGroup::Depolarize2 { ids, p } => (NoiseSite::Depolarize2(p), ids),
+            SymbolGroup::PauliChannel1 {
+                x_id,
+                z_id,
+                px,
+                py,
+                pz,
+            } => (NoiseSite::PauliChannel1 { px, py, pz }, [x_id, z_id, 0, 0]),
+            SymbolGroup::PauliChannel2 { ids, probs } => (NoiseSite::PauliChannel2 { probs }, ids),
+            SymbolGroup::Correlated { id, p, else_branch } => {
+                (NoiseSite::Correlated { p, else_branch }, [id, 0, 0, 0])
             }
         }
     }
 }
 
-fn row_mut(b: &mut BitMatrix, id: SymbolId, stride: usize) -> &mut [u64] {
-    let start = id as usize * stride;
-    &mut b.words_mut()[start..start + stride]
+/// A [`FaultSink`] whose slots are the current group's symbols.
+pub(crate) trait SymbolSink: FaultSink {
+    /// Routes the next group's slots to `ids`.
+    fn set_group(&mut self, ids: [SymbolId; 4]);
 }
 
-#[inline]
-fn set_bit(b: &mut BitMatrix, id: SymbolId, stride: usize, word: usize, bit: usize) {
-    b.words_mut()[id as usize * stride + word] |= 1 << bit;
-}
-
-fn scatter_choice(
-    b: &mut BitMatrix,
+/// Writes fired slots into the rows of the assignment matrix `B` (zeroed
+/// by the caller).
+struct MatrixSink<'a> {
+    ids: [SymbolId; 4],
+    words: &'a mut [u64],
     stride: usize,
-    fire: &[u64],
-    rng: &mut impl Rng,
-    choose: impl Fn(u32) -> (Option<SymbolId>, Option<SymbolId>),
-    options: u32,
-) {
-    for (w, &word) in fire.iter().enumerate() {
-        let mut fired = word;
-        while fired != 0 {
-            let bit = fired.trailing_zeros() as usize;
-            fired &= fired - 1;
-            let (a, c) = choose(rng.random_range(0..options));
-            if let Some(id) = a {
-                set_bit(b, id, stride, w, bit);
-            }
-            if let Some(id) = c {
-                set_bit(b, id, stride, w, bit);
-            }
-        }
+}
+
+impl MatrixSink<'_> {
+    fn row(&mut self, slot: usize) -> &mut [u64] {
+        let start = self.ids[slot] as usize * self.stride;
+        &mut self.words[start..start + self.stride]
+    }
+}
+
+impl FaultSink for MatrixSink<'_> {
+    fn bernoulli<R: Rng>(&mut self, slot: usize, p: f64, width: usize, rng: &mut R) {
+        fill_bernoulli(self.row(slot), width, p, rng);
+    }
+
+    fn set(&mut self, slot: usize, shot: usize) {
+        self.words[self.ids[slot] as usize * self.stride + shot / 64] |= 1 << (shot % 64);
+    }
+
+    fn mask(&mut self, slot: usize, fired: &[u64]) {
+        self.row(slot).copy_from_slice(fired);
+    }
+}
+
+impl SymbolSink for MatrixSink<'_> {
+    fn set_group(&mut self, ids: [SymbolId; 4]) {
+        self.ids = ids;
     }
 }
 
@@ -386,13 +324,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn chain(p: f64, else_branch: bool) -> NoiseSite {
+        NoiseSite::Correlated { p, else_branch }
+    }
+
+    fn correlated(t: &mut SymbolTable, p: f64, else_branch: bool) -> SymbolId {
+        t.fresh_site(chain(p, else_branch))[0]
+    }
+
     #[test]
     fn ids_are_sequential_from_one() {
         let mut t = SymbolTable::new();
         assert_eq!(t.fresh_coin(), 1);
-        assert_eq!(t.fresh_bernoulli(0.1), 2);
-        assert_eq!(t.fresh_depolarize1(0.1), (3, 4));
-        assert_eq!(t.fresh_depolarize2(0.1), [5, 6, 7, 8]);
+        assert_eq!(t.fresh_site(NoiseSite::Bernoulli(0.1)), [2, 0, 0, 0]);
+        assert_eq!(t.fresh_site(NoiseSite::Depolarize1(0.1)), [3, 4, 0, 0]);
+        assert_eq!(t.fresh_site(NoiseSite::Depolarize2(0.1)), [5, 6, 7, 8]);
         assert_eq!(t.num_symbols(), 8);
         assert_eq!(t.assignment_len(), 9);
         assert_eq!(t.num_coins(), 1);
@@ -422,7 +368,7 @@ mod tests {
     fn depolarize1_joint_distribution() {
         let mut t = SymbolTable::new();
         let p = 0.3;
-        let (x, z) = t.fresh_depolarize1(p);
+        let [x, z, ..] = t.fresh_site(NoiseSite::Depolarize1(p));
         let shots = 300_000;
         let b = t.sample_assignments(shots, &mut StdRng::seed_from_u64(3));
         let mut counts = [0usize; 4]; // I, X, Z, Y as (x,z) bit pairs
@@ -449,7 +395,7 @@ mod tests {
     #[test]
     fn depolarize2_never_identity_when_fired() {
         let mut t = SymbolTable::new();
-        let ids = t.fresh_depolarize2(1.0); // always fires
+        let ids = t.fresh_site(NoiseSite::Depolarize2(1.0)); // always fires
         let shots = 10_000;
         let b = t.sample_assignments(shots, &mut StdRng::seed_from_u64(4));
         for s in 0..shots {
@@ -461,7 +407,11 @@ mod tests {
     #[test]
     fn pauli_channel1_marginals() {
         let mut t = SymbolTable::new();
-        let (x, z) = t.fresh_pauli_channel1(0.1, 0.05, 0.2);
+        let [x, z, ..] = t.fresh_site(NoiseSite::PauliChannel1 {
+            px: 0.1,
+            py: 0.05,
+            pz: 0.2,
+        });
         let shots = 200_000;
         let b = t.sample_assignments(shots, &mut StdRng::seed_from_u64(5));
         let mut nx = 0usize;
@@ -495,7 +445,7 @@ mod tests {
         probs[3] = 0.2; // XI → (xa)
         probs[9] = 0.1; // YY → all four
         let mut t = SymbolTable::new();
-        let ids = t.fresh_pauli_channel2(probs);
+        let ids = t.fresh_site(NoiseSite::PauliChannel2 { probs });
         let shots = 300_000;
         let b = t.sample_assignments(shots, &mut StdRng::seed_from_u64(7));
         let mut counts = std::collections::HashMap::new();
@@ -525,9 +475,9 @@ mod tests {
     #[test]
     fn correlated_chain_fires_at_most_one_element() {
         let mut t = SymbolTable::new();
-        let a = t.fresh_correlated(0.4, false);
-        let b_id = t.fresh_correlated(0.5, true);
-        let c_id = t.fresh_correlated(1.0, true);
+        let a = correlated(&mut t, 0.4, false);
+        let b_id = correlated(&mut t, 0.5, true);
+        let c_id = correlated(&mut t, 1.0, true);
         let shots = 200_000;
         let b = t.sample_assignments(shots, &mut StdRng::seed_from_u64(8));
         let mut counts = [0usize; 3];
@@ -555,13 +505,57 @@ mod tests {
     }
 
     #[test]
+    fn outcome_probabilities_sum_to_each_groups_fire_probability() {
+        let mut t = SymbolTable::new();
+        t.fresh_coin(); // not noise: never visited
+        let mut probs = [0.0f64; 15];
+        probs[0] = 0.15;
+        probs[3] = 0.2;
+        probs[9] = 0.1;
+        let mut site = |site: NoiseSite| {
+            let ids = t.fresh_site(site);
+            ids[..site.slots()].to_vec()
+        };
+        // (the group's symbols, its fire probability)
+        let groups: Vec<(Vec<SymbolId>, f64)> = vec![
+            (site(NoiseSite::Bernoulli(0.1)), 0.1),
+            (site(NoiseSite::Depolarize1(0.3)), 0.3),
+            (site(NoiseSite::Depolarize2(0.15)), 0.15),
+            (
+                site(NoiseSite::PauliChannel1 {
+                    px: 0.1,
+                    py: 0.05,
+                    pz: 0.2,
+                }),
+                0.35,
+            ),
+            (site(NoiseSite::PauliChannel2 { probs }), 0.45),
+            (site(chain(0.4, false)), 0.4),
+            (site(chain(0.5, true)), 0.6 * 0.5),
+            (site(chain(1.0, true)), 0.6 * 0.5),
+        ];
+        let mut sums = vec![0.0; groups.len()];
+        t.for_each_outcome(|symbols, p| {
+            let g = groups
+                .iter()
+                .position(|(ids, _)| ids.contains(&symbols[0]))
+                .expect("outcomes set a noise group's symbols");
+            assert!(symbols.iter().all(|s| groups[g].0.contains(s)));
+            sums[g] += p;
+        });
+        for ((ids, fire), sum) in groups.iter().zip(&sums) {
+            assert!((sum - fire).abs() < 1e-12, "group {ids:?}: {sum} vs {fire}");
+        }
+    }
+
+    #[test]
     fn independent_chains_reset_state() {
         // A second E starts a fresh chain: its ELSE conditions on the new
         // chain only.
         let mut t = SymbolTable::new();
-        let a = t.fresh_correlated(1.0, false); // always fires
-        let b_id = t.fresh_correlated(1.0, false); // new chain, always fires
-        let c_id = t.fresh_correlated(1.0, true); // blocked by b, not a
+        let a = correlated(&mut t, 1.0, false); // always fires
+        let b_id = correlated(&mut t, 1.0, false); // new chain, always fires
+        let c_id = correlated(&mut t, 1.0, true); // blocked by b, not a
         let shots = 1_000;
         let b = t.sample_assignments(shots, &mut StdRng::seed_from_u64(9));
         for s in 0..shots {

@@ -2,9 +2,11 @@
 
 use rand::Rng;
 
+use symphase_backend::noise::FaultSink;
 use symphase_bitmat::bernoulli::fill_bernoulli;
+use symphase_bitmat::word::xor_into;
 use symphase_bitmat::{words_for, Word, WORD_BITS};
-use symphase_circuit::{pauli_channel_2_bits, pauli_channel_2_select, Gate, PauliKind};
+use symphase_circuit::{Gate, PauliKind};
 
 /// A batch of Pauli frames, one per shot, stored as per-qubit shot-rows
 /// (64 shots per word).
@@ -24,7 +26,7 @@ pub struct FrameBatch {
     x: Vec<Word>,
     /// `z[q * wps + w]`: Z component.
     z: Vec<Word>,
-    /// Scratch for noise masks.
+    /// Scratch for Bernoulli masks.
     mask: Vec<Word>,
 }
 
@@ -130,11 +132,8 @@ impl FrameBatch {
     /// reset the state is a Z eigenstate, so this is physically a no-op
     /// that decorrelates later non-commuting observables across shots).
     pub fn randomize_z(&mut self, q: usize, rng: &mut impl Rng) {
-        fill_bernoulli(&mut self.mask, self.shots, 0.5, rng);
-        let zr = &mut self.z[q * self.wps..(q + 1) * self.wps];
-        for (d, m) in zr.iter_mut().zip(&self.mask) {
-            *d ^= *m;
-        }
+        let (shots, z) = (self.shots, [(PauliKind::Z, q as u32)]);
+        FrameSink::new(self, [&z, &[], &[], &[]]).bernoulli(0, 0.5, shots, rng);
     }
 
     /// Zeroes the X component of qubit `q` (reset to `|0⟩` discards bit
@@ -143,183 +142,55 @@ impl FrameBatch {
         let xr = &mut self.x[q * self.wps..(q + 1) * self.wps];
         xr.iter_mut().for_each(|w| *w = 0);
     }
+}
 
-    /// XORs a sampled Bernoulli(`p`) mask into the X and/or Z components of
-    /// qubit `q` (the X/Y/Z error channels).
-    pub fn xor_biased(&mut self, q: usize, p: f64, flip_x: bool, flip_z: bool, rng: &mut impl Rng) {
-        fill_bernoulli(&mut self.mask, self.shots, p, rng);
-        if flip_x {
-            let xr = &mut self.x[q * self.wps..(q + 1) * self.wps];
-            for (d, m) in xr.iter_mut().zip(&self.mask) {
-                *d ^= *m;
-            }
-        }
-        if flip_z {
-            let zr = &mut self.z[q * self.wps..(q + 1) * self.wps];
-            for (d, m) in zr.iter_mut().zip(&self.mask) {
-                *d ^= *m;
-            }
-        }
+/// Routes the slots of a noise site into a frame batch: slot `k` XORs
+/// the Pauli product `slots[k]` into the shots where it fires.
+pub(crate) struct FrameSink<'a> {
+    frame: &'a mut FrameBatch,
+    slots: [&'a [(PauliKind, u32)]; 4],
+}
+
+impl<'a> FrameSink<'a> {
+    /// A sink whose slot `k` applies `slots[k]`.
+    pub(crate) fn new(frame: &'a mut FrameBatch, slots: [&'a [(PauliKind, u32)]; 4]) -> Self {
+        Self { frame, slots }
+    }
+}
+
+impl FaultSink for FrameSink<'_> {
+    fn bernoulli<R: Rng>(&mut self, slot: usize, p: f64, width: usize, rng: &mut R) {
+        let mut mask = std::mem::take(&mut self.frame.mask);
+        fill_bernoulli(&mut mask, width, p, rng);
+        self.mask(slot, &mask);
+        self.frame.mask = mask;
     }
 
-    /// Single-qubit depolarizing on qubit `q`: each shot independently
-    /// fires with probability `p` and then applies a uniformly random
-    /// non-identity Pauli.
-    pub fn depolarize1(&mut self, q: usize, p: f64, rng: &mut impl Rng) {
-        fill_bernoulli(&mut self.mask, self.shots, p, rng);
-        for w in 0..self.wps {
-            let mut fired = self.mask[w];
-            while fired != 0 {
-                let bit = fired.trailing_zeros();
-                fired &= fired - 1;
-                let which = rng.random_range(0..3u32); // 0=X, 1=Y, 2=Z
-                if which != 2 {
-                    self.x[q * self.wps + w] ^= 1 << bit;
-                }
-                if which != 0 {
-                    self.z[q * self.wps + w] ^= 1 << bit;
-                }
-            }
-        }
-    }
-
-    /// Two-qubit depolarizing on `(a, b)`: each shot fires with probability
-    /// `p` and applies a uniformly random non-identity two-qubit Pauli.
-    pub fn depolarize2(&mut self, a: usize, b: usize, p: f64, rng: &mut impl Rng) {
-        fill_bernoulli(&mut self.mask, self.shots, p, rng);
-        for w in 0..self.wps {
-            let mut fired = self.mask[w];
-            while fired != 0 {
-                let bit = fired.trailing_zeros();
-                fired &= fired - 1;
-                let k = rng.random_range(1..16u32);
-                if k & 1 != 0 {
-                    self.x[a * self.wps + w] ^= 1 << bit;
-                }
-                if k & 2 != 0 {
-                    self.z[a * self.wps + w] ^= 1 << bit;
-                }
-                if k & 4 != 0 {
-                    self.x[b * self.wps + w] ^= 1 << bit;
-                }
-                if k & 8 != 0 {
-                    self.z[b * self.wps + w] ^= 1 << bit;
-                }
-            }
-        }
-    }
-
-    /// Biased two-qubit Pauli channel on `(a, b)` with the 15 outcome
-    /// probabilities of `PAULI_CHANNEL_2` (Stim argument order).
-    pub fn pauli_channel2(&mut self, a: usize, b: usize, probs: &[f64; 15], rng: &mut impl Rng) {
-        let total: f64 = probs.iter().sum();
-        fill_bernoulli(&mut self.mask, self.shots, total.min(1.0), rng);
-        for w in 0..self.wps {
-            let mut fired = self.mask[w];
-            while fired != 0 {
-                let bit = fired.trailing_zeros();
-                fired &= fired - 1;
-                let u: f64 = rng.random::<f64>() * total;
-                let bits = pauli_channel_2_bits(pauli_channel_2_select(u, probs));
-                if bits[0] {
-                    self.x[a * self.wps + w] ^= 1 << bit;
-                }
-                if bits[1] {
-                    self.z[a * self.wps + w] ^= 1 << bit;
-                }
-                if bits[2] {
-                    self.x[b * self.wps + w] ^= 1 << bit;
-                }
-                if bits[3] {
-                    self.z[b * self.wps + w] ^= 1 << bit;
-                }
-            }
-        }
-    }
-
-    /// One correlated-error chain element (`E` / `ELSE_CORRELATED_ERROR`):
-    /// draws a Bernoulli(`p`) fire mask, restricts `else_branch` elements
-    /// to shots where `chain` has not fired, updates `chain`, and XORs the
-    /// whole product into the fired shots' frames at once.
-    ///
-    /// `chain` is the caller-held per-shot chain state (resized here).
-    pub fn correlated_error(
-        &mut self,
-        p: f64,
-        product: &[(PauliKind, u32)],
-        else_branch: bool,
-        chain: &mut Vec<Word>,
-        rng: &mut impl Rng,
-    ) {
-        chain.resize(self.wps, 0);
-        fill_bernoulli(&mut self.mask, self.shots, p, rng);
-        if else_branch {
-            for (f, c) in self.mask.iter_mut().zip(chain.iter_mut()) {
-                *f &= !*c;
-                *c |= *f;
-            }
-        } else {
-            chain.copy_from_slice(&self.mask);
-        }
-        for &(kind, q) in product {
+    fn set(&mut self, slot: usize, shot: usize) {
+        let (w, bit) = (shot / WORD_BITS, 1 << (shot % WORD_BITS));
+        let FrameBatch { x, z, wps, .. } = &mut *self.frame;
+        for &(kind, q) in self.slots[slot] {
+            let at = q as usize * *wps + w;
             let (fx, fz) = kind.xz();
-            let q = q as usize;
-            for w in 0..self.wps {
-                if fx {
-                    self.x[q * self.wps + w] ^= self.mask[w];
-                }
-                if fz {
-                    self.z[q * self.wps + w] ^= self.mask[w];
-                }
+            if fx {
+                x[at] ^= bit;
+            }
+            if fz {
+                z[at] ^= bit;
             }
         }
     }
 
-    /// Biased single-qubit Pauli channel on `q`.
-    pub fn pauli_channel1(&mut self, q: usize, px: f64, py: f64, pz: f64, rng: &mut impl Rng) {
-        let total = px + py + pz;
-        fill_bernoulli(&mut self.mask, self.shots, total, rng);
-        for w in 0..self.wps {
-            let mut fired = self.mask[w];
-            while fired != 0 {
-                let bit = fired.trailing_zeros();
-                fired &= fired - 1;
-                let u: f64 = rng.random::<f64>() * total;
-                let (fx, fz) = if u < px {
-                    (true, false)
-                } else if u < px + py {
-                    (true, true)
-                } else {
-                    (false, true)
-                };
-                if fx {
-                    self.x[q * self.wps + w] ^= 1 << bit;
-                }
-                if fz {
-                    self.z[q * self.wps + w] ^= 1 << bit;
-                }
+    fn mask(&mut self, slot: usize, fired: &[Word]) {
+        let wps = self.frame.wps;
+        for &(kind, q) in self.slots[slot] {
+            let (fx, fz) = kind.xz();
+            let rows = q as usize * wps..(q as usize + 1) * wps;
+            if fx {
+                xor_into(&mut self.frame.x[rows.clone()], fired);
             }
-        }
-    }
-
-    /// XORs an external shot-row (e.g. a recorded measurement-flip row)
-    /// into the X and/or Z components of qubit `q` — the feedback path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is shorter than the shot-row width.
-    pub fn xor_row_into(&mut self, q: usize, row: &[Word], flip_x: bool, flip_z: bool) {
-        assert!(row.len() >= self.wps, "row too short");
-        if flip_x {
-            let xr = &mut self.x[q * self.wps..(q + 1) * self.wps];
-            for (d, s) in xr.iter_mut().zip(row) {
-                *d ^= *s;
-            }
-        }
-        if flip_z {
-            let zr = &mut self.z[q * self.wps..(q + 1) * self.wps];
-            for (d, s) in zr.iter_mut().zip(row) {
-                *d ^= *s;
+            if fz {
+                xor_into(&mut self.frame.z[rows], fired);
             }
         }
     }
@@ -342,10 +213,19 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use symphase_backend::noise::{draw, NoiseScratch, NoiseSite};
     use symphase_circuit::SmallPauli;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(11)
+    }
+
+    /// Draws `site` through the frame sink with slots `[(kind, q), Z q]`.
+    fn draw_on(b: &mut FrameBatch, site: NoiseSite, kind: PauliKind, q: u32, r: &mut StdRng) {
+        let paulis = [(kind, q), (PauliKind::Z, q)];
+        let shots = b.shots();
+        let mut sink = FrameSink::new(b, [&paulis[0..1], &paulis[1..2], &[], &[]]);
+        draw(&site, shots, r, &mut NoiseScratch::default(), &mut sink);
     }
 
     /// Frame conjugation must match the reference semantics modulo sign.
@@ -403,7 +283,7 @@ mod tests {
     fn x_error_probability_one_flips_all_shots() {
         let mut r = rng();
         let mut b = FrameBatch::new(1, 200, &mut r);
-        b.xor_biased(0, 1.0, true, false, &mut r);
+        draw_on(&mut b, NoiseSite::Bernoulli(1.0), PauliKind::X, 0, &mut r);
         for shot in 0..200 {
             assert!(b.pauli(0, shot).0);
         }
@@ -413,7 +293,7 @@ mod tests {
     fn clear_x_resets() {
         let mut r = rng();
         let mut b = FrameBatch::new(2, 100, &mut r);
-        b.xor_biased(1, 1.0, true, true, &mut r);
+        draw_on(&mut b, NoiseSite::Bernoulli(1.0), PauliKind::Y, 1, &mut r);
         b.clear_x(1);
         for shot in 0..100 {
             assert!(!b.pauli(1, shot).0);
@@ -428,7 +308,7 @@ mod tests {
         // Cancel the random initial Z so only channel flips remain.
         let z0: Vec<u64> = b.z_row(0).to_vec();
         let p = 0.3;
-        b.depolarize1(0, p, &mut r);
+        draw_on(&mut b, NoiseSite::Depolarize1(p), PauliKind::X, 0, &mut r);
         let mut x_only = 0usize;
         let mut z_only = 0usize;
         let mut both = 0usize;

@@ -2,12 +2,13 @@
 
 use rand::{Rng, RngCore};
 
+use symphase_backend::noise::{self, FaultSink, NoiseScratch, NoiseSite};
 use symphase_backend::{record, SampleBatch, Sampler};
-use symphase_bitmat::{BitMatrix, BitVec, Word};
-use symphase_circuit::{pauli_product_plan, Circuit, Instruction, NoiseChannel, PauliKind};
+use symphase_bitmat::{BitMatrix, BitVec};
+use symphase_circuit::{pauli_product_plan, Circuit, Instruction, PauliKind};
 use symphase_tableau::reference_sample;
 
-use crate::batch::FrameBatch;
+use crate::batch::{FrameBatch, FrameSink};
 
 /// A measurement sampler that propagates Pauli frames per shot, exactly the
 /// architecture the paper's Table 1 attributes to Stim.
@@ -72,8 +73,8 @@ impl FrameSampler {
         let shots = out.cols();
         let mut frame = FrameBatch::new(n, shots, rng);
         let mut measured = 0usize;
-        // Correlated-chain fire mask, owned across chain elements.
-        let mut chain: Vec<Word> = Vec::new();
+        // Carries correlated chains across their E/ELSE instructions.
+        let mut scratch = NoiseScratch::default();
 
         for inst in self.circuit.flat_instructions() {
             match inst {
@@ -122,14 +123,25 @@ impl FrameSampler {
                     }
                 }
                 Instruction::Noise { channel, targets } => {
-                    apply_noise(&mut frame, *channel, targets, rng);
+                    let site = NoiseSite::from(*channel);
+                    for t in targets.chunks_exact(channel.arity()) {
+                        let p = noise::channel_slots(*channel, t);
+                        let slots = [&p[0..1], &p[1..2], &p[2..3], &p[3..4]];
+                        let mut sink = FrameSink::new(&mut frame, slots);
+                        noise::draw(&site, shots, rng, &mut scratch, &mut sink);
+                    }
                 }
                 Instruction::CorrelatedError {
                     probability,
                     product,
                     else_branch,
                 } => {
-                    frame.correlated_error(*probability, product, *else_branch, &mut chain, rng);
+                    let site = NoiseSite::Correlated {
+                        p: *probability,
+                        else_branch: *else_branch,
+                    };
+                    let mut sink = FrameSink::new(&mut frame, [product, &[], &[], &[]]);
+                    noise::draw(&site, shots, rng, &mut scratch, &mut sink);
                 }
                 Instruction::Feedback {
                     pauli,
@@ -140,9 +152,8 @@ impl FrameSampler {
                     // The reference run already applied feedback for the
                     // reference outcomes; only the per-shot flip difference
                     // propagates into the frame.
-                    let flips = out.row(m).to_vec();
-                    let (fx, fz) = pauli.xz();
-                    frame.xor_row_into(*target as usize, &flips, fx, fz);
+                    let flip = [(*pauli, *target)];
+                    FrameSink::new(&mut frame, [&flip, &[], &[], &[]]).mask(0, out.row(m));
                 }
                 Instruction::Detector { .. }
                 | Instruction::ObservableInclude { .. }
@@ -219,53 +230,13 @@ fn conjugated(frame: &mut FrameBatch, basis: PauliKind, q: u32, f: impl FnOnce(&
     }
 }
 
-fn apply_noise(frame: &mut FrameBatch, channel: NoiseChannel, targets: &[u32], rng: &mut impl Rng) {
-    match channel {
-        NoiseChannel::XError(p) => {
-            for &q in targets {
-                frame.xor_biased(q as usize, p, true, false, rng);
-            }
-        }
-        NoiseChannel::YError(p) => {
-            for &q in targets {
-                frame.xor_biased(q as usize, p, true, true, rng);
-            }
-        }
-        NoiseChannel::ZError(p) => {
-            for &q in targets {
-                frame.xor_biased(q as usize, p, false, true, rng);
-            }
-        }
-        NoiseChannel::Depolarize1(p) => {
-            for &q in targets {
-                frame.depolarize1(q as usize, p, rng);
-            }
-        }
-        NoiseChannel::Depolarize2(p) => {
-            for pair in targets.chunks_exact(2) {
-                frame.depolarize2(pair[0] as usize, pair[1] as usize, p, rng);
-            }
-        }
-        NoiseChannel::PauliChannel1 { px, py, pz } => {
-            for &q in targets {
-                frame.pauli_channel1(q as usize, px, py, pz, rng);
-            }
-        }
-        NoiseChannel::PauliChannel2 { probs } => {
-            for pair in targets.chunks_exact(2) {
-                frame.pauli_channel2(pair[0] as usize, pair[1] as usize, &probs, rng);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use symphase_circuit::generators::{bell_pair, ghz, teleportation};
-    use symphase_circuit::Circuit;
+    use symphase_circuit::{Circuit, NoiseChannel};
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)

@@ -97,11 +97,20 @@ pub fn request_sample(
 ) -> Result<SampleReply, ClientError> {
     let conn = connect(addr)?;
     let mut w = BufWriter::new(conn.try_clone()?);
-    write_request(&mut w, &Request::Sample(request.clone()))?;
-    w.flush()?;
+    let sent = write_request(&mut w, &Request::Sample(request.clone())).and_then(|()| w.flush());
     drop(w);
     let mut r = BufReader::with_capacity(128 * 1024, conn);
-    match read_response_head(&mut r)? {
+    let head = match sent {
+        Ok(()) => read_response_head(&mut r)?,
+        // A server that rejects at admission (BUSY) answers without
+        // reading the request and closes, which can fail the write; its
+        // error frame is still readable and is the real answer.
+        Err(e) => match read_response_head(&mut r) {
+            Ok(head @ ResponseHead::Error { .. }) => head,
+            _ => return Err(e.into()),
+        },
+    };
+    match head {
         ResponseHead::Stream {
             cache_hit,
             rows,

@@ -9,24 +9,25 @@
 //!   BUSY frame                        read request → cache → stream range
 //! ```
 //!
-//! The accept thread never reads from a connection, so a slow (or
-//! malicious) client cannot stall admission; it only enqueues the raw
-//! socket or answers `BUSY` when the queue is full. Workers own the whole
-//! request lifecycle under a read timeout. Within one request, sampling
-//! fans out over the vendored work-stealing rayon pool according to the
-//! server's `--threads` budget — and because every chunk is seeded by its
-//! *global* schedule index, the bytes served for a (circuit, seed, range)
-//! are identical however the work is split (see
-//! `symphase_backend::stream_range_with_config`).
+//! The accept thread never reads a request, so a slow (or malicious)
+//! client cannot stall admission for long; it only enqueues the raw
+//! socket or answers `BUSY` when the queue is full (then drains the
+//! rejected socket for at most 100 ms, so the close does not reset the
+//! frame away). Workers own the whole request lifecycle under a read
+//! timeout. Within one request, sampling fans out over the vendored
+//! work-stealing rayon pool according to the server's `--threads` budget
+//! — and because every chunk is seeded by its *global* schedule index,
+//! the bytes served for a (circuit, seed, range) are identical however
+//! the work is split (see `symphase_backend::stream_range_with_config`).
 
 use std::any::Any;
-use std::io::{self, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use symphase_backend::formats::SampleFormat;
 use symphase_backend::sink::ShotSpec;
@@ -217,16 +218,45 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         };
-        if let Err(mut conn) = shared.queue.try_push(conn) {
+        if let Err(conn) = shared.queue.try_push(conn) {
             shared.busy.fetch_add(1, Ordering::Relaxed);
-            let _ = write_error(
-                &mut conn,
-                ErrorCode::Busy,
-                "request queue full; retry later",
-            );
+            reject_busy(conn);
         }
     }
     Ok(())
+}
+
+/// How long the accept loop drains a rejected connection before closing it.
+const REJECT_DRAIN_TIME: Duration = Duration::from_millis(100);
+/// How many bytes of a rejected connection's request it drains at most.
+const REJECT_DRAIN_BYTES: usize = 64 * 1024;
+
+/// Answers `BUSY` and closes gracefully: half-close, then drain what the
+/// client sent (bounded in time and bytes) until it closes its side.
+/// Closing with unread request bytes would send a reset instead of a FIN,
+/// and the client could see "connection reset" in place of the frame.
+fn reject_busy(mut conn: TcpStream) {
+    let _ = write_error(
+        &mut conn,
+        ErrorCode::Busy,
+        "request queue full; retry later",
+    );
+    if conn.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + REJECT_DRAIN_TIME;
+    let mut buf = [0u8; 4096];
+    let mut left = REJECT_DRAIN_BYTES;
+    while left > 0 {
+        let wait = deadline.saturating_duration_since(Instant::now());
+        if wait.is_zero() || conn.set_read_timeout(Some(wait)).is_err() {
+            break;
+        }
+        match conn.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => left = left.saturating_sub(n),
+        }
+    }
 }
 
 /// A running server; dropping the handle **without** calling

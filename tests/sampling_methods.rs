@@ -36,9 +36,8 @@ fn representative_circuits() -> Vec<(&'static str, Circuit)> {
     channels.measure_many(&[0, 1, 2, 3]);
 
     // The basis-general surface: PAULI_CHANNEL_2 and a correlated
-    // E/ELSE chain (both have their own hybrid draw paths that must stay
-    // in RNG lockstep with the assignment-matrix draw), plus MPP and
-    // X/Y-basis measurements feeding the record.
+    // E/ELSE chain (the hybrid and assignment-matrix sinks must see the
+    // same draw), plus MPP and X/Y-basis measurements feeding the record.
     let mut correlated = Circuit::new(3);
     correlated.reset_in(symphase::circuit::PauliKind::X, 0);
     let mut probs = [0.0f64; 15];
