@@ -21,7 +21,7 @@ use std::collections::HashSet;
 use std::mem::discriminant;
 
 use symphase_bitmat::BitVec;
-use symphase_circuit::{Block, Circuit, Gate, Instruction, PauliKind};
+use symphase_circuit::{Block, Circuit, Instruction, PauliKind};
 use symphase_core::noise::{channel_slots, NoiseSite};
 use symphase_core::{SymPhaseSampler, SymbolGroup, SymbolId, SymbolTable};
 use symphase_tableau::record::{detector_measurement_sets, observable_measurement_sets};
@@ -295,13 +295,8 @@ fn inject_faults(
             return;
         }
         let mut pauli = |kind: PauliKind, q: u32| {
-            let gate = match kind {
-                PauliKind::X => Gate::X,
-                PauliKind::Y => Gate::Y,
-                PauliKind::Z => Gate::Z,
-            };
             out.push(Instruction::Gate {
-                gate,
+                gate: kind.gate(),
                 targets: vec![q],
             });
         };

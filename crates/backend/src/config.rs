@@ -373,8 +373,9 @@ pub enum BuildError {
         /// The rejected name.
         name: String,
     },
-    /// The circuit exceeds the engine's size limit (the dense
-    /// state-vector ground truth caps at `symphase_statevec::MAX_QUBITS`).
+    /// The circuit exceeds the engine's size limit: the stabilizer
+    /// engines' tableau memory budget (`symphase::backend::build_sampler`),
+    /// or the dense state-vector cap `symphase_statevec::MAX_QUBITS`.
     CircuitTooLarge {
         /// Engine name.
         engine: &'static str,

@@ -1,20 +1,140 @@
-//! The shared single-shot execution driver.
+//! The one circuit walk, and the single-shot driver built on it.
 //!
-//! The concrete tableau simulator and the dense state-vector simulator
-//! used to duplicate the whole instruction-walk state machine (measure /
-//! reset / measure-reset record bookkeeping, feedback lookback, noise
-//! trajectory sampling). [`run_shot`] is that state machine, written once:
-//! an engine only supplies its representation-specific primitives through
-//! [`ShotState`].
+//! [`walk`] lowers a circuit to four Z-basis primitives — a gate, a
+//! Z measurement (optionally recorded, optionally followed by a reset), a
+//! noise site, and a classically controlled Pauli — and hands them to a
+//! [`Walker`]. It is the only place that knows how an instruction lowers:
+//! the basis conjugation of `MX`/`MY`/`RX`/`MRY`/…, the
+//! [`pauli_product_plan`] of `MPP`, the split of noise targets into sites,
+//! and the record index of every outcome and feedback lookback. Every
+//! engine is a `Walker`: SymPhase's Initialization, the Pauli-frame
+//! sampler (whose reference run and frame walk therefore cannot drift
+//! apart), and [`run_shot`], the single-shot driver of the tableau and
+//! state-vector engines.
+//!
+//! [`run_shot`] draws its noise through [`noise::draw`] over a one-shot
+//! window, so all engines share one noise semantics.
 
 use rand::{Rng, RngCore};
-use symphase_bitmat::BitVec;
-use symphase_circuit::{
-    pauli_channel_2_bits, pauli_channel_2_select, pauli_product_plan, Circuit, Gate, Instruction,
-    NoiseChannel, PauliKind,
-};
+use symphase_bitmat::bernoulli::fill_bernoulli;
+use symphase_bitmat::{BitVec, Word};
+use symphase_circuit::{pauli_product_plan, Circuit, Gate, Instruction, PauliKind};
 
+use crate::noise::{self, channel_slots, FaultSink, NoiseScratch, NoiseSite};
 use crate::{record, SampleBatch};
+
+/// The Z-basis primitives an engine implements to run a circuit through
+/// [`walk`].
+pub trait Walker {
+    /// Applies a Clifford gate to broadcast targets.
+    fn apply_gate(&mut self, gate: Gate, targets: &[u32]);
+
+    /// Z-basis measurement of qubit `q`. `record` is the outcome's index
+    /// in the measurement record, or `None` for a reset, which records
+    /// nothing; with `reset` set, the qubit is then returned to `|0⟩`.
+    fn measure_z(&mut self, q: u32, record: Option<usize>, reset: bool);
+
+    /// One noise site: when slot `k` fires, the Pauli product `slots[k]`
+    /// applies. Slots past [`NoiseSite::slots`] are empty.
+    fn noise(&mut self, site: &NoiseSite, slots: [&[(PauliKind, u32)]; 4]);
+
+    /// Applies `pauli` to `target` when record `record` is 1.
+    fn feedback(&mut self, pauli: PauliKind, target: u32, record: usize);
+}
+
+/// Lowers `circuit` to `walker`'s primitives in execution order.
+///
+/// The circuit is traversed through the streaming
+/// [`Circuit::flat_instructions`] iterator, so structured `REPEAT` blocks
+/// run without being materialized. Feedback lookbacks resolve against the
+/// records counted so far — inside a repeat body that can be the previous
+/// iteration's measurements.
+///
+/// # Panics
+///
+/// Panics if a feedback lookback reaches before the first measurement
+/// (circuit construction validates this, so only hand-built instruction
+/// streams can trip it).
+pub fn walk(circuit: &Circuit, walker: &mut impl Walker) {
+    let mut measured = 0usize;
+    for inst in circuit.flat_instructions() {
+        match inst {
+            Instruction::Gate { gate, targets } => walker.apply_gate(*gate, targets),
+            Instruction::Measure { basis, targets }
+            | Instruction::Reset { basis, targets }
+            | Instruction::MeasureReset { basis, targets } => {
+                let records = !matches!(inst, Instruction::Reset { .. });
+                let reset = !matches!(inst, Instruction::Measure { .. });
+                // The self-inverse basis change before and after reduces
+                // the operation to a Z-basis one.
+                let conjugator = basis.z_conjugator();
+                for &q in targets {
+                    if let Some(g) = conjugator {
+                        walker.apply_gate(g, &[q]);
+                    }
+                    let record = records.then_some(measured);
+                    measured += usize::from(records);
+                    walker.measure_z(q, record, reset);
+                    if let Some(g) = conjugator {
+                        walker.apply_gate(g, &[q]);
+                    }
+                }
+            }
+            Instruction::MeasurePauliProduct { products } => {
+                for product in products {
+                    // Compute the product onto the anchor's Z, measure,
+                    // uncompute.
+                    let (ops, anchor) = pauli_product_plan(product);
+                    for op in &ops {
+                        walker.apply_gate(op.gate, op.targets());
+                    }
+                    walker.measure_z(anchor, Some(measured), false);
+                    measured += 1;
+                    for op in ops.iter().rev() {
+                        walker.apply_gate(op.gate, op.targets());
+                    }
+                }
+            }
+            Instruction::Noise { channel, targets } => {
+                let site = NoiseSite::from(*channel);
+                let used = site.slots();
+                for t in targets.chunks_exact(channel.arity()) {
+                    let p = channel_slots(*channel, t);
+                    let slots = std::array::from_fn(|k| if k < used { &p[k..=k] } else { &[] });
+                    walker.noise(&site, slots);
+                }
+            }
+            Instruction::CorrelatedError {
+                probability,
+                product,
+                else_branch,
+            } => {
+                let site = NoiseSite::Correlated {
+                    p: *probability,
+                    else_branch: *else_branch,
+                };
+                walker.noise(&site, [product, &[], &[], &[]]);
+            }
+            Instruction::Feedback {
+                pauli,
+                lookback,
+                target,
+            } => {
+                let idx = measured as i64 + lookback;
+                assert!(idx >= 0, "lookback validated at construction");
+                walker.feedback(*pauli, *target, idx as usize);
+            }
+            Instruction::Detector { .. }
+            | Instruction::ObservableInclude { .. }
+            | Instruction::Tick
+            | Instruction::QubitCoords { .. }
+            | Instruction::ShiftCoords { .. } => {}
+            Instruction::Repeat { .. } => {
+                unreachable!("flat_instructions expands REPEAT blocks")
+            }
+        }
+    }
+}
 
 /// The per-representation primitives a single-shot engine provides.
 pub trait ShotState {
@@ -28,168 +148,107 @@ pub trait ShotState {
     /// outcomes are returned as-is.
     fn measure(&mut self, q: u32, rng: &mut dyn RngCore, reference: bool) -> bool;
 
-    /// Applies a concrete Pauli (from a fired noise site or feedback).
+    /// Applies a concrete Pauli (from a fired noise slot or feedback).
     fn apply_pauli(&mut self, kind: PauliKind, q: u32) {
-        self.apply_gate(pauli_gate(kind), &[q]);
-    }
-}
-
-/// The gate corresponding to a Pauli kind.
-pub fn pauli_gate(kind: PauliKind) -> Gate {
-    match kind {
-        PauliKind::X => Gate::X,
-        PauliKind::Y => Gate::Y,
-        PauliKind::Z => Gate::Z,
+        self.apply_gate(kind.gate(), &[q]);
     }
 }
 
 /// Runs one shot of `circuit` on `state` and returns the measurement
 /// record.
 ///
-/// The circuit is traversed through the streaming
-/// `Circuit::flat_instructions` iterator, so structured `REPEAT` blocks
-/// execute without being materialized. Feedback lookbacks resolve against
-/// the record built so far — inside a repeat body that can be the
-/// previous iteration's measurements.
-///
-/// With `reference` set, noise instructions are skipped and random
-/// measurement outcomes are fixed to 0 — the noiseless reference-sample
-/// convention shared by Algorithm 1's Init-M and the Pauli-frame baseline.
+/// Noise sites are drawn with [`noise::draw`] over a one-shot window, and
+/// fired slots apply their Paulis to the state. With `reference` set,
+/// noise is skipped and random measurement outcomes are fixed to 0 — the
+/// noiseless reference-sample convention shared by Algorithm 1's Init-M
+/// and the Pauli-frame baseline.
 ///
 /// # Panics
 ///
-/// Panics if a feedback lookback reaches before the first measurement
-/// (circuit construction validates this, so only hand-built instruction
-/// streams can trip it).
+/// Panics where [`walk`] does.
 pub fn run_shot<S: ShotState + ?Sized>(
     state: &mut S,
     circuit: &Circuit,
     rng: &mut dyn RngCore,
     reference: bool,
 ) -> BitVec {
-    let mut record = BitVec::new();
-    // Whether the current correlated-error chain has fired (chains are
-    // contiguous by construction, so one flag suffices).
-    let mut chain_fired = false;
-    for inst in circuit.flat_instructions() {
-        match inst {
-            Instruction::Gate { gate, targets } => state.apply_gate(*gate, targets),
-            Instruction::Measure { basis, targets } => {
-                for &q in targets {
-                    let m = conjugated(state, *basis, q, |s| s.measure(q, rng, reference));
-                    record.push(m);
-                }
-            }
-            Instruction::Reset { basis, targets } => {
-                for &q in targets {
-                    conjugated(state, *basis, q, |s| {
-                        if s.measure(q, rng, reference) {
-                            s.apply_pauli(PauliKind::X, q);
-                        }
-                    });
-                }
-            }
-            Instruction::MeasureReset { basis, targets } => {
-                for &q in targets {
-                    let m = conjugated(state, *basis, q, |s| {
-                        let m = s.measure(q, rng, reference);
-                        if m {
-                            s.apply_pauli(PauliKind::X, q);
-                        }
-                        m
-                    });
-                    record.push(m);
-                }
-            }
-            Instruction::MeasurePauliProduct { products } => {
-                for product in products {
-                    // Reduce measure(P) to a Z measurement of the anchor
-                    // (compute), measure, uncompute — the shared plan every
-                    // engine runs, so trajectories stay aligned.
-                    let (ops, anchor) = pauli_product_plan(product);
-                    for op in &ops {
-                        state.apply_gate(op.gate, op.targets());
-                    }
-                    let m = state.measure(anchor, rng, reference);
-                    record.push(m);
-                    for op in ops.iter().rev() {
-                        state.apply_gate(op.gate, op.targets());
-                    }
-                }
-            }
-            Instruction::Noise { channel, targets } => {
-                if !reference {
-                    sample_trajectory(*channel, targets, rng, &mut |kind, q| {
-                        state.apply_pauli(kind, q)
-                    });
-                }
-            }
-            Instruction::CorrelatedError {
-                probability,
-                product,
-                else_branch,
-            } => {
-                if !reference {
-                    let fire = if *else_branch && chain_fired {
-                        false
-                    } else {
-                        rng.random_bool(*probability)
-                    };
-                    if *else_branch {
-                        chain_fired |= fire;
-                    } else {
-                        chain_fired = fire;
-                    }
-                    if fire {
-                        for &(kind, q) in product {
-                            state.apply_pauli(kind, q);
-                        }
-                    }
-                }
-            }
-            Instruction::Feedback {
-                pauli,
-                lookback,
-                target,
-            } => {
-                let idx = record.len() as i64 + lookback;
-                assert!(idx >= 0, "lookback validated at construction");
-                if record.get(idx as usize) {
-                    state.apply_pauli(*pauli, *target);
-                }
-            }
-            Instruction::Detector { .. }
-            | Instruction::ObservableInclude { .. }
-            | Instruction::Tick
-            | Instruction::QubitCoords { .. }
-            | Instruction::ShiftCoords { .. } => {}
-            Instruction::Repeat { .. } => {
-                unreachable!("flat_instructions expands REPEAT blocks")
-            }
-        }
-    }
-    record
+    let mut shot = Shot {
+        state,
+        rng,
+        reference,
+        record: BitVec::new(),
+        scratch: NoiseScratch::default(),
+    };
+    walk(circuit, &mut shot);
+    shot.record
 }
 
-/// Runs `f` inside the basis conjugation of `basis` on qubit `q`: for X
-/// and Y bases the self-inverse basis-change gate (`H` / `H_YZ`) is
-/// applied before and after, reducing the operation to the engine's
-/// Z-basis primitive.
-fn conjugated<S: ShotState + ?Sized, T>(
-    state: &mut S,
-    basis: PauliKind,
-    q: u32,
-    f: impl FnOnce(&mut S) -> T,
-) -> T {
-    let gate = basis.z_conjugator();
-    if let Some(g) = gate {
-        state.apply_gate(g, &[q]);
+/// [`run_shot`]'s walker: one shot's state, its RNG and its record.
+struct Shot<'a, S: ?Sized> {
+    state: &'a mut S,
+    rng: &'a mut dyn RngCore,
+    reference: bool,
+    record: BitVec,
+    /// Carries correlated chains across their E/ELSE sites.
+    scratch: NoiseScratch,
+}
+
+impl<S: ShotState + ?Sized> Walker for Shot<'_, S> {
+    fn apply_gate(&mut self, gate: Gate, targets: &[u32]) {
+        self.state.apply_gate(gate, targets);
     }
-    let out = f(state);
-    if let Some(g) = gate {
-        state.apply_gate(g, &[q]);
+
+    fn measure_z(&mut self, q: u32, record: Option<usize>, reset: bool) {
+        let m = self.state.measure(q, self.rng, self.reference);
+        if reset && m {
+            self.state.apply_pauli(PauliKind::X, q);
+        }
+        if record.is_some() {
+            self.record.push(m);
+        }
     }
-    out
+
+    fn noise(&mut self, site: &NoiseSite, slots: [&[(PauliKind, u32)]; 4]) {
+        if !self.reference {
+            let mut sink = ShotSink {
+                state: &mut *self.state,
+                slots,
+            };
+            noise::draw(site, 1, &mut self.rng, &mut self.scratch, &mut sink);
+        }
+    }
+
+    fn feedback(&mut self, pauli: PauliKind, target: u32, record: usize) {
+        if self.record.get(record) {
+            self.state.apply_pauli(pauli, target);
+        }
+    }
+}
+
+/// Applies the fired slots of a one-shot noise draw to a shot state.
+struct ShotSink<'a, S: ?Sized> {
+    state: &'a mut S,
+    slots: [&'a [(PauliKind, u32)]; 4],
+}
+
+impl<S: ShotState + ?Sized> FaultSink for ShotSink<'_, S> {
+    fn bernoulli<R: Rng>(&mut self, slot: usize, p: f64, width: usize, rng: &mut R) {
+        let mut fired: [Word; 1] = [0];
+        fill_bernoulli(&mut fired, width, p, rng);
+        self.mask(slot, &fired);
+    }
+
+    fn set(&mut self, slot: usize, _shot: usize) {
+        for &(kind, q) in self.slots[slot] {
+            self.state.apply_pauli(kind, q);
+        }
+    }
+
+    fn mask(&mut self, slot: usize, fired: &[Word]) {
+        if fired[0] & 1 != 0 {
+            self.set(slot, 0);
+        }
+    }
 }
 
 /// The shared batch adapter for per-shot engines (tableau, statevec):
@@ -245,124 +304,47 @@ impl ShotBatcher {
     }
 }
 
-/// Samples one concrete realization of a noise channel (trajectory
-/// simulation) and reports every fired Pauli through `apply`.
-///
-/// This is the single dispatch point for per-site noise semantics; the
-/// tableau and state-vector engines both draw their trajectories here, so
-/// channel definitions cannot drift apart.
-pub fn sample_trajectory(
-    channel: NoiseChannel,
-    targets: &[u32],
-    rng: &mut dyn RngCore,
-    apply: &mut dyn FnMut(PauliKind, u32),
-) {
-    match channel {
-        NoiseChannel::XError(p) => {
-            for &q in targets {
-                if rng.random_bool(p) {
-                    apply(PauliKind::X, q);
-                }
-            }
-        }
-        NoiseChannel::YError(p) => {
-            for &q in targets {
-                if rng.random_bool(p) {
-                    apply(PauliKind::Y, q);
-                }
-            }
-        }
-        NoiseChannel::ZError(p) => {
-            for &q in targets {
-                if rng.random_bool(p) {
-                    apply(PauliKind::Z, q);
-                }
-            }
-        }
-        NoiseChannel::Depolarize1(p) => {
-            for &q in targets {
-                if rng.random_bool(p) {
-                    let kind =
-                        [PauliKind::X, PauliKind::Y, PauliKind::Z][rng.random_range(0..3usize)];
-                    apply(kind, q);
-                }
-            }
-        }
-        NoiseChannel::Depolarize2(p) => {
-            for pair in targets.chunks_exact(2) {
-                if rng.random_bool(p) {
-                    // One of the 15 non-identity two-qubit Paulis.
-                    let k = rng.random_range(1..16u32);
-                    for (bit_x, bit_z, q) in [(k & 1, k & 2, pair[0]), (k & 4, k & 8, pair[1])] {
-                        match (bit_x != 0, bit_z != 0) {
-                            (true, false) => apply(PauliKind::X, q),
-                            (true, true) => apply(PauliKind::Y, q),
-                            (false, true) => apply(PauliKind::Z, q),
-                            (false, false) => {}
-                        }
-                    }
-                }
-            }
-        }
-        NoiseChannel::PauliChannel1 { px, py, pz } => {
-            for &q in targets {
-                let u: f64 = rng.random();
-                if u < px {
-                    apply(PauliKind::X, q);
-                } else if u < px + py {
-                    apply(PauliKind::Y, q);
-                } else if u < px + py + pz {
-                    apply(PauliKind::Z, q);
-                }
-            }
-        }
-        NoiseChannel::PauliChannel2 { probs } => {
-            let total: f64 = probs.iter().sum();
-            for pair in targets.chunks_exact(2) {
-                if total > 0.0 && rng.random_bool(total.min(1.0)) {
-                    let u: f64 = rng.random::<f64>() * total;
-                    let m = pauli_channel_2_select(u, &probs);
-                    apply_pauli2_bits(pauli_channel_2_bits(m), pair, apply);
-                }
-            }
-        }
-    }
-}
-
-/// Applies the `(x_a, z_a, x_b, z_b)` bit pattern of a two-qubit Pauli
-/// outcome to a target pair through `apply`.
-fn apply_pauli2_bits(bits: [bool; 4], pair: &[u32], apply: &mut dyn FnMut(PauliKind, u32)) {
-    for (i, &q) in pair.iter().enumerate() {
-        match (bits[2 * i], bits[2 * i + 1]) {
-            (true, false) => apply(PauliKind::X, q),
-            (true, true) => apply(PauliKind::Y, q),
-            (false, true) => apply(PauliKind::Z, q),
-            (false, false) => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use symphase_circuit::NoiseChannel;
+    use PauliKind::{X, Y, Z};
 
-    /// A toy classical state: one bit per qubit, X flips it, everything
-    /// else is ignored; measurements read the bit.
-    struct Bits(Vec<bool>);
+    /// A toy classical state: the Pauli (x, z bits) each qubit carries.
+    /// `X`/`Y`/`Z` gates compose into it, every other gate is ignored,
+    /// and a measurement reads the x bit.
+    struct Paulis(Vec<(bool, bool)>);
 
-    impl ShotState for Bits {
+    impl Paulis {
+        fn new(n: usize) -> Self {
+            Self(vec![(false, false); n])
+        }
+
+        /// Qubits carrying a non-identity Pauli.
+        fn weight(&self) -> usize {
+            self.0.iter().filter(|&&(x, z)| x || z).count()
+        }
+    }
+
+    impl ShotState for Paulis {
         fn apply_gate(&mut self, gate: Gate, targets: &[u32]) {
-            if matches!(gate, Gate::X | Gate::Y) {
-                for &q in targets {
-                    self.0[q as usize] = !self.0[q as usize];
-                }
+            let (fx, fz) = match gate {
+                Gate::X => X.xz(),
+                Gate::Y => Y.xz(),
+                Gate::Z => Z.xz(),
+                _ => return,
+            };
+            for &q in targets {
+                let (x, z) = &mut self.0[q as usize];
+                *x ^= fx;
+                *z ^= fz;
             }
         }
 
         fn measure(&mut self, q: u32, _rng: &mut dyn RngCore, _reference: bool) -> bool {
-            self.0[q as usize]
+            self.0[q as usize].0
         }
     }
 
@@ -374,7 +356,7 @@ mod tests {
         c.feedback(PauliKind::X, -1, 1);
         c.measure(1);
         let mut rng = StdRng::seed_from_u64(0);
-        let rec = run_shot(&mut Bits(vec![false; 2]), &c, &mut rng, false);
+        let rec = run_shot(&mut Paulis::new(2), &c, &mut rng, false);
         assert!(rec.get(0));
         assert!(rec.get(1), "feedback must have fired");
     }
@@ -386,7 +368,7 @@ mod tests {
         c.reset(0);
         c.measure(0);
         let mut rng = StdRng::seed_from_u64(0);
-        let rec = run_shot(&mut Bits(vec![false; 1]), &c, &mut rng, false);
+        let rec = run_shot(&mut Paulis::new(1), &c, &mut rng, false);
         assert!(!rec.get(0));
     }
 
@@ -396,24 +378,23 @@ mod tests {
         c.noise(NoiseChannel::XError(1.0), &[0]);
         c.measure(0);
         let mut rng = StdRng::seed_from_u64(0);
-        let rec = run_shot(&mut Bits(vec![false; 1]), &c, &mut rng, true);
+        let rec = run_shot(&mut Paulis::new(1), &c, &mut rng, true);
         assert!(!rec.get(0));
-        let rec = run_shot(&mut Bits(vec![false; 1]), &c, &mut rng, false);
+        let rec = run_shot(&mut Paulis::new(1), &c, &mut rng, false);
         assert!(rec.get(0));
     }
 
     #[test]
     fn trajectory_rates_match_channel() {
+        let mut c = Circuit::new(1);
+        c.noise(NoiseChannel::Depolarize1(0.3), &[0]);
         let mut rng = StdRng::seed_from_u64(5);
         let trials = 50_000;
         let mut fired = 0usize;
         for _ in 0..trials {
-            sample_trajectory(
-                NoiseChannel::Depolarize1(0.3),
-                &[0],
-                &mut rng,
-                &mut |_, _| fired += 1,
-            );
+            let mut state = Paulis::new(1);
+            run_shot(&mut state, &c, &mut rng, false);
+            fired += state.weight();
         }
         let expect = 0.3 * trials as f64;
         assert!(
@@ -424,16 +405,122 @@ mod tests {
 
     #[test]
     fn depolarize2_never_applies_identity() {
+        let mut c = Circuit::new(2);
+        c.noise(NoiseChannel::Depolarize2(1.0), &[0, 1]);
         let mut rng = StdRng::seed_from_u64(6);
         for _ in 0..2000 {
-            let mut n = 0;
-            sample_trajectory(
-                NoiseChannel::Depolarize2(1.0),
-                &[0, 1],
-                &mut rng,
-                &mut |_, _| n += 1,
-            );
+            let mut state = Paulis::new(2);
+            run_shot(&mut state, &c, &mut rng, false);
+            let n = state.weight();
             assert!((1..=2).contains(&n), "fired {n} Paulis");
         }
+    }
+
+    /// One lowered primitive, as a [`Recorder`] saw it.
+    #[derive(Debug, PartialEq)]
+    enum Step {
+        Gate(Gate, Vec<u32>),
+        MeasureZ(u32, Option<usize>, bool),
+        Noise(NoiseSite, [Vec<(PauliKind, u32)>; 4]),
+        Feedback(PauliKind, u32, usize),
+    }
+
+    #[derive(Default)]
+    struct Recorder(Vec<Step>);
+
+    impl Walker for Recorder {
+        fn apply_gate(&mut self, gate: Gate, targets: &[u32]) {
+            self.0.push(Step::Gate(gate, targets.to_vec()));
+        }
+        fn measure_z(&mut self, q: u32, record: Option<usize>, reset: bool) {
+            self.0.push(Step::MeasureZ(q, record, reset));
+        }
+        fn noise(&mut self, site: &NoiseSite, slots: [&[(PauliKind, u32)]; 4]) {
+            self.0.push(Step::Noise(*site, slots.map(<[_]>::to_vec)));
+        }
+        fn feedback(&mut self, pauli: PauliKind, target: u32, record: usize) {
+            self.0.push(Step::Feedback(pauli, target, record));
+        }
+    }
+
+    /// The exact lowering of every instruction kind: basis conjugators
+    /// around Z measurements, record indices and reset flags, the `MPP`
+    /// compute/measure/uncompute plan, noise slots per site, and a
+    /// feedback lookback that reaches the previous `REPEAT` iteration.
+    #[test]
+    fn golden_lowering() {
+        let text = "MX 0\nMY 1\nRX 2\nMRY 0\nMPP X0*Y1*Z2\nY_ERROR(0.1) 1\n\
+                    DEPOLARIZE1(0.2) 2\nDEPOLARIZE2(0.1) 0 1\n\
+                    PAULI_CHANNEL_2(0.01,0.01,0.01,0.01,0.01,0.01,0.01,0.01,0.01,0.01,0.01,0.01,0.01,0.01,0.01) 1 2\n\
+                    E(0.1) X0 Z1\nELSE_CORRELATED_ERROR(0.2) Y2\n\
+                    REPEAT 2 {\n M 2\n CX rec[-2] 0\n}\n";
+        let c = Circuit::parse(text).unwrap();
+        let mut rec = Recorder::default();
+        walk(&c, &mut rec);
+
+        let g = |gate, t: &[u32]| Step::Gate(gate, t.to_vec());
+        let n = |site, slots: [&[(PauliKind, u32)]; 4]| Step::Noise(site, slots.map(<[_]>::to_vec));
+        let expected = vec![
+            // MX 0
+            g(Gate::H, &[0]),
+            Step::MeasureZ(0, Some(0), false),
+            g(Gate::H, &[0]),
+            // MY 1
+            g(Gate::HYz, &[1]),
+            Step::MeasureZ(1, Some(1), false),
+            g(Gate::HYz, &[1]),
+            // RX 2: no record
+            g(Gate::H, &[2]),
+            Step::MeasureZ(2, None, true),
+            g(Gate::H, &[2]),
+            // MRY 0
+            g(Gate::HYz, &[0]),
+            Step::MeasureZ(0, Some(2), true),
+            g(Gate::HYz, &[0]),
+            // MPP X0*Y1*Z2: compute onto Z0, measure, uncompute
+            g(Gate::H, &[0]),
+            g(Gate::HYz, &[1]),
+            g(Gate::Cx, &[1, 0]),
+            g(Gate::Cx, &[2, 0]),
+            Step::MeasureZ(0, Some(3), false),
+            g(Gate::Cx, &[2, 0]),
+            g(Gate::Cx, &[1, 0]),
+            g(Gate::HYz, &[1]),
+            g(Gate::H, &[0]),
+            n(NoiseSite::Bernoulli(0.1), [&[(Y, 1)], &[], &[], &[]]),
+            n(
+                NoiseSite::Depolarize1(0.2),
+                [&[(X, 2)], &[(Z, 2)], &[], &[]],
+            ),
+            n(
+                NoiseSite::Depolarize2(0.1),
+                [&[(X, 0)], &[(Z, 0)], &[(X, 1)], &[(Z, 1)]],
+            ),
+            n(
+                NoiseSite::PauliChannel2 { probs: [0.01; 15] },
+                [&[(X, 1)], &[(Z, 1)], &[(X, 2)], &[(Z, 2)]],
+            ),
+            n(
+                NoiseSite::Correlated {
+                    p: 0.1,
+                    else_branch: false,
+                },
+                [&[(X, 0), (Z, 1)], &[], &[], &[]],
+            ),
+            n(
+                NoiseSite::Correlated {
+                    p: 0.2,
+                    else_branch: true,
+                },
+                [&[(Y, 2)], &[], &[], &[]],
+            ),
+            // REPEAT iteration 0: rec[-2] is the MPP outcome.
+            Step::MeasureZ(2, Some(4), false),
+            Step::Feedback(X, 0, 3),
+            // Iteration 1: rec[-2] is iteration 0's measurement.
+            Step::MeasureZ(2, Some(5), false),
+            Step::Feedback(X, 0, 4),
+        ];
+        assert_eq!(rec.0, expected);
     }
 }

@@ -20,12 +20,14 @@
 //! * [`formats`] — `ShotSink`s serializing shots to any `io::Write` in
 //!   the `01`, `counts`, `b8`, `hits`, and `dets` formats (spec in
 //!   `docs/formats.md`);
-//! * [`exec`] — the single-shot instruction-walk driver (measure / reset /
-//!   measure-reset / feedback bookkeeping) and the trajectory sampling of
-//!   noise channels into concrete Paulis;
-//! * [`noise`] — the batch noise draw every batch engine shares: one
-//!   routine decides how a noise site consumes the RNG, and each engine
-//!   only says where fired slots land ([`noise::FaultSink`]);
+//! * [`exec`] — the one circuit walk: [`exec::walk`] lowers every
+//!   instruction to a gate, a Z measurement, a noise site or a feedback
+//!   Pauli for any [`exec::Walker`] (SymPhase's Initialization, the frame
+//!   sampler, and [`exec::run_shot`], the single-shot driver of the
+//!   tableau and state-vector engines);
+//! * [`noise`] — the noise draw every engine shares: one routine decides
+//!   how a noise site consumes the RNG, and each engine only says where
+//!   fired slots land ([`noise::FaultSink`]);
 //! * [`record`] — detector/observable measurement-set resolution and
 //!   record evaluation (moved here from the tableau crate so every layer,
 //!   including the dense simulator, shares it).

@@ -24,8 +24,10 @@
 //!    `DEPOLARIZE1`, `random_range(1..16)` for `DEPOLARIZE2`, and one
 //!    `f64` scaled by the total for the two Pauli channels.
 //!
-//! The single-shot trajectory draw in [`crate::exec`] is a different
-//! stream (one `random_bool` per site and shot) and is not shared.
+//! The per-shot engines (tableau, state vector) share it too:
+//! [`crate::exec::run_shot`] draws each site over a one-shot window and
+//! applies the fired slots to the shot's state, so every engine has one
+//! noise semantics.
 
 use rand::Rng;
 

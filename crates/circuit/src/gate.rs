@@ -48,6 +48,15 @@ impl PauliKind {
             PauliKind::Z => None,
         }
     }
+
+    /// The gate that applies this Pauli.
+    pub fn gate(self) -> Gate {
+        match self {
+            PauliKind::X => Gate::X,
+            PauliKind::Y => Gate::Y,
+            PauliKind::Z => Gate::Z,
+        }
+    }
 }
 
 impl fmt::Display for PauliKind {

@@ -1,15 +1,15 @@
 //! The Initialization procedure of Algorithm 1: one symbolic traversal.
 //!
-//! Walks the circuit once, applying Init-C (Clifford gates through the
-//! shared tableau), Init-P (faults as symbol-coefficient flips), and Init-M
-//! (measurements: random outcomes become fresh coins + `X^s`, determined
-//! outcomes are read off the scratch row). Resets and feedback reuse the
-//! `X^e` mechanism of paper §6.
+//! Walks the circuit once through the shared lowering
+//! (`symphase_backend::exec::walk`), applying Init-C (Clifford gates
+//! through the shared tableau), Init-P (faults as symbol-coefficient
+//! flips), and Init-M (measurements: random outcomes become fresh coins +
+//! `X^s`, determined outcomes are read off the scratch row). Resets and
+//! feedback reuse the `X^e` mechanism of paper §6.
 
-use symphase_backend::noise::{channel_slots, NoiseSite};
-use symphase_circuit::{
-    pauli_product_plan, Circuit, Instruction, NoiseChannel, PauliFactor, PauliKind,
-};
+use symphase_backend::exec::{self, Walker};
+use symphase_backend::noise::NoiseSite;
+use symphase_circuit::{Circuit, Gate, PauliKind};
 use symphase_tableau::{Collapse, Tableau};
 
 use crate::expr::SymExpr;
@@ -31,13 +31,12 @@ pub(crate) struct InitResult {
 
 /// Runs Initialization with the chosen symbolic phase store.
 ///
-/// The circuit is traversed through the streaming
-/// [`Circuit::flat_instructions`] iterator, so structured `REPEAT` blocks
-/// execute without ever being materialized: a `REPEAT 1000000 { … }` round
-/// costs O(body) memory on top of the tableau and the per-measurement
-/// expressions. Record lookbacks (feedback) resolve dynamically against
-/// the record built so far, which inside a repeat body means the previous
-/// iteration when the lookback reaches past the current one.
+/// The circuit is lowered through [`exec::walk`], which streams `REPEAT`
+/// blocks without ever materializing them: a `REPEAT 1000000 { … }`
+/// round costs O(body) memory on top of the tableau and the
+/// per-measurement expressions. Record lookbacks (feedback) resolve
+/// against the record built so far, which inside a repeat body means the
+/// previous iteration when the lookback reaches past the current one.
 pub(crate) fn initialize<S: SymbolicPhases>(circuit: &Circuit) -> InitResult {
     let n = circuit.num_qubits() as usize;
     let mut tab: Tableau<S> = Tableau::new(n);
@@ -47,111 +46,70 @@ pub(crate) fn initialize<S: SymbolicPhases>(circuit: &Circuit) -> InitResult {
     if let Some(bound) = symbol_bound(&circuit.stats()) {
         tab.phases_mut().reserve_symbols(bound);
     }
-    let mut table = SymbolTable::new();
-    let mut measurements: Vec<SymExpr> = Vec::with_capacity(circuit.num_measurements());
-    let mut random_records: Vec<bool> = Vec::with_capacity(circuit.num_measurements());
-    // One shared fault-mask scratch row for the whole traversal: every
-    // path that conjugates a (symbolic or expression-controlled) Pauli —
-    // noise channels, the reset half of R/MR, and feedback — fills and
-    // reuses this single buffer.
-    let mut mask = vec![0u64; tab.words_per_col()];
-
-    for inst in circuit.flat_instructions() {
-        match inst {
-            Instruction::Gate { gate, targets } => tab.apply_gate(*gate, targets),
-            Instruction::Noise { channel, targets } => {
-                apply_channel(&mut tab, &mut table, &mut mask, *channel, targets);
-            }
-            Instruction::Measure { basis, targets } => {
-                for &q in targets {
-                    let (e, random) =
-                        measure_basis_symbolic(&mut tab, &mut table, *basis, q as usize);
-                    measurements.push(e);
-                    random_records.push(random);
-                }
-            }
-            Instruction::Reset { basis, targets } => {
-                for &q in targets {
-                    reset_basis_symbolic(&mut tab, &mut table, &mut mask, *basis, q as usize);
-                }
-            }
-            Instruction::MeasureReset { basis, targets } => {
-                for &q in targets {
-                    let (e, random) = conjugated(&mut tab, *basis, q as usize, |tab| {
-                        let (e, random) = measure_symbolic(tab, &mut table, q as usize);
-                        apply_expr_fault(tab, &mut mask, PauliKind::X, q as usize, &e);
-                        (e, random)
-                    });
-                    measurements.push(e);
-                    random_records.push(random);
-                }
-            }
-            Instruction::MeasurePauliProduct { products } => {
-                for product in products {
-                    let (e, random) = measure_product_symbolic(&mut tab, &mut table, product);
-                    measurements.push(e);
-                    random_records.push(random);
-                }
-            }
-            Instruction::CorrelatedError {
-                probability,
-                product,
-                else_branch,
-            } => {
-                // One symbol for the whole product: every factor's fault
-                // mask is XORed with the same coefficient, so the product
-                // fires atomically (the per-Pauli injection of Table 1
-                // lifted to correlated multi-qubit channels).
-                let [s, ..] = table.fresh_site(NoiseSite::Correlated {
-                    p: *probability,
-                    else_branch: *else_branch,
-                });
-                for &(kind, q) in product {
-                    apply_symbol_fault(&mut tab, &mut mask, kind, q as usize, s);
-                }
-            }
-            Instruction::Feedback {
-                pauli,
-                lookback,
-                target,
-            } => {
-                let idx = (measurements.len() as i64 + lookback) as usize;
-                let e = measurements[idx].clone();
-                apply_expr_fault(&mut tab, &mut mask, *pauli, *target as usize, &e);
-            }
-            Instruction::Detector { .. }
-            | Instruction::ObservableInclude { .. }
-            | Instruction::Tick
-            | Instruction::QubitCoords { .. }
-            | Instruction::ShiftCoords { .. } => {}
-            Instruction::Repeat { .. } => {
-                unreachable!("flat_instructions expands REPEAT blocks")
-            }
-        }
-    }
-
+    let mut init = Init {
+        // One shared fault-mask scratch row for the whole traversal: every
+        // path that conjugates a (symbolic or expression-controlled) Pauli
+        // — noise, the reset half of R/MR, and feedback — reuses it.
+        mask: vec![0u64; tab.words_per_col()],
+        tab,
+        table: SymbolTable::new(),
+        measurements: Vec::with_capacity(circuit.num_measurements()),
+        random_records: Vec::with_capacity(circuit.num_measurements()),
+    };
+    exec::walk(circuit, &mut init);
     InitResult {
-        table,
-        measurements,
-        random_records,
+        table: init.table,
+        measurements: init.measurements,
+        random_records: init.random_records,
     }
 }
 
-/// Init-P: decomposes a noise channel into symbolic single-qubit faults,
-/// one fresh symbol per slot of each application.
-fn apply_channel<S: SymbolicPhases>(
-    tab: &mut Tableau<S>,
-    table: &mut SymbolTable,
-    mask: &mut [u64],
-    channel: NoiseChannel,
-    targets: &[u32],
-) {
-    let site = NoiseSite::from(channel);
-    for t in targets.chunks_exact(channel.arity()) {
-        let ids = table.fresh_site(site);
-        for (&(kind, q), &s) in channel_slots(channel, t).iter().zip(&ids[..site.slots()]) {
-            apply_symbol_fault(tab, mask, kind, q as usize, s);
+/// Initialization's [`Walker`]: Init-C applies gates to the symbolic
+/// tableau, Init-P turns each noise slot into a fresh symbol's fault,
+/// Init-M collapses measurements, and resets and feedback apply the
+/// `X^e` correction of paper §6.
+struct Init<S: SymbolicPhases> {
+    tab: Tableau<S>,
+    table: SymbolTable,
+    mask: Vec<u64>,
+    measurements: Vec<SymExpr>,
+    random_records: Vec<bool>,
+}
+
+impl<S: SymbolicPhases> Walker for Init<S> {
+    fn apply_gate(&mut self, gate: Gate, targets: &[u32]) {
+        self.tab.apply_gate(gate, targets);
+    }
+
+    fn measure_z(&mut self, q: u32, record: Option<usize>, reset: bool) {
+        let q = q as usize;
+        let (e, random) = measure_symbolic(&mut self.tab, &mut self.table, q);
+        if reset {
+            // Inside the walk's basis conjugation, `X^e` forces the `+1`
+            // eigenstate.
+            apply_expr_fault(&mut self.tab, &mut self.mask, PauliKind::X, q, &e);
         }
+        if record.is_some() {
+            self.measurements.push(e);
+            self.random_records.push(random);
+        }
+    }
+
+    fn noise(&mut self, site: &NoiseSite, slots: [&[(PauliKind, u32)]; 4]) {
+        // One fresh symbol per slot. A correlated product shares its one
+        // symbol across every factor, so it fires atomically (the
+        // per-Pauli injection of Table 1 lifted to multi-qubit channels).
+        let ids = self.table.fresh_site(*site);
+        for (&s, slot) in ids.iter().zip(slots) {
+            for &(kind, q) in slot {
+                apply_symbol_fault(&mut self.tab, &mut self.mask, kind, q as usize, s);
+            }
+        }
+    }
+
+    fn feedback(&mut self, pauli: PauliKind, target: u32, record: usize) {
+        let e = &self.measurements[record];
+        apply_expr_fault(&mut self.tab, &mut self.mask, pauli, target as usize, e);
     }
 }
 
@@ -241,76 +199,11 @@ fn measure_symbolic<S: SymbolicPhases>(
     }
 }
 
-/// Runs `f` inside the basis conjugation of `basis` on qubit `q` (the
-/// self-inverse `H` / `H_YZ` basis change applied symbolically before and
-/// after), reducing X/Y-basis operations to the Z-basis Init-M machinery.
-fn conjugated<S: SymbolicPhases, T>(
-    tab: &mut Tableau<S>,
-    basis: PauliKind,
-    q: usize,
-    f: impl FnOnce(&mut Tableau<S>) -> T,
-) -> T {
-    let gate = basis.z_conjugator();
-    if let Some(g) = gate {
-        tab.apply_gate(g, &[q as u32]);
-    }
-    let out = f(tab);
-    if let Some(g) = gate {
-        tab.apply_gate(g, &[q as u32]);
-    }
-    out
-}
-
-/// Init-M in an arbitrary single-qubit basis (`MX`/`MY`/`M`).
-fn measure_basis_symbolic<S: SymbolicPhases>(
-    tab: &mut Tableau<S>,
-    table: &mut SymbolTable,
-    basis: PauliKind,
-    q: usize,
-) -> (SymExpr, bool) {
-    conjugated(tab, basis, q, |tab| measure_symbolic(tab, table, q))
-}
-
-/// Basis-general reset: collapse in the basis, then the `X^e` correction
-/// (inside the conjugated frame) forces the `+1` eigenstate.
-fn reset_basis_symbolic<S: SymbolicPhases>(
-    tab: &mut Tableau<S>,
-    table: &mut SymbolTable,
-    mask: &mut [u64],
-    basis: PauliKind,
-    q: usize,
-) {
-    conjugated(tab, basis, q, |tab| {
-        let (e, _) = measure_symbolic(tab, table, q);
-        apply_expr_fault(tab, mask, PauliKind::X, q, &e);
-    });
-}
-
-/// The `measure(P)` generalization of Init-M: conjugate the product onto
-/// `Z_anchor` through the shared [`pauli_product_plan`], measure
-/// symbolically, uncompute. The whole reduction is conjugation through
-/// the tableau, so it costs the same `O(n)`-per-gate work as Init-C.
-fn measure_product_symbolic<S: SymbolicPhases>(
-    tab: &mut Tableau<S>,
-    table: &mut SymbolTable,
-    product: &[PauliFactor],
-) -> (SymExpr, bool) {
-    let (ops, anchor) = pauli_product_plan(product);
-    for op in &ops {
-        tab.apply_gate(op.gate, op.targets());
-    }
-    let e = measure_symbolic(tab, table, anchor as usize);
-    for op in ops.iter().rev() {
-        tab.apply_gate(op.gate, op.targets());
-    }
-    e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::phases::{DensePhases, SparsePhases};
-    use symphase_circuit::Circuit;
+    use symphase_circuit::{Circuit, NoiseChannel};
 
     fn exprs<S: SymbolicPhases>(c: &Circuit) -> Vec<String> {
         initialize::<S>(c)

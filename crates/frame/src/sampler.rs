@@ -2,10 +2,11 @@
 
 use rand::{Rng, RngCore};
 
+use symphase_backend::exec::{self, Walker};
 use symphase_backend::noise::{self, FaultSink, NoiseScratch, NoiseSite};
 use symphase_backend::{record, SampleBatch, Sampler};
 use symphase_bitmat::{BitMatrix, BitVec};
-use symphase_circuit::{pauli_product_plan, Circuit, Instruction, PauliKind};
+use symphase_circuit::{Circuit, Gate, PauliKind};
 use symphase_tableau::reference_sample;
 
 use crate::batch::{FrameBatch, FrameSink};
@@ -68,122 +69,73 @@ impl FrameSampler {
 
     /// Propagates one frame batch, writing measurement records into `out`
     /// (`num_measurements × shots`, zeroed by the caller).
-    fn sample_measurements_into(&self, out: &mut BitMatrix, rng: &mut impl Rng) {
+    fn sample_measurements_into<R: Rng>(&self, out: &mut BitMatrix, rng: &mut R) {
         let n = self.circuit.num_qubits() as usize;
-        let shots = out.cols();
-        let mut frame = FrameBatch::new(n, shots, rng);
-        let mut measured = 0usize;
-        // Carries correlated chains across their E/ELSE instructions.
-        let mut scratch = NoiseScratch::default();
+        let mut walker = FrameWalker {
+            frame: FrameBatch::new(n, out.cols(), rng),
+            out,
+            reference: &self.reference,
+            rng,
+            scratch: NoiseScratch::default(),
+        };
+        exec::walk(&self.circuit, &mut walker);
+    }
+}
 
-        for inst in self.circuit.flat_instructions() {
-            match inst {
-                Instruction::Gate { gate, targets } => frame.apply_gate(*gate, targets),
-                Instruction::Measure { basis, targets } => {
-                    for &q in targets {
-                        conjugated(&mut frame, *basis, q, |frame| {
-                            self.record_measurement(out, measured, frame, q as usize);
-                            frame.randomize_z(q as usize, rng);
-                        });
-                        measured += 1;
-                    }
-                }
-                Instruction::Reset { basis, targets } => {
-                    for &q in targets {
-                        conjugated(&mut frame, *basis, q, |frame| {
-                            frame.clear_x(q as usize);
-                            frame.randomize_z(q as usize, rng);
-                        });
-                    }
-                }
-                Instruction::MeasureReset { basis, targets } => {
-                    for &q in targets {
-                        conjugated(&mut frame, *basis, q, |frame| {
-                            self.record_measurement(out, measured, frame, q as usize);
-                            frame.clear_x(q as usize);
-                            frame.randomize_z(q as usize, rng);
-                        });
-                        measured += 1;
-                    }
-                }
-                Instruction::MeasurePauliProduct { products } => {
-                    for product in products {
-                        // Same compute/measure/uncompute plan as the
-                        // reference run, so frame bits line up with it.
-                        let (ops, anchor) = pauli_product_plan(product);
-                        for op in &ops {
-                            frame.apply_gate(op.gate, op.targets());
-                        }
-                        self.record_measurement(out, measured, &frame, anchor as usize);
-                        frame.randomize_z(anchor as usize, rng);
-                        for op in ops.iter().rev() {
-                            frame.apply_gate(op.gate, op.targets());
-                        }
-                        measured += 1;
-                    }
-                }
-                Instruction::Noise { channel, targets } => {
-                    let site = NoiseSite::from(*channel);
-                    for t in targets.chunks_exact(channel.arity()) {
-                        let p = noise::channel_slots(*channel, t);
-                        let slots = [&p[0..1], &p[1..2], &p[2..3], &p[3..4]];
-                        let mut sink = FrameSink::new(&mut frame, slots);
-                        noise::draw(&site, shots, rng, &mut scratch, &mut sink);
-                    }
-                }
-                Instruction::CorrelatedError {
-                    probability,
-                    product,
-                    else_branch,
-                } => {
-                    let site = NoiseSite::Correlated {
-                        p: *probability,
-                        else_branch: *else_branch,
-                    };
-                    let mut sink = FrameSink::new(&mut frame, [product, &[], &[], &[]]);
-                    noise::draw(&site, shots, rng, &mut scratch, &mut sink);
-                }
-                Instruction::Feedback {
-                    pauli,
-                    lookback,
-                    target,
-                } => {
-                    let m = (measured as i64 + lookback) as usize;
-                    // The reference run already applied feedback for the
-                    // reference outcomes; only the per-shot flip difference
-                    // propagates into the frame.
-                    let flip = [(*pauli, *target)];
-                    FrameSink::new(&mut frame, [&flip, &[], &[], &[]]).mask(0, out.row(m));
-                }
-                Instruction::Detector { .. }
-                | Instruction::ObservableInclude { .. }
-                | Instruction::Tick
-                | Instruction::QubitCoords { .. }
-                | Instruction::ShiftCoords { .. } => {}
-                Instruction::Repeat { .. } => {
-                    unreachable!("flat_instructions expands REPEAT blocks")
-                }
-            }
-        }
+/// The frame sampler's [`Walker`]: the reference run walks the same
+/// lowering, so each record is `reference ⊕ frame.x`.
+struct FrameWalker<'a, R> {
+    frame: FrameBatch,
+    out: &'a mut BitMatrix,
+    reference: &'a BitVec,
+    rng: &'a mut R,
+    /// Carries correlated chains across their E/ELSE sites.
+    scratch: NoiseScratch,
+}
+
+impl<R: Rng> Walker for FrameWalker<'_, R> {
+    fn apply_gate(&mut self, gate: Gate, targets: &[u32]) {
+        self.frame.apply_gate(gate, targets);
     }
 
-    /// Writes `reference[m] ⊕ frame.x[q]` into output row `m`.
-    fn record_measurement(&self, out: &mut BitMatrix, m: usize, frame: &FrameBatch, q: usize) {
-        let stride = out.stride();
-        let tail = symphase_bitmat::word::tail_mask(out.cols());
-        let row = &mut out.words_mut()[m * stride..(m + 1) * stride];
-        let xr = frame.x_row(q);
-        if self.reference.get(m) {
-            for (d, s) in row.iter_mut().zip(xr) {
-                *d = !*s;
+    fn measure_z(&mut self, q: u32, record: Option<usize>, reset: bool) {
+        let q = q as usize;
+        if let Some(m) = record {
+            // Writes `reference[m] ⊕ frame.x[q]` into output row `m`.
+            let stride = self.out.stride();
+            let tail = symphase_bitmat::word::tail_mask(self.out.cols());
+            let row = &mut self.out.words_mut()[m * stride..(m + 1) * stride];
+            let xr = self.frame.x_row(q);
+            if self.reference.get(m) {
+                for (d, s) in row.iter_mut().zip(xr) {
+                    *d = !*s;
+                }
+                // Keep slack bits canonical after the negation path.
+                if let Some(last) = row.last_mut() {
+                    *last &= tail;
+                }
+            } else {
+                row.copy_from_slice(xr);
             }
-            // Keep slack bits canonical after the negation path.
-            if let Some(last) = row.last_mut() {
-                *last &= tail;
-            }
-        } else {
-            row.copy_from_slice(xr);
         }
+        if reset {
+            self.frame.clear_x(q);
+        }
+        self.frame.randomize_z(q, self.rng);
+    }
+
+    fn noise(&mut self, site: &NoiseSite, slots: [&[(PauliKind, u32)]; 4]) {
+        let shots = self.frame.shots();
+        let mut sink = FrameSink::new(&mut self.frame, slots);
+        noise::draw(site, shots, self.rng, &mut self.scratch, &mut sink);
+    }
+
+    fn feedback(&mut self, pauli: PauliKind, target: u32, record: usize) {
+        // The reference run already applied feedback for the reference
+        // outcomes; only the per-shot flip difference propagates into the
+        // frame.
+        let flip = [(pauli, target)];
+        FrameSink::new(&mut self.frame, [&flip, &[], &[], &[]]).mask(0, self.out.row(record));
     }
 }
 
@@ -211,22 +163,6 @@ impl Sampler for FrameSampler {
         self.sample_measurements_into(&mut batch.measurements, &mut rng);
         record::xor_rows_into(&self.det_sets, &batch.measurements, &mut batch.detectors);
         record::xor_rows_into(&self.obs_sets, &batch.measurements, &mut batch.observables);
-    }
-}
-
-/// Runs `f` inside the basis conjugation of `basis` on qubit `q`: the
-/// self-inverse basis-change gate conjugates the frame before and after,
-/// so Z-basis record/reset primitives act on the requested basis. The
-/// reference run performs the identical conjugation, keeping the
-/// reference-XOR-frame decomposition aligned.
-fn conjugated(frame: &mut FrameBatch, basis: PauliKind, q: u32, f: impl FnOnce(&mut FrameBatch)) {
-    let gate = basis.z_conjugator();
-    if let Some(g) = gate {
-        frame.apply_gate(g, &[q]);
-    }
-    f(frame);
-    if let Some(g) = gate {
-        frame.apply_gate(g, &[q]);
     }
 }
 

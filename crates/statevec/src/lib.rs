@@ -6,8 +6,10 @@
 //! Pauli-frame, and SymPhase samplers on small circuits (every stabilizer
 //! circuit is also an ordinary quantum circuit).
 //!
-//! Noise channels are handled by trajectory sampling (a concrete Pauli is
-//! drawn per site per shot), and measurements by Born-rule projection.
+//! The circuit runs through the shared single-shot driver
+//! (`symphase_backend::exec::run_shot`): noise sites are drawn per shot
+//! by the same routine as every other engine and applied as concrete
+//! Paulis, and measurements are Born-rule projections.
 //!
 //! # Example
 //!

@@ -1,11 +1,11 @@
 //! Single-shot concrete tableau simulation and reference sampling.
 //!
-//! The instruction-walk state machine (record bookkeeping, resets,
-//! feedback, trajectory noise) lives in `symphase_backend::exec`; this
-//! module supplies only the tableau-specific primitives through
-//! [`ShotState`] and wraps them as [`TableauSimulator`] (one shot at a
-//! time) and [`TableauSampler`] (the [`Sampler`] backend that loops
-//! shots).
+//! The circuit walk (basis changes, record bookkeeping, resets, feedback)
+//! and the noise draw live in `symphase_backend::exec` and
+//! `symphase_backend::noise`; this module supplies only the
+//! tableau-specific primitives through [`ShotState`] and wraps them as
+//! [`TableauSimulator`] (one shot at a time) and [`TableauSampler`] (the
+//! [`Sampler`] backend that loops shots).
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};

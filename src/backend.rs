@@ -31,17 +31,27 @@ pub use symphase_backend::{BuildError, EngineKind, PhaseRepr, SamplingMethod, Si
 /// constructor.
 ///
 /// Validates the configuration ([`SimConfig::validate`]) and the
-/// circuit/engine pairing (the state-vector qubit cap), then runs the
-/// engine's initialization: a symbolic traversal for SymPhase (phase
-/// store picked per circuit by [`PhaseRepr::Auto`]), a reference tableau
-/// sample for the frame baseline, a circuit copy for the per-shot
-/// engines. Every failure mode is a typed [`BuildError`] — this function
-/// does not panic.
+/// circuit/engine pairing (the tableau memory budget and the
+/// state-vector qubit cap), then runs the engine's initialization: a
+/// symbolic traversal for SymPhase (phase store picked per circuit by
+/// [`PhaseRepr::Auto`]), a reference tableau sample for the frame
+/// baseline, a circuit copy for the per-shot engines. Every failure mode
+/// is a typed [`BuildError`] — this function does not panic.
 pub fn build_sampler(
     circuit: &Circuit,
     config: &SimConfig,
 ) -> Result<Box<dyn Sampler>, BuildError> {
     config.validate()?;
+    // Every stabilizer engine builds an O(n²) tableau (the frame engine
+    // for its reference sample); refuse before anything allocates it.
+    let qubits = circuit.num_qubits();
+    if config.engine() != EngineKind::StateVec && tableau_bytes(qubits) > TABLEAU_BUDGET_BYTES {
+        return Err(BuildError::CircuitTooLarge {
+            engine: config.engine().name(),
+            qubits,
+            max_qubits: max_tableau_qubits(),
+        });
+    }
     // With `optimize` set, the engine is built from the optimizer's
     // verified output circuit — by construction bit-identical per seed
     // to sampling that output directly (`tests/opt.rs` pins this).
@@ -62,6 +72,30 @@ pub fn build_sampler(
         EngineKind::Tableau => Box::new(TableauSampler::new(circuit)),
         EngineKind::StateVec => Box::new(StateVecSampler::try_new(circuit)?),
     })
+}
+
+/// The memory one engine's stabilizer tableau may take: 256 MiB, about
+/// 23k qubits (`docs/performance.md`, "Size limits").
+const TABLEAU_BUDGET_BYTES: u64 = 1 << 28;
+
+/// Bytes of an `n`-qubit tableau: X and Z bit columns over `2n + 1` rows.
+fn tableau_bytes(n: u32) -> u64 {
+    let n = u64::from(n);
+    2 * n * (2 * n + 1).div_ceil(64) * 8
+}
+
+/// The largest qubit count whose tableau fits [`TABLEAU_BUDGET_BYTES`].
+fn max_tableau_qubits() -> u32 {
+    let (mut lo, mut hi) = (0u32, 1 << 20);
+    while lo < hi {
+        let mid = lo + (hi - lo).div_ceil(2);
+        if tableau_bytes(mid) <= TABLEAU_BUDGET_BYTES {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -126,6 +160,27 @@ mod tests {
             }
         );
         assert!(build_sampler(&big, &SimConfig::new().with_engine(EngineKind::Frame)).is_ok());
+    }
+
+    #[test]
+    fn tableau_budget_reports_a_typed_error() {
+        let max = max_tableau_qubits();
+        assert!(tableau_bytes(max) <= TABLEAU_BUDGET_BYTES);
+        assert!(tableau_bytes(max + 1) > TABLEAU_BUDGET_BYTES);
+        let big = Circuit::new(max + 1);
+        for kind in [EngineKind::SymPhase, EngineKind::Frame, EngineKind::Tableau] {
+            let e = build_sampler(&big, &SimConfig::new().with_engine(kind))
+                .err()
+                .expect("must fail");
+            assert_eq!(
+                e,
+                BuildError::CircuitTooLarge {
+                    engine: kind.name(),
+                    qubits: max + 1,
+                    max_qubits: max,
+                }
+            );
+        }
     }
 
     #[test]

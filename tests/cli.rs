@@ -618,6 +618,24 @@ fn statevec_qubit_cap_is_a_runtime_error() {
     assert!(e.message.contains("exceed"), "{}", e.message);
 }
 
+#[test]
+fn tableau_budget_is_a_runtime_error() {
+    // A million-qubit tableau would take ~250 GB: every stabilizer engine
+    // refuses the circuit before allocating it.
+    let f = write_circuit("H 1000000\nM 1000000\n");
+    for engine in ["symphase", "frame", "tableau"] {
+        let e = run(&args(&["sample", "-c", f.as_str(), "--engine", engine])).unwrap_err();
+        assert_eq!(e.code, 1, "{engine}");
+        assert_eq!(
+            e.message,
+            format!(
+                "engine '{engine}' cannot simulate this circuit \
+                 (1000001 qubits exceed its limit of 23167)"
+            )
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // `symphase lint`
 // ---------------------------------------------------------------------

@@ -502,6 +502,29 @@ fn typed_error_frames_cover_the_rejection_paths() {
         },
         ErrorCode::Build,
     );
+    // A circuit whose tableau is over the memory budget is refused the
+    // same way, before anything allocates, and the daemon serves on.
+    expect_code(
+        &SampleRequest {
+            circuit: CircuitRef::Text("H 1000000\nM 1000000\n".into()),
+            ..base.clone()
+        },
+        ErrorCode::Build,
+    );
+    let (_, bytes) = fetch(addr, &base);
+    assert_eq!(
+        bytes,
+        local_bytes(
+            &small_circuit(),
+            EngineKind::SymPhase,
+            0,
+            0,
+            512,
+            256,
+            SampleFormat::B8,
+            RecordSource::Measurements,
+        )
+    );
     // Build failures are not cached: the same circuit still parses and
     // serves fine on an engine that supports it.
     let stats = handle.stats();
