@@ -69,7 +69,8 @@ impl PhaseRepr {
 /// `experiments ablation`; kernel timings in `docs/performance.md`).
 ///
 /// Every strategy consumes the RNG stream identically (they all draw the
-/// same assignment matrix `B`, group by group), so for a fixed seed all
+/// same assignment matrix `B`, unit by unit of the sampler's draw plan),
+/// so for a fixed seed all
 /// methods — including the one [`SamplingMethod::Auto`] picks — produce
 /// **bit-identical** samples; only the kernel computing `M · B` differs.
 /// `tests/sampling_methods.rs` pins this equality.

@@ -17,7 +17,7 @@ use symphase_circuit::Circuit;
 use crate::engine::{initialize, InitResult};
 use crate::expr::SymExpr;
 use crate::phases::{DensePhases, SparsePhases};
-use crate::symbol::{SymbolGroup, SymbolId, SymbolSink, SymbolTable};
+use crate::symbol::{DrawPlan, SymbolSink, SymbolTable};
 
 /// The SymPhase measurement sampler (paper Algorithm 1).
 ///
@@ -27,6 +27,14 @@ use crate::symbol::{SymbolGroup, SymbolId, SymbolSink, SymbolTable};
 /// **Sampling**: it draws an assignment matrix `B` from the noise model and
 /// multiplies (Eq. (4)) — no circuit traversal, so the per-shot cost is
 /// independent of the gate count (Table 1).
+///
+/// The symbol table and the record rows are the symbolic view: every
+/// symbol Initialization allocated, as [`SymPhaseSampler::symbol_table`]
+/// and the `*_expr` accessors report it. Sampling draws a compressed
+/// *draw plan* of that table instead, built once from the columns of `M`:
+/// noise no record reads is dropped, and groups that flip the same set of
+/// measurements merge into one Bernoulli draw. The records' distribution
+/// is exactly the table's (`docs/performance.md`, "Noise draw").
 ///
 /// # Example
 ///
@@ -54,20 +62,22 @@ pub struct SymPhaseSampler {
     /// (precomputed so sampling never needs the circuit back).
     auto_method: SamplingMethod,
     table: SymbolTable,
+    plan: DrawPlan,
     random_records: Vec<bool>,
     meas: Record,
     det: Record,
     obs: Record,
-    hybrid_index: OnceLock<HybridIndex>,
 }
 
 /// One record matrix (measurements, detectors or observables): its sparse
-/// rows over the assignment columns, plus the forms the other kernels
-/// multiply with, each built on first use.
+/// rows over the symbol ids, plus the forms the kernels multiply with —
+/// each over the draw plan's columns, built on first use.
 #[derive(Debug)]
 struct Record {
     rows: SparseRowMatrix,
-    /// The densified rows for [`SamplingMethod::DenseMatMul`].
+    /// The rows over plan columns for [`SamplingMethod::SparseRows`].
+    sparse: OnceLock<SparseRowMatrix>,
+    /// The densified plan rows for [`SamplingMethod::DenseMatMul`].
     dense: OnceLock<BitMatrix>,
     /// The coin/fault split for [`SamplingMethod::Hybrid`].
     hybrid: OnceLock<EventTarget>,
@@ -77,78 +87,56 @@ impl Record {
     fn new(rows: SparseRowMatrix) -> Self {
         Self {
             rows,
+            sparse: OnceLock::new(),
             dense: OnceLock::new(),
             hybrid: OnceLock::new(),
         }
     }
 
-    fn dense(&self) -> &BitMatrix {
-        self.dense.get_or_init(|| self.rows.to_dense())
+    fn sparse(&self, plan: &DrawPlan) -> &SparseRowMatrix {
+        self.sparse.get_or_init(|| plan.map_rows(&self.rows))
     }
 
-    fn hybrid(&self, idx: &HybridIndex) -> &EventTarget {
+    fn dense(&self, plan: &DrawPlan) -> &BitMatrix {
+        self.dense
+            .get_or_init(|| plan.map_rows(&self.rows).to_dense())
+    }
+
+    fn hybrid(&self, plan: &DrawPlan) -> &EventTarget {
         self.hybrid
-            .get_or_init(|| EventTarget::build(&idx.coin_rank, idx.num_coins, &self.rows))
+            .get_or_init(|| EventTarget::build(plan, &self.rows))
     }
 }
 
-/// The coin remapping [`SamplingMethod::Hybrid`] shares across records.
-#[derive(Debug)]
-struct HybridIndex {
-    /// `coin_rank[id]` = 1-based coin index, 0 for fault symbols (and for
-    /// the constant at index 0).
-    coin_rank: Vec<u32>,
-    num_coins: usize,
-}
-
-/// One record matrix as the hybrid strategy sees it.
+/// One record matrix as the hybrid strategy sees it. Plan columns
+/// `0..=num_coins` (the constant and the coins) form the coin part;
+/// every later plan column is a fault column.
 #[derive(Debug)]
 struct EventTarget {
-    /// Rows over remapped columns: 0 = constant, `k` = the k-th coin
-    /// (1-based).
+    /// Rows over plan columns `0..=num_coins`.
     coin_rows: SparseRowMatrix,
-    /// `sym_cols[id]` = rows containing fault symbol `id` (empty for
-    /// coins).
-    sym_cols: Vec<Vec<u32>>,
-}
-
-impl HybridIndex {
-    fn build(table: &SymbolTable) -> Self {
-        let mut coin_rank = vec![0u32; table.assignment_len()];
-        let mut num_coins = 0u32;
-        for g in table.groups() {
-            if let SymbolGroup::Coin { id } = g {
-                num_coins += 1;
-                coin_rank[*id as usize] = num_coins;
-            }
-        }
-        Self {
-            coin_rank,
-            num_coins: num_coins as usize,
-        }
-    }
+    /// `fault_rows[k]` = rows containing fault column `k`, which is plan
+    /// column `num_coins + 1 + k`.
+    fault_rows: Vec<Vec<u32>>,
 }
 
 impl EventTarget {
-    fn build(coin_rank: &[u32], num_coins: usize, rows: &SparseRowMatrix) -> Self {
-        let mut coin_rows = SparseRowMatrix::new(num_coins + 1);
-        let mut sym_cols = vec![Vec::new(); coin_rank.len()];
+    fn build(plan: &DrawPlan, rows: &SparseRowMatrix) -> Self {
+        let coins = plan.num_coins();
+        let mut coin_rows = SparseRowMatrix::new(coins + 1);
+        let mut fault_rows = vec![Vec::new(); plan.len() - coins - 1];
+        let mut cols = Vec::new();
         for (r, row) in rows.iter().enumerate() {
-            let mut coin_part = Vec::new();
-            for &c in row.indices() {
-                if c == 0 {
-                    coin_part.push(0);
-                } else if coin_rank[c as usize] != 0 {
-                    coin_part.push(coin_rank[c as usize]);
-                } else {
-                    sym_cols[c as usize].push(r as u32);
-                }
+            plan.map_row(row, &mut cols);
+            let split = cols.partition_point(|&c| c as usize <= coins);
+            coin_rows.push_row(SparseBitVec::from_indices(cols[..split].iter().copied()));
+            for &c in &cols[split..] {
+                fault_rows[c as usize - coins - 1].push(r as u32);
             }
-            coin_rows.push_row(SparseBitVec::from_indices(coin_part));
         }
         Self {
             coin_rows,
-            sym_cols,
+            fault_rows,
         }
     }
 }
@@ -212,16 +200,17 @@ impl SymPhaseSampler {
         };
         let det_rows = build_derived(detector_measurement_sets(circuit));
         let obs_rows = build_derived(observable_measurement_sets(circuit));
-        let auto_method = resolve_auto_from_matrix(&init.table, &meas_rows);
+        let plan = DrawPlan::build(&init.table, &meas_rows);
+        let auto_method = resolve_auto_from_matrix(&plan, &init.table, &meas_rows);
         Self {
             method,
             auto_method,
             table: init.table,
+            plan,
             random_records: init.random_records,
             meas: Record::new(meas_rows),
             det: Record::new(det_rows),
             obs: Record::new(obs_rows),
-            hybrid_index: OnceLock::new(),
         }
     }
 
@@ -245,7 +234,11 @@ impl SymPhaseSampler {
         self.obs.rows.rows()
     }
 
-    /// The symbol registry built during Initialization.
+    /// The symbol registry built during Initialization: every symbol the
+    /// records' expressions name. It is the symbolic view; sampling draws
+    /// the compressed draw plan built from it (see [`SymPhaseSampler`]),
+    /// so its [`SymbolTable::sample_assignments`] is not the sampler's
+    /// stream.
     pub fn symbol_table(&self) -> &SymbolTable {
         &self.table
     }
@@ -392,34 +385,31 @@ impl SymPhaseSampler {
                     SamplingMethod::Auto => unreachable!("resolved above"),
                     SamplingMethod::Hybrid => {
                         self.draw_hybrid(width, rng, scratch);
-                        let idx = self.hybrid_index();
                         let coins = scratch.coins.as_ref().expect("drawn above");
                         for (record, out) in outs.iter_mut() {
-                            apply_hybrid(record.hybrid(idx), coins, &scratch.events, out, start);
+                            let target = record.hybrid(&self.plan);
+                            apply_hybrid(target, coins, &scratch.events, out, start);
                         }
                     }
                     SamplingMethod::SparseRows | SamplingMethod::DenseMatMul => {
-                        let b =
-                            shaped(&mut scratch.assignments, self.table.assignment_len(), width);
-                        self.table.sample_assignments_into(b, rng);
+                        let b = shaped(&mut scratch.assignments, self.plan.len(), width);
+                        self.plan.sample_into(&self.table, b, rng);
                         for (record, out) in outs.iter_mut() {
                             if method == SamplingMethod::SparseRows {
-                                record.rows.mul_dense_into(b, out, start / 64);
+                                record.sparse(&self.plan).mul_dense_into(b, out, start / 64);
                             } else {
-                                record
-                                    .dense()
-                                    .mul_into(b, out, start / 64, &mut scratch.m4r);
+                                record.dense(&self.plan).mul_into(
+                                    b,
+                                    out,
+                                    start / 64,
+                                    &mut scratch.m4r,
+                                );
                             }
                         }
                     }
                 }
             }
         });
-    }
-
-    fn hybrid_index(&self) -> &HybridIndex {
-        self.hybrid_index
-            .get_or_init(|| HybridIndex::build(&self.table))
     }
 }
 
@@ -450,60 +440,67 @@ impl Sampler for SymPhaseSampler {
 impl SymPhaseSampler {
     /// The [`SamplingMethod::Hybrid`] draw for one shot window: fills the
     /// coin matrix (constant row + one row per coin) and collects every
-    /// fired fault as a `(symbol, shot)` event into the scratch. The draw
-    /// itself is the table's shared noise draw, so the sampled bits match
-    /// every other [`SamplingMethod`].
+    /// fired fault as a `(fault column, shot)` event into the scratch. The
+    /// draw itself is the plan's, so the sampled bits match every other
+    /// [`SamplingMethod`].
     fn draw_hybrid(&self, width: usize, rng: &mut impl Rng, scratch: &mut SampleScratch) {
-        let idx = self.hybrid_index();
-        let coins = shaped(&mut scratch.coins, idx.num_coins + 1, width);
+        let num_coins = self.plan.num_coins();
+        let coins = shaped(&mut scratch.coins, num_coins + 1, width);
         // Row 0: the constant symbol s₀ = 1 (p = 1 draws no randomness).
         fill_bernoulli(coins.row_mut(0), width, 1.0, rng);
         scratch.events.clear();
         let mut sink = HybridSink {
             ids: [0; 4],
-            coin_rank: &idx.coin_rank,
+            num_coins: num_coins as u32,
             coins,
             events: &mut scratch.events,
         };
-        self.table.draw(width, rng, &mut sink);
+        self.plan.draw(&self.table, width, rng, &mut sink);
     }
 }
 
-/// Routes coins to their rows of the coin matrix and fault symbols to
-/// `(symbol, shot)` events.
+/// Routes coins to their rows of the coin matrix and fault columns to
+/// `(fault column, shot)` events.
 struct HybridSink<'a> {
-    ids: [SymbolId; 4],
-    coin_rank: &'a [u32],
+    ids: [u32; 4],
+    num_coins: u32,
     coins: &'a mut BitMatrix,
     events: &'a mut Vec<(u32, u32)>,
+}
+
+impl HybridSink<'_> {
+    /// The fault column of `slot` (see [`EventTarget::fault_rows`]).
+    fn fault(&self, slot: usize) -> u32 {
+        self.ids[slot] - self.num_coins - 1
+    }
 }
 
 impl FaultSink for HybridSink<'_> {
     fn bernoulli<R: Rng>(&mut self, slot: usize, p: f64, width: usize, rng: &mut R) {
         let id = self.ids[slot];
-        match self.coin_rank[id as usize] as usize {
+        if id <= self.num_coins {
+            fill_bernoulli(self.coins.row_mut(id as usize), width, p, rng);
+        } else {
             // No per-event choice draws, so a fault's mask need not be
             // materialized (same RNG stream either way).
-            0 => for_each_bernoulli_index(p, width, rng, |shot| {
-                self.events.push((id, shot as u32));
-            }),
-            k => fill_bernoulli(self.coins.row_mut(k), width, p, rng),
+            let k = self.fault(slot);
+            for_each_bernoulli_index(p, width, rng, |shot| self.events.push((k, shot as u32)));
         }
     }
 
     fn set(&mut self, slot: usize, shot: usize) {
-        self.events.push((self.ids[slot], shot as u32));
+        self.events.push((self.fault(slot), shot as u32));
     }
 
     fn mask(&mut self, slot: usize, fired: &[u64]) {
-        let id = self.ids[slot];
+        let k = self.fault(slot);
         self.events
-            .extend(iter_ones(fired).map(|shot| (id, shot as u32)));
+            .extend(iter_ones(fired).map(|shot| (k, shot as u32)));
     }
 }
 
 impl SymbolSink for HybridSink<'_> {
-    fn set_group(&mut self, ids: [SymbolId; 4]) {
+    fn set_group(&mut self, ids: [u32; 4]) {
         self.ids = ids;
     }
 }
@@ -522,10 +519,10 @@ fn apply_hybrid(
     target.coin_rows.mul_dense_into(coins, out, start / 64);
     let ostride = out.stride();
     let words = out.words_mut();
-    for &(id, shot) in events {
+    for &(k, shot) in events {
         let col = start + shot as usize;
         let (w, mask) = (col / 64, 1u64 << (col % 64));
-        for &m in &target.sym_cols[id as usize] {
+        for &m in &target.fault_rows[k as usize] {
             words[m as usize * ostride + w] ^= mask;
         }
     }
@@ -538,40 +535,42 @@ fn apply_hybrid(
 const FLIP_COST: f64 = 8.0;
 
 /// [`SamplingMethod::Auto`] resolution from what Initialization actually
-/// built. Costs are per 64-shot word:
+/// built, over the draw plan's columns. Costs are per 64-shot word:
 ///
-/// * `Hybrid` — the coin-restricted product plus, per noise outcome, its
-///   probability times the rows its symbols touch (the same as each fault
-///   symbol's marginal fire probability times its rows), weighted by
-///   [`FLIP_COST`] (events are scattered single-bit flips).
-/// * matrix product — one word XOR per set bit of `M`; within that, the
-///   blocked kernel wins once rows average more set bits than the kernel
-///   has 8-bit column groups (one table lookup replaces up to 8 gathers).
-fn resolve_auto_from_matrix(table: &SymbolTable, meas_rows: &SparseRowMatrix) -> SamplingMethod {
-    let len = table.assignment_len();
+/// * `Hybrid` — the coin-restricted product plus, per noise outcome of
+///   the plan, its probability times the rows its columns touch (the same
+///   as each fault column's marginal fire probability times its rows),
+///   weighted by [`FLIP_COST`] (events are scattered single-bit flips).
+/// * matrix product — one word XOR per set bit of the plan's `M`; within
+///   that, the blocked kernel wins once rows average more set bits than
+///   the kernel has 8-bit column groups (one table lookup replaces up to
+///   8 gathers).
+fn resolve_auto_from_matrix(
+    plan: &DrawPlan,
+    table: &SymbolTable,
+    meas_rows: &SparseRowMatrix,
+) -> SamplingMethod {
+    let len = plan.len();
     let mut colcount = vec![0u32; len];
     let mut nnz = 0usize;
+    let mut cols = Vec::new();
     for row in meas_rows.iter() {
-        for &c in row.indices() {
+        plan.map_row(row, &mut cols);
+        for &c in &cols {
             colcount[c as usize] += 1;
-            nnz += 1;
         }
+        nnz += cols.len();
     }
     // Constant + coin columns are multiplied densely by the hybrid path.
-    let mut coin_nnz = colcount[0] as f64;
-    for group in table.groups() {
-        if let SymbolGroup::Coin { id } = *group {
-            coin_nnz += colcount[id as usize] as f64;
-        }
-    }
+    let coin_nnz: f64 = colcount[..=plan.num_coins()]
+        .iter()
+        .map(|&n| f64::from(n))
+        .sum();
     // Expected fault-bit flips per shot: each outcome's probability times
-    // the measurement rows its symbols touch.
+    // the measurement rows its columns touch.
     let mut flips_per_shot = 0.0;
-    table.for_each_outcome(|symbols, p| {
-        let rows: f64 = symbols
-            .iter()
-            .map(|&s| f64::from(colcount[s as usize]))
-            .sum();
+    plan.for_each_outcome(table, |cols, p| {
+        let rows: f64 = cols.iter().map(|&c| f64::from(colcount[c as usize])).sum();
         flips_per_shot += p * rows;
     });
     let hybrid_cost = coin_nnz + FLIP_COST * 64.0 * flips_per_shot;

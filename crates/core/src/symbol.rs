@@ -6,11 +6,13 @@
 //! introduces a pair `(s_x, s_z)` valued `00, 10, 11, 01` with probabilities
 //! `1−p, p/3, p/3, p/3`).
 
+use std::collections::HashMap;
+
 use rand::Rng;
 
 use symphase_backend::noise::{self, FaultSink, NoiseScratch, NoiseSite};
 use symphase_bitmat::bernoulli::fill_bernoulli;
-use symphase_bitmat::BitMatrix;
+use symphase_bitmat::{BitMatrix, SparseBitVec, SparseRowMatrix};
 
 /// Identifier of a bit-symbol: its column index in phase vectors.
 /// Index 0 is reserved for the constant `s₀ = 1` (paper §3.2.1), so real
@@ -181,7 +183,10 @@ impl SymbolTable {
     /// Samples the assignment matrix `B ∈ F₂^{(n_s+1) × shots}`: row 0 is
     /// the constant 1, row `k` the sampled values of symbol `k` across
     /// shots (64 shots per word). This is the noise-model-dependent part of
-    /// the paper's Sampling procedure.
+    /// the paper's Sampling procedure, uncompressed: the sampler itself
+    /// draws the table's compressed draw plan instead (see
+    /// [`SymPhaseSampler`](crate::SymPhaseSampler)), which gives every
+    /// record the same distribution from fewer draws.
     pub fn sample_assignments(&self, shots: usize, rng: &mut impl Rng) -> BitMatrix {
         let mut b = BitMatrix::zeros(self.assignment_len(), shots);
         self.sample_assignments_into(&mut b, rng);
@@ -189,8 +194,8 @@ impl SymbolTable {
     }
 
     /// In-place variant of [`SymbolTable::sample_assignments`]: refills a
-    /// previously shaped `(assignment_len × shots)` matrix, so shot-batched
-    /// sampling reuses one buffer instead of allocating per batch. The RNG
+    /// previously shaped `(assignment_len × shots)` matrix, so repeated
+    /// draws reuse one buffer instead of allocating per batch. The RNG
     /// stream consumed is identical to the allocating variant.
     ///
     /// # Panics
@@ -198,29 +203,7 @@ impl SymbolTable {
     /// Panics if `b.rows() != assignment_len()`.
     pub fn sample_assignments_into(&self, b: &mut BitMatrix, rng: &mut impl Rng) {
         assert_eq!(b.rows(), self.assignment_len(), "assignment row mismatch");
-        let shots = b.cols();
-        b.words_mut().fill(0);
-        // Row 0: the constant symbol s₀ = 1 (p = 1 draws no randomness).
-        fill_bernoulli(b.row_mut(0), shots, 1.0, rng);
-        let stride = b.stride();
-        let mut sink = MatrixSink {
-            ids: [0; 4],
-            words: b.words_mut(),
-            stride,
-        };
-        self.draw(shots, rng, &mut sink);
-    }
-
-    /// Draws every group, in allocation order, for a window of `width`
-    /// shots through the shared noise draw; before each group, `sink`
-    /// learns the group's symbols in slot order.
-    pub(crate) fn draw<S: SymbolSink>(&self, width: usize, rng: &mut impl Rng, sink: &mut S) {
-        let mut scratch = NoiseScratch::default();
-        for group in &self.groups {
-            let (site, ids) = group.site();
-            sink.set_group(ids);
-            noise::draw(&site, width, rng, &mut scratch, sink);
-        }
+        fill_assignments(b, rng, self.groups.iter().map(SymbolGroup::site));
     }
 
     /// Calls `f(symbols, p)` for every non-identity outcome of every noise
@@ -235,22 +218,81 @@ impl SymbolTable {
                 continue;
             }
             let (site, ids) = group.site();
-            site.for_each_outcome(&mut chain_none, |slots, p| {
-                let mut symbols = [0; 4];
-                let mut n = 0;
-                for (j, &id) in ids.iter().enumerate() {
-                    if slots & (1 << j) != 0 {
-                        symbols[n] = id;
-                        n += 1;
-                    }
-                }
-                f(&symbols[..n], p);
-            });
+            for_each_site_outcome(&site, ids, &mut chain_none, &mut f);
         }
     }
 }
 
+/// [`NoiseSite::for_each_outcome`] with each outcome's slot set resolved
+/// to the symbols (or plan columns) `ids` gives those slots.
+fn for_each_site_outcome(
+    site: &NoiseSite,
+    ids: [SymbolId; 4],
+    chain_none: &mut f64,
+    f: &mut impl FnMut(&[SymbolId], f64),
+) {
+    site.for_each_outcome(chain_none, |slots, p| {
+        let mut symbols = [0; 4];
+        let mut n = 0;
+        for (j, &id) in ids.iter().enumerate() {
+            if slots & (1 << j) != 0 {
+                symbols[n] = id;
+                n += 1;
+            }
+        }
+        f(&symbols[..n], p);
+    });
+}
+
+/// Refills `b` (zeroed here): row 0 the constant 1, then every site in
+/// order through the shared noise draw, each slot into the row its id
+/// names.
+fn fill_assignments(
+    b: &mut BitMatrix,
+    rng: &mut impl Rng,
+    sites: impl Iterator<Item = (NoiseSite, [SymbolId; 4])>,
+) {
+    let shots = b.cols();
+    b.words_mut().fill(0);
+    // Row 0: the constant symbol s₀ = 1 (p = 1 draws no randomness).
+    fill_bernoulli(b.row_mut(0), shots, 1.0, rng);
+    let stride = b.stride();
+    let mut sink = MatrixSink {
+        ids: [0; 4],
+        words: b.words_mut(),
+        stride,
+    };
+    draw_sites(sites, shots, rng, &mut sink);
+}
+
+/// Draws `sites` in order for a window of `width` shots through the
+/// shared noise draw; before each site, `sink` learns its slots' ids.
+fn draw_sites<S: SymbolSink>(
+    sites: impl Iterator<Item = (NoiseSite, [SymbolId; 4])>,
+    width: usize,
+    rng: &mut impl Rng,
+    sink: &mut S,
+) {
+    let mut scratch = NoiseScratch::default();
+    for (site, ids) in sites {
+        sink.set_group(ids);
+        noise::draw(&site, width, rng, &mut scratch, sink);
+    }
+}
+
 impl SymbolGroup {
+    /// `true` for an `ELSE_CORRELATED_ERROR` element, which continues the
+    /// previous group's chain.
+    fn continues_chain(&self) -> bool {
+        matches!(
+            self,
+            SymbolGroup::Correlated {
+                else_branch: true,
+                ..
+            }
+        )
+    }
+
     /// The group's noise site and its symbols in slot order
     /// (`[x_a, z_a, x_b, z_b]`; unused slots are 0). A coin is a
     /// `Bernoulli(0.5)` site.
@@ -274,6 +316,303 @@ impl SymbolGroup {
                 (NoiseSite::Correlated { p, else_branch }, [id, 0, 0, 0])
             }
         }
+    }
+}
+
+/// What sampling draws instead of every [`SymbolGroup`]: the table
+/// compressed against the columns of the measurement matrix `M`.
+///
+/// Every record the sampler emits is a sum of `M` rows, so a symbol's
+/// effect on every record is fixed by its *signature*, the set of `M`
+/// rows its column touches. The plan keeps the table's distribution of
+/// every record exactly, with fewer draws:
+///
+/// * a **dead** group, whose symbols are all zero columns, is dropped;
+/// * a noise group whose live symbols all share one signature σ
+///   contributes σ times their parity, a Bernoulli(q) bit with q the sum
+///   of the group's odd-parity outcomes; groups with equal σ merge into
+///   one unit with `q ← q₁(1−q₂) + q₂(1−q₁)`;
+/// * everything else is drawn **whole**, as the table would: coins,
+///   groups live on two or more signatures, and `E`/`ELSE` chains.
+///
+/// Units are drawn in a canonical order: coins and whole groups in
+/// allocation order, then merged units sorted by signature. So dropping
+/// dead noise from a circuit leaves the stream unchanged.
+///
+/// The plan has its own columns: 0 is the constant, `1..=num_coins` the
+/// live coins in allocation order, then the slots of whole noise groups
+/// in allocation order, then one column per merged unit. A row over
+/// symbol ids maps to plan columns by [`DrawPlan::map_row`].
+#[derive(Debug)]
+pub(crate) struct DrawPlan {
+    /// The table groups drawn whole, by index, in allocation order.
+    whole: Vec<u32>,
+    /// Each merged unit's q, in signature order.
+    merged: Vec<f64>,
+    /// `columns[id]` = the plan column of symbol `id`, [`DEAD`] when no
+    /// row reads it.
+    columns: Vec<u32>,
+    num_coins: usize,
+    len: usize,
+}
+
+/// Plan column of a symbol no row reads.
+const DEAD: u32 = u32::MAX;
+
+/// Tags a merged unit's provisional index in the column map while the
+/// plan is built (its column is known only once units are sorted).
+const MERGED: u32 = 1 << 31;
+
+impl DrawPlan {
+    /// Builds the plan of `table` against the measurement matrix `rows`
+    /// (columns = symbol ids). O(nnz of `rows`) plus the merged units'
+    /// sort.
+    pub(crate) fn build(table: &SymbolTable, rows: &SparseRowMatrix) -> Self {
+        let len = table.assignment_len();
+        // Plan columns never exceed symbol ids, so they stay below the tag.
+        assert!(len < MERGED as usize, "too many symbols for a draw plan");
+        let cols = Transpose::of(rows, len);
+        let live = |id: SymbolId| !cols.column(id).is_empty();
+        let groups = table.groups();
+        let num_coins = groups
+            .iter()
+            .filter(|g| matches!(g, SymbolGroup::Coin { id } if live(*id)))
+            .count();
+        let mut columns = vec![DEAD; len];
+        columns[0] = 0;
+        let (mut next_coin, mut next) = (1u32, num_coins as u32 + 1);
+        let mut whole = Vec::new();
+        // Merged units: their signature and q, in first-seen order.
+        let mut merged: Vec<(&[u32], f64)> = Vec::new();
+        let mut by_signature: HashMap<&[u32], u32> = HashMap::new();
+        // A group drawn whole: its slots take the next columns of `next`
+        // (the numbering `DrawPlan::sites` repeats).
+        let take_columns = |index: usize, ids: &[SymbolId], columns: &mut [u32], next: &mut u32| {
+            for &id in ids {
+                columns[id as usize] = *next;
+                *next += 1;
+            }
+            index as u32
+        };
+        let mut chain_live = false;
+        for (i, group) in groups.iter().enumerate() {
+            let (site, ids) = group.site();
+            let ids = &ids[..site.slots()];
+            match *group {
+                SymbolGroup::Coin { id } => {
+                    if live(id) {
+                        whole.push(take_columns(i, ids, &mut columns, &mut next_coin));
+                    }
+                }
+                SymbolGroup::Correlated {
+                    id, else_branch, ..
+                } => {
+                    // A chain, an `E` and the `ELSE`s after it, is dropped
+                    // only when every element is dead.
+                    if !else_branch {
+                        chain_live = live(id)
+                            || groups[i + 1..]
+                                .iter()
+                                .take_while(|g| g.continues_chain())
+                                .any(|g| live(g.site().1[0]));
+                    }
+                    if chain_live {
+                        whole.push(take_columns(i, ids, &mut columns, &mut next));
+                    }
+                }
+                _ => {
+                    let mut live_slots = 0u8;
+                    let mut signature: Option<&[u32]> = None;
+                    let mut single = true;
+                    for (j, &id) in ids.iter().enumerate() {
+                        let col = cols.column(id);
+                        if !col.is_empty() {
+                            live_slots |= 1 << j;
+                            single &= signature.is_none_or(|s| s == col);
+                            signature = Some(col);
+                        }
+                    }
+                    match signature {
+                        None => {}
+                        Some(sig) if single => {
+                            let mut q = 0.0;
+                            site.for_each_outcome(&mut 1.0, |slots, p| {
+                                if (slots & live_slots).count_ones() % 2 == 1 {
+                                    q += p;
+                                }
+                            });
+                            let m = *by_signature.entry(sig).or_insert_with(|| {
+                                merged.push((sig, 0.0));
+                                merged.len() as u32 - 1
+                            });
+                            let acc = &mut merged[m as usize].1;
+                            *acc = (*acc * (1.0 - q) + q * (1.0 - *acc)).clamp(0.0, 1.0);
+                            for (j, &id) in ids.iter().enumerate() {
+                                if live_slots & (1 << j) != 0 {
+                                    columns[id as usize] = MERGED | m;
+                                }
+                            }
+                        }
+                        Some(_) => whole.push(take_columns(i, ids, &mut columns, &mut next)),
+                    }
+                }
+            }
+        }
+        let mut order: Vec<u32> = (0..merged.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| merged[a as usize].0.cmp(merged[b as usize].0));
+        let mut rank = vec![0u32; merged.len()];
+        for (id, &m) in (next..).zip(&order) {
+            rank[m as usize] = id;
+        }
+        for c in &mut columns {
+            if *c != DEAD && *c & MERGED != 0 {
+                *c = rank[(*c & !MERGED) as usize];
+            }
+        }
+        // A sampler keeps its plan for life (a `serve` cache holds many).
+        whole.shrink_to_fit();
+        Self {
+            whole,
+            merged: order.iter().map(|&m| merged[m as usize].1).collect(),
+            columns,
+            num_coins,
+            len: next as usize + merged.len(),
+        }
+    }
+
+    /// Number of plan columns (constant included): the rows of the
+    /// assignment matrix the plan fills.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Number of live coins: plan columns `1..=num_coins`.
+    pub(crate) fn num_coins(&self) -> usize {
+        self.num_coins
+    }
+
+    /// Maps a row over symbol ids into `out`: its plan columns, sorted and
+    /// deduplicated. Symbols merged into one unit have equal columns in
+    /// every row, so they appear together and map to the unit once —
+    /// never XOR-cancelled.
+    pub(crate) fn map_row(&self, row: &SparseBitVec, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(
+            row.indices()
+                .iter()
+                .map(|&c| self.columns[c as usize])
+                .filter(|&c| c != DEAD),
+        );
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Maps every row of `rows` (see [`DrawPlan::map_row`]).
+    pub(crate) fn map_rows(&self, rows: &SparseRowMatrix) -> SparseRowMatrix {
+        let mut out = SparseRowMatrix::new(self.len);
+        let mut buf = Vec::new();
+        for row in rows.iter() {
+            self.map_row(row, &mut buf);
+            out.push_row(SparseBitVec::from_indices(buf.iter().copied()));
+        }
+        out
+    }
+
+    /// Each unit's noise site and the plan columns its slots land in, in
+    /// draw order: the whole groups, then the merged units.
+    pub(crate) fn sites<'a>(
+        &'a self,
+        table: &'a SymbolTable,
+    ) -> impl Iterator<Item = (NoiseSite, [u32; 4])> + 'a {
+        // The next column of a coin and of a whole noise group's slot.
+        let (mut coin, mut noise) = (1, self.num_coins as u32 + 1);
+        let whole = self.whole.iter().map(move |&index| {
+            let group = &table.groups[index as usize];
+            let (site, _) = group.site();
+            let next = if matches!(group, SymbolGroup::Coin { .. }) {
+                &mut coin
+            } else {
+                &mut noise
+            };
+            let column = *next;
+            *next += site.slots() as u32;
+            (site, std::array::from_fn(|j| column + j as u32))
+        });
+        let first = (self.len - self.merged.len()) as u32;
+        let merged = (first..)
+            .zip(&self.merged)
+            .map(|(id, &q)| (NoiseSite::Bernoulli(q), [id, 0, 0, 0]));
+        whole.chain(merged)
+    }
+
+    /// Draws every unit for a window of `width` shots through the shared
+    /// noise draw; before each unit, `sink` learns its plan columns.
+    pub(crate) fn draw<S: SymbolSink>(
+        &self,
+        table: &SymbolTable,
+        width: usize,
+        rng: &mut impl Rng,
+        sink: &mut S,
+    ) {
+        draw_sites(self.sites(table), width, rng, sink);
+    }
+
+    /// [`SymbolTable::sample_assignments_into`] for the plan: refills a
+    /// `(len × shots)` matrix over plan columns.
+    pub(crate) fn sample_into(&self, table: &SymbolTable, b: &mut BitMatrix, rng: &mut impl Rng) {
+        debug_assert_eq!(b.rows(), self.len, "plan row mismatch");
+        fill_assignments(b, rng, self.sites(table));
+    }
+
+    /// [`SymbolTable::for_each_outcome`] over the plan's noise units, with
+    /// plan columns in place of symbols.
+    pub(crate) fn for_each_outcome(&self, table: &SymbolTable, mut f: impl FnMut(&[u32], f64)) {
+        let mut chain_none = 1.0;
+        for (site, ids) in self.sites(table) {
+            if ids[0] as usize > self.num_coins {
+                for_each_site_outcome(&site, ids, &mut chain_none, &mut f);
+            }
+        }
+    }
+}
+
+/// The columns of a sparse row matrix: per column, the rows it touches
+/// in ascending order. Built by a counting sort into one buffer, the
+/// `cols + 1` column offsets followed by the row lists.
+struct Transpose {
+    buf: Vec<u32>,
+    cols: usize,
+}
+
+impl Transpose {
+    fn of(m: &SparseRowMatrix, cols: usize) -> Self {
+        let len = cols + 1 + m.count_ones();
+        u32::try_from(len).expect("a transpose is indexed by u32");
+        let mut buf = vec![0u32; len];
+        let (start, rows) = buf.split_at_mut(cols + 1);
+        for row in m.iter() {
+            for &c in row.indices() {
+                start[c as usize + 1] += 1;
+            }
+        }
+        for c in 0..cols {
+            start[c + 1] += start[c];
+        }
+        for (r, row) in m.iter().enumerate() {
+            for &c in row.indices() {
+                rows[start[c as usize] as usize] = r as u32;
+                start[c as usize] += 1;
+            }
+        }
+        // Each `start[c]` advanced to its column's end, the next start.
+        start.copy_within(0..cols, 1);
+        start[0] = 0;
+        Self { buf, cols }
+    }
+
+    fn column(&self, c: SymbolId) -> &[u32] {
+        let (start, rows) = self.buf.split_at(self.cols + 1);
+        &rows[start[c as usize] as usize..start[c as usize + 1] as usize]
     }
 }
 
@@ -321,8 +660,11 @@ impl SymbolSink for MatrixSink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SymPhaseSampler;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use symphase_circuit::generators::{fig3c_circuit, surface_code_memory, SurfaceCodeConfig};
+    use symphase_circuit::Circuit;
 
     fn chain(p: f64, else_branch: bool) -> NoiseSite {
         NoiseSite::Correlated { p, else_branch }
@@ -546,6 +888,209 @@ mod tests {
         for ((ids, fire), sum) in groups.iter().zip(&sums) {
             assert!((sum - fire).abs() < 1e-12, "group {ids:?}: {sum} vs {fire}");
         }
+    }
+
+    /// The record rows a test compares: measurements, then detectors, then
+    /// observables.
+    fn records(s: &SymPhaseSampler) -> Vec<&SparseRowMatrix> {
+        vec![
+            s.measurement_matrix(),
+            s.detector_rows(),
+            s.observable_rows(),
+        ]
+    }
+
+    /// The exact joint distribution of every record (bit `r` of the key =
+    /// record `r`) when `sites` are drawn and column `c` flips the records
+    /// set in `flips[c]`. Each site is one independent variable, except
+    /// that an `E`/`ELSE` chain is one variable with at most one element
+    /// firing.
+    fn distribution(
+        sites: impl Iterator<Item = (NoiseSite, [u32; 4])>,
+        flips: &[u64],
+    ) -> HashMap<u64, f64> {
+        // Each variable: its non-identity outcomes as (flipped records, p).
+        let mut vars: Vec<Vec<(u64, f64)>> = Vec::new();
+        let mut chain_none = 1.0;
+        for (site, ids) in sites {
+            if !matches!(
+                site,
+                NoiseSite::Correlated {
+                    else_branch: true,
+                    ..
+                }
+            ) {
+                vars.push(Vec::new());
+            }
+            let var = vars.last_mut().expect("a chain starts with E");
+            site.for_each_outcome(&mut chain_none, |slots, p| {
+                let mask = (0..4)
+                    .filter(|j| slots & (1 << j) != 0)
+                    .fold(0, |m, j| m ^ flips[ids[j] as usize]);
+                var.push((mask, p));
+            });
+        }
+        let mut dist = HashMap::from([(flips[0], 1.0)]);
+        for var in vars {
+            let none = 1.0 - var.iter().map(|&(_, p)| p).sum::<f64>();
+            let mut next = HashMap::new();
+            for (&key, &p) in &dist {
+                *next.entry(key).or_insert(0.0) += p * none;
+                for &(mask, q) in &var {
+                    *next.entry(key ^ mask).or_insert(0.0) += p * q;
+                }
+            }
+            dist = next;
+        }
+        dist
+    }
+
+    /// `flips[c]` = the records column `c` of `rows` appears in.
+    fn flips(rows: &[&SparseRowMatrix], cols: usize) -> Vec<u64> {
+        let mut flips = vec![0u64; cols];
+        for (r, row) in rows.iter().flat_map(|m| m.iter()).enumerate() {
+            assert!(r < 64, "too many records to enumerate");
+            for &c in row.indices() {
+                flips[c as usize] |= 1 << r;
+            }
+        }
+        flips
+    }
+
+    /// Draw units of each kind: (merged, whole groups and coins).
+    fn unit_kinds(plan: &DrawPlan) -> (usize, usize) {
+        (plan.merged.len(), plan.whole.len())
+    }
+
+    fn assert_plan_is_exact(text: &str) -> DrawPlan {
+        let c = Circuit::parse(text).expect("parses");
+        let s = SymPhaseSampler::new(&c);
+        let table = s.symbol_table();
+        let plan = DrawPlan::build(table, s.measurement_matrix());
+        let rows = records(&s);
+        let full = distribution(
+            table.groups().iter().map(SymbolGroup::site),
+            &flips(&rows, table.assignment_len()),
+        );
+        let mapped: Vec<SparseRowMatrix> = rows.iter().map(|m| plan.map_rows(m)).collect();
+        let compressed = distribution(
+            plan.sites(table),
+            &flips(&mapped.iter().collect::<Vec<_>>(), plan.len()),
+        );
+        for key in full.keys().chain(compressed.keys()) {
+            let (a, b) = (
+                full.get(key).copied().unwrap_or(0.0),
+                compressed.get(key).copied().unwrap_or(0.0),
+            );
+            assert!(
+                (a - b).abs() < 1e-12,
+                "records {key:b}: {a} vs {b} in\n{text}"
+            );
+        }
+        plan
+    }
+
+    #[test]
+    fn plan_distribution_is_exact() {
+        // Every site kind, an E/ELSE chain, coins, detectors and an
+        // observable.
+        let every_kind = "R 0 1 2 3 4\nCX 0 1 2 3\nX_ERROR(0.1) 0 1\nY_ERROR(0.05) 2\n\
+            Z_ERROR(0.2) 3 0\nDEPOLARIZE1(0.15) 0 1 2 3\nDEPOLARIZE2(0.1) 0 1 2 3\n\
+            PAULI_CHANNEL_1(0.05,0.1,0.15) 1 3\n\
+            PAULI_CHANNEL_2(0.01,0.02,0.03,0.04,0.05,0.01,0.02,0.03,0.04,0.05,0.01,0.02,0.03,0.04,0.05) 0 2\n\
+            E(0.2) X0 Z1\nELSE_CORRELATED_ERROR(0.3) Y2 X3\nELSE_CORRELATED_ERROR(0.5) X1\n\
+            H 4\nM 0 1 2 3 4\nDETECTOR rec[-2] rec[-3]\nDETECTOR rec[-4] rec[-5]\n\
+            OBSERVABLE_INCLUDE(0) rec[-2]\n";
+        let plan = assert_plan_is_exact(every_kind);
+        assert!(unit_kinds(&plan).0 > 0, "nothing merged");
+
+        // A dead channel is dropped: Z errors before Z measurements.
+        let dead = assert_plan_is_exact("Z_ERROR(0.3) 0 1\nX_ERROR(0.1) 1\nM 0 1\n");
+        assert_eq!(unit_kinds(&dead), (1, 0));
+
+        // Two groups on one signature merge into one unit; so do the two
+        // halves of a DEPOLARIZE1 when only its X part is live.
+        let merged = assert_plan_is_exact(
+            "X_ERROR(0.1) 0\nDEPOLARIZE1(0.2) 0\nX_ERROR(0.3) 0\nM 0\nDETECTOR rec[-1]\n",
+        );
+        assert_eq!(unit_kinds(&merged), (1, 0));
+
+        // Both halves live on one signature: the unit fires on X or Z,
+        // and Y, which flips the record twice, does not count.
+        let parity = assert_plan_is_exact("H 0\nS 0\nDEPOLARIZE1(0.3) 0\nMY 0\n");
+        assert_eq!(unit_kinds(&parity), (1, 0));
+
+        // On a Bell pair, X flips the ZZ check and Z the XX check: the
+        // parts are live on different signatures, so it is drawn whole.
+        let split = assert_plan_is_exact(
+            "H 0\nCX 0 1\nDEPOLARIZE1(0.3) 0\nMPP X0*X1 Z0*Z1\nDETECTOR rec[-1]\n",
+        );
+        assert_eq!((split.whole.as_slice(), split.merged.len()), (&[0][..], 0));
+        assert_eq!(split.len, 3, "the constant and the X and Z columns");
+
+        // A chain with a dead element stays whole; a dead chain is dropped.
+        assert_plan_is_exact(
+            "E(0.25) Z0\nELSE_CORRELATED_ERROR(0.5) X1\nELSE_CORRELATED_ERROR(0.5) X0\n\
+             E(0.4) Z1\nELSE_CORRELATED_ERROR(0.4) Z0\nM 0 1\n",
+        );
+    }
+
+    /// Per-record and adjacent-record XOR rates of the sampler, which
+    /// draws the plan, against the uncompressed table times the record
+    /// rows, within 6σ.
+    fn assert_rates_match(c: &Circuit, shots: usize) {
+        let s = SymPhaseSampler::new(c);
+        let ours = s.sample_batch(shots, &mut StdRng::seed_from_u64(11));
+        let b = s
+            .symbol_table()
+            .sample_assignments(shots, &mut StdRng::seed_from_u64(12));
+        let pairs = [
+            (&ours.measurements, s.measurement_matrix()),
+            (&ours.detectors, s.detector_rows()),
+            (&ours.observables, s.observable_rows()),
+        ];
+        let ones = |m: &BitMatrix, r: usize, next: bool| -> usize {
+            let words = m
+                .row(r)
+                .iter()
+                .zip(if next { m.row(r + 1) } else { m.row(r) });
+            words
+                .map(|(&a, &b)| (if next { a ^ b } else { a }).count_ones() as usize)
+                .sum()
+        };
+        let mut checked = 0;
+        for (sampled, rows) in pairs {
+            let reference = rows.mul_dense(&b);
+            for r in 0..rows.rows() {
+                for next in [false, true] {
+                    if next && r + 1 == rows.rows() {
+                        continue;
+                    }
+                    let (x, y) = (ones(sampled, r, next), ones(&reference, r, next));
+                    let p = (x + y) as f64 / (2 * shots) as f64;
+                    let sigma = (p * (1.0 - p) * 2.0 / shots as f64).sqrt();
+                    let diff = (x as f64 - y as f64).abs() / shots as f64;
+                    assert!(
+                        diff <= 6.0 * sigma,
+                        "record {r} (xor next: {next}): {x} vs {y} of {shots}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 100, "only {checked} statistics");
+    }
+
+    #[test]
+    fn plan_rates_match_the_uncompressed_draw() {
+        assert_rates_match(&fig3c_circuit(64, 0.01, 7), 1 << 16);
+        let surface = surface_code_memory(&SurfaceCodeConfig {
+            distance: 5,
+            rounds: 5,
+            data_error: 0.01,
+            measure_error: 0.01,
+        });
+        assert_rates_match(&surface, 1 << 16);
     }
 
     #[test]

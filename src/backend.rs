@@ -42,15 +42,8 @@ pub fn build_sampler(
     config: &SimConfig,
 ) -> Result<Box<dyn Sampler>, BuildError> {
     config.validate()?;
-    // Every stabilizer engine builds an O(n²) tableau (the frame engine
-    // for its reference sample); refuse before anything allocates it.
-    let qubits = circuit.num_qubits();
-    if config.engine() != EngineKind::StateVec && tableau_bytes(qubits) > TABLEAU_BUDGET_BYTES {
-        return Err(BuildError::CircuitTooLarge {
-            engine: config.engine().name(),
-            qubits,
-            max_qubits: max_tableau_qubits(),
-        });
+    if config.engine() != EngineKind::StateVec {
+        check_tableau_budget(circuit, config.engine())?;
     }
     // With `optimize` set, the engine is built from the optimizer's
     // verified output circuit — by construction bit-identical per seed
@@ -72,6 +65,27 @@ pub fn build_sampler(
         EngineKind::Tableau => Box::new(TableauSampler::new(circuit)),
         EngineKind::StateVec => Box::new(StateVecSampler::try_new(circuit)?),
     })
+}
+
+/// Refuses `circuit` when the O(n²) stabilizer tableau `engine` would
+/// build for it exceeds the 256 MiB budget, before anything
+/// allocates it. Every stabilizer engine builds one (the frame engine for
+/// its reference sample), and so does every analysis that initializes
+/// SymPhase or takes a reference sample: call this first.
+///
+/// # Errors
+///
+/// [`BuildError::CircuitTooLarge`], naming `engine`.
+pub fn check_tableau_budget(circuit: &Circuit, engine: EngineKind) -> Result<(), BuildError> {
+    let qubits = circuit.num_qubits();
+    if tableau_bytes(qubits) > TABLEAU_BUDGET_BYTES {
+        return Err(BuildError::CircuitTooLarge {
+            engine: engine.name(),
+            qubits,
+            max_qubits: max_tableau_qubits(),
+        });
+    }
+    Ok(())
 }
 
 /// The memory one engine's stabilizer tableau may take: 256 MiB, about

@@ -52,7 +52,7 @@ use symphase_circuit::Circuit;
 use symphase_core::SymPhaseSampler;
 use symphase_tableau::reference_sample;
 
-use crate::backend::build_sampler;
+use crate::backend::{build_sampler, check_tableau_budget, EngineKind};
 
 /// A CLI failure: message plus suggested exit code.
 #[derive(Debug)]
@@ -424,6 +424,13 @@ fn load_circuit(opts: &Options) -> Result<Circuit, CliError> {
     Circuit::parse(&text).map_err(|e| fail_run(format!("parse error: {e}")))
 }
 
+/// The analyses outside `build_sampler` build a tableau too (SymPhase
+/// initialization, or a reference sample for `engine` `tableau`): they
+/// refuse an oversized circuit with the same runtime error.
+fn check_budget(circuit: &Circuit, engine: EngineKind) -> Result<(), CliError> {
+    check_tableau_budget(circuit, engine).map_err(|e| fail_run(e.to_string()))
+}
+
 /// Runs a CLI invocation, streaming its stdout content into `out`.
 ///
 /// This is the binary's entry point: `sample`/`detect` write shots to
@@ -592,6 +599,10 @@ fn cmd_lint(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     }
 
     let text = read_circuit_text(opts)?;
+    let parsed = Circuit::parse(&text).ok();
+    if let Some(circuit) = &parsed {
+        check_budget(circuit, EngineKind::SymPhase)?;
+    }
 
     let deny_all = opts.deny.iter().any(|d| d == "warnings");
     let mut diags = symphase_analysis::lint_text(&text);
@@ -604,9 +615,9 @@ fn cmd_lint(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         .iter()
         .any(|d| d.severity == symphase_analysis::Severity::Error)
     {
-        if let Ok(circuit) = Circuit::parse(&text) {
+        if let Some(circuit) = &parsed {
             diags.extend(
-                symphase_analysis::analyze_dem(&circuit)
+                symphase_analysis::analyze_dem(circuit)
                     .into_iter()
                     .filter(|d| {
                         d.code != "SP015"
@@ -705,6 +716,7 @@ fn cmd_opt(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
             return Err(fail_run("opt: the circuit does not parse"));
         }
     };
+    check_budget(&circuit, EngineKind::SymPhase)?;
 
     let mut result = optimize_with(&circuit, &config);
     for d in &mut result.diagnostics {
@@ -919,6 +931,7 @@ fn cmd_analyze(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         analyze_model(dem, &config).map_err(fail_run)?
     } else {
         let circuit = load_circuit(opts)?;
+        check_budget(&circuit, EngineKind::SymPhase)?;
         let report = analyze_circuit(&circuit, &config).map_err(fail_run)?;
         if !json {
             let stats = circuit.stats();
@@ -1202,6 +1215,7 @@ fn cmd_gen(opts: &Options) -> Result<String, CliError> {
 
 fn cmd_dem(opts: &Options) -> Result<String, CliError> {
     let circuit = load_circuit(opts)?;
+    check_budget(&circuit, EngineKind::SymPhase)?;
     let sampler = SymPhaseSampler::new(&circuit);
     Ok(sampler
         .detector_error_model()
@@ -1211,6 +1225,7 @@ fn cmd_dem(opts: &Options) -> Result<String, CliError> {
 
 fn cmd_reference(opts: &Options) -> Result<String, CliError> {
     let circuit = load_circuit(opts)?;
+    check_budget(&circuit, EngineKind::Tableau)?;
     let r = reference_sample(&circuit);
     let mut out: String = (0..r.len())
         .map(|m| if r.get(m) { '1' } else { '0' })

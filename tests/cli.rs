@@ -621,18 +621,31 @@ fn statevec_qubit_cap_is_a_runtime_error() {
 #[test]
 fn tableau_budget_is_a_runtime_error() {
     // A million-qubit tableau would take ~250 GB: every stabilizer engine
-    // refuses the circuit before allocating it.
+    // refuses the circuit before allocating it, and so does every
+    // analysis that builds one (SymPhase initialization or a tableau
+    // reference sample).
     let f = write_circuit("H 1000000\nM 1000000\n");
+    let refusal = |engine: &str| {
+        format!(
+            "engine '{engine}' cannot simulate this circuit \
+             (1000001 qubits exceed its limit of 23167)"
+        )
+    };
     for engine in ["symphase", "frame", "tableau"] {
         let e = run(&args(&["sample", "-c", f.as_str(), "--engine", engine])).unwrap_err();
         assert_eq!(e.code, 1, "{engine}");
-        assert_eq!(
-            e.message,
-            format!(
-                "engine '{engine}' cannot simulate this circuit \
-                 (1000001 qubits exceed its limit of 23167)"
-            )
-        );
+        assert_eq!(e.message, refusal(engine));
+    }
+    for (cmd, engine) in [
+        ("lint", "symphase"),
+        ("analyze", "symphase"),
+        ("opt", "symphase"),
+        ("dem", "symphase"),
+        ("reference", "tableau"),
+    ] {
+        let e = run(&args(&[cmd, "-c", f.as_str()])).unwrap_err();
+        assert_eq!(e.code, 1, "{cmd}");
+        assert_eq!(e.message, refusal(engine), "{cmd}");
     }
 }
 

@@ -7,6 +7,9 @@
 //! * **Factory bit-identity**: `build_sampler` with `optimize: true`
 //!   samples bit-identically per seed to building the same engine from
 //!   the optimizer's output circuit directly.
+//! * **Dead-noise invariance**: stripping noise no record reads leaves
+//!   the SymPhase bytes unchanged, because its draw plan drops such noise
+//!   anyway.
 //! * **Rollback**: a deliberately unsound rule is caught by translation
 //!   validation, rolled back, and surfaced as `SP100`.
 //! * **Scale**: a million-round `REPEAT` memory circuit optimizes in
@@ -23,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use symphase::analysis::{optimize, optimize_with, OptConfig, Pass, ProofStatus};
-use symphase::backend::{build_sampler, EngineKind, SimConfig};
+use symphase::backend::{build_sampler, EngineKind, SamplingMethod, SimConfig};
 use symphase::bitmat::BitVec;
 use symphase::circuit::generators::{repetition_code_memory, RepetitionCodeConfig};
 use symphase::circuit::{Circuit, Gate, NoiseChannel};
@@ -173,6 +176,39 @@ fn factory_optimize_knob_is_bit_identical_to_preoptimizing() {
                 kind.name()
             );
         }
+    }
+}
+
+/// Noise that no measurement reads is never drawn, so the optimizer's
+/// dead-noise strip (`SP002`) cannot shift the seeded stream: with
+/// `optimize` on, every sampling method's bytes equal those with it off.
+#[test]
+fn stripping_dead_noise_leaves_symphase_bytes_unchanged() {
+    // Every channel and an E/ELSE chain; the two Z_ERROR lines on 0..3 are
+    // dead, since those qubits are next measured in Z.
+    let text = "R 0 1 2 3 4\nCX 0 1 2 3\nX_ERROR(0.1) 0 1\nY_ERROR(0.05) 2\nZ_ERROR(0.2) 3 0\n\
+        DEPOLARIZE1(0.15) 0 1 2 3\nDEPOLARIZE2(0.1) 0 1 2 3\nPAULI_CHANNEL_1(0.05,0.1,0.15) 1 3\n\
+        PAULI_CHANNEL_2(0.01,0.02,0.03,0.04,0.05,0.01,0.02,0.03,0.04,0.05,0.01,0.02,0.03,0.04,0.05) 0 2\n\
+        E(0.2) X0 Z1\nELSE_CORRELATED_ERROR(0.3) Y2 X3\nELSE_CORRELATED_ERROR(0.5) X1\n\
+        Z_ERROR(0.3) 0 1 2 3\nH 4\nM 0 1 2 3 4\nDETECTOR rec[-2] rec[-3]\nDETECTOR rec[-4] rec[-5]\n\
+        OBSERVABLE_INCLUDE(0) rec[-2]\n";
+    let c = Circuit::parse(text).expect("parse");
+    let r = optimize(&c);
+    assert_eq!(
+        r.report.noise_sites_before - r.report.noise_sites_after,
+        6,
+        "{:?}",
+        r.report
+    );
+    assert_eq!(r.report.gates_after, r.report.gates_before);
+    assert!(r.flipped_records.is_empty());
+    for method in SamplingMethod::ALL {
+        let cfg = SimConfig::new().with_sampling(method).with_seed(9);
+        let bytes = |optimize: bool| {
+            let s = build_sampler(&c, &cfg.clone().with_optimize(optimize)).expect("builds");
+            collect(s.as_ref(), 5000, &cfg)
+        };
+        assert_eq!(bytes(true), bytes(false), "{}", method.name());
     }
 }
 
