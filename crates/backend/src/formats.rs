@@ -18,12 +18,14 @@
 //! *distinct* bit pattern — aggregation is the format's point). Writers
 //! flush on `finish`.
 //!
-//! Every writer serializes from one private shot-major view: per chunk
+//! Every writer serializes from one private shot-major tile: per chunk
 //! the selected record matrices (bit-packed along shots) are stacked
-//! row-wise and transposed once with `transpose_packed`, so each shot's
-//! records are packed words. `b8` copies their leading bytes, `01` and
-//! `counts` expand each byte through a 256-entry table, and `hits`/`dets`
-//! walk the set bits — no writer reads records one bit at a time.
+//! row-wise, then transposed with `transpose_packed` 256 shots at a
+//! time into one reused, cache-resident buffer, so each shot's records
+//! are packed words. `b8` copies their leading bytes, `01` and `counts`
+//! expand them with the SIMD `0`/`1` kernel, and `hits`/`dets` walk the
+//! set bits — no writer reads records one bit at a time. Shots render
+//! into one batch buffer through a cursor, sized once.
 //!
 //! Which record rows a sink serializes is chosen by [`RecordSource`]:
 //! measurements for `sample`-style output, detectors and/or observables
@@ -32,6 +34,8 @@
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
+use symphase_bitmat::simd::{self, Kernels};
+use symphase_bitmat::word::{copy_le_bytes, iter_ones, IterOnes};
 use symphase_bitmat::BitMatrix;
 
 use crate::sink::{ShotSink, ShotSpec};
@@ -138,39 +142,27 @@ impl SampleFormat {
     }
 }
 
-/// Output bytes a sink buffers before handing them to its writer: lines
-/// are rendered per shot into one reused buffer, written in batches of
-/// about this size, so a sink's memory is one chunk's transpose plus this.
+/// Output bytes a sink buffers before handing them to its writer: shots
+/// are rendered into one batch buffer and written in batches of about
+/// this size, so a sink's memory is one tile plus this.
 const WRITE_BATCH: usize = 64 * 1024;
 
-/// `ASCII01[b]` is byte `b` rendered as eight ASCII `0`/`1` chars, bit 0
-/// first, packed little-endian into a `u64` (so `to_le_bytes` is the text).
-const ASCII01: [u64; 256] = {
-    let mut table = [0u64; 256];
-    let mut b = 0;
-    while b < 256 {
-        let mut chars = 0u64;
-        let mut bit = 0;
-        while bit < 8 {
-            chars |= (b'0' as u64 + ((b >> bit) & 1) as u64) << (8 * bit);
-            bit += 1;
-        }
-        table[b] = chars;
-        b += 1;
-    }
-    table
-};
+/// Shots a writer transposes and renders at a time. A tile of `TILE`
+/// shot-major shots (`TILE × ⌈rows/64⌉` words, ~115 KB at 3,584 records)
+/// stays cache-resident while its shots are rendered, where a whole
+/// chunk's transpose would not; 256 shots are four 64-shot words, one
+/// strip of the strip-transpose kernel.
+const TILE: usize = 256;
 
-/// One chunk's selected records in shot-major order: shot `s`'s record
-/// `r` is bit `r % 64` of word `r / 64` of [`ShotMajor::shot`]`(s)`, with
-/// the second part's records following the first part's (observable `j`
-/// of the combined source is record `num_detectors + j`). Every writer
-/// serializes from these words; the buffers are reused across chunks.
+/// One tile of a chunk's selected records in shot-major order: shot `s`'s
+/// record `r` is bit `r % 64` of word `r / 64` of [`Tile::shot`]`(s)`,
+/// with the second part's records following the first part's (observable
+/// `j` of the combined source is record `num_detectors + j`). Every
+/// writer serializes from these words; the buffer is reused across tiles
+/// and chunks.
 #[derive(Default)]
-struct ShotMajor {
-    /// Row-wise stack of a two-part source (the transpose input).
-    stacked: Vec<u64>,
-    /// `shots × stride` shot-major words.
+struct Tile {
+    /// Shot-major words, `stride` per shot, for up to `TILE` shots.
     words: Vec<u64>,
     stride: usize,
     rows: usize,
@@ -180,99 +172,105 @@ struct ShotMajor {
     two_groups: bool,
 }
 
-impl ShotMajor {
-    /// Transposes `source`'s matrices of `batch` into shot-major words.
-    /// The record matrices share a shot stride, so stacking two parts is
-    /// a row copy; a single nonempty part is transposed in place.
-    fn load(&mut self, source: RecordSource, batch: &SampleBatch) {
-        let shots = batch.shots();
-        let (first, second) = source.parts(batch);
-        let second_rows = second.map_or(0, BitMatrix::rows);
-        self.rows = first.rows() + second_rows;
-        self.split = first.rows();
-        self.two_groups = first.rows() > 0 && second_rows > 0;
-        self.stride = self.rows.div_ceil(64);
-        self.words.clear();
-        self.words.resize(shots * self.stride, 0);
-        let (src, src_stride) = match second {
-            Some(second) if self.two_groups => {
-                assert_eq!(first.stride(), second.stride(), "parts share a shot stride");
-                self.stacked.clear();
-                self.stacked.extend_from_slice(first.words());
-                self.stacked.extend_from_slice(second.words());
-                (&self.stacked[..], first.stride())
-            }
-            Some(second) if second_rows > 0 => (second.words(), second.stride()),
-            _ => (first.words(), first.stride()),
-        };
-        symphase_bitmat::transpose::transpose_packed(
-            src,
-            self.rows,
-            shots,
-            src_stride,
-            &mut self.words,
-            self.stride,
-        );
-    }
-
+impl Tile {
     /// Shot `s`'s record words (slack bits past `rows` are zero).
     fn shot(&self, s: usize) -> &[u64] {
         &self.words[s * self.stride..(s + 1) * self.stride]
     }
 
-    /// Appends shot `s` as `01` text (no newline), with one space at the
-    /// part boundary when both parts are nonempty.
-    fn push_01(&self, s: usize, line: &mut Vec<u8>) {
-        let start = line.len();
-        line.resize(start + self.rows.div_ceil(8) * 8, 0);
-        for (dst, w) in line[start..].chunks_mut(64).zip(self.shot(s)) {
-            for (chars, b) in dst.chunks_exact_mut(8).zip(w.to_le_bytes()) {
-                chars.copy_from_slice(&ASCII01[b as usize].to_le_bytes());
-            }
-        }
-        line.truncate(start + self.rows);
+    /// Bytes of one shot's `01` text (no newline): the records, plus one
+    /// space at the part boundary when both parts are nonempty.
+    fn width_01(&self) -> usize {
+        self.rows + usize::from(self.two_groups)
+    }
+
+    /// Renders shot `s` as `01` text into `dst` (`width_01` bytes).
+    fn render_01(&self, kernels: Kernels, s: usize, dst: &mut [u8]) {
+        kernels.expand_01(self.shot(s), &mut dst[..self.rows]);
         if self.two_groups {
-            line.insert(start + self.split, b' ');
+            dst.copy_within(self.split..self.rows, self.split + 1);
+            dst[self.split] = b' ';
         }
     }
 
     /// The ascending record indices set in shot `s`.
-    fn ones(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
-        self.shot(s).iter().enumerate().flat_map(|(i, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                (w != 0).then(|| {
-                    let bit = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    i * 64 + bit
-                })
-            })
-        })
+    fn ones(&self, s: usize) -> IterOnes<'_> {
+        iter_ones(self.shot(s))
     }
 }
 
-/// Appends `n` in decimal.
-fn push_decimal(line: &mut Vec<u8>, mut n: usize) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
+/// Decimal digits of `n`.
+fn decimal_len(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// The batch output buffer: sized once for a batch plus the longest shot
+/// a writer can render, filled through a cursor and handed to the writer
+/// whenever [`WRITE_BATCH`] bytes accumulate — so a render never
+/// reallocates and always has room.
+#[derive(Default)]
+struct Batch {
+    bytes: Vec<u8>,
+    len: usize,
+}
+
+impl Batch {
+    /// Makes room for `shots` shots of at most `max_shot` bytes each
+    /// between drains (a short stream never needs a whole batch).
+    fn fit(&mut self, shots: usize, max_shot: usize) {
+        let len = WRITE_BATCH.min(shots.saturating_mul(max_shot)) + max_shot;
+        if self.bytes.len() < len {
+            self.bytes.resize(len, 0);
         }
     }
-    line.extend_from_slice(&digits[i..]);
+
+    /// The next `n` bytes, which the caller fills.
+    fn take(&mut self, n: usize) -> &mut [u8] {
+        let start = self.len;
+        self.len += n;
+        &mut self.bytes[start..self.len]
+    }
+
+    fn push(&mut self, b: u8) {
+        self.bytes[self.len] = b;
+        self.len += 1;
+    }
+
+    fn extend(&mut self, bytes: &[u8]) {
+        self.take(bytes.len()).copy_from_slice(bytes);
+    }
+
+    /// Appends `n` in decimal.
+    fn push_decimal(&mut self, mut n: usize) {
+        let digits = self.take(decimal_len(n));
+        for d in digits.iter_mut().rev() {
+            *d = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+    }
+
+    /// Drops the buffered bytes.
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Writes the buffered bytes out and rewinds the cursor.
+    fn drain(&mut self, w: &mut impl Write) -> io::Result<()> {
+        w.write_all(&self.bytes[..self.len])?;
+        self.clear();
+        Ok(())
+    }
 }
 
-/// The state every per-shot writer shares: the output, its source, the
-/// shot-major view and the batched output buffer.
+/// The state every writer shares: the output, its source, the tile and
+/// the batch buffer.
 struct ShotWriter<W: Write> {
     w: W,
     source: RecordSource,
-    view: ShotMajor,
-    buf: Vec<u8>,
+    /// Row-wise stack of a two-part source (the transpose input).
+    stacked: Vec<u64>,
+    tile: Tile,
+    batch: Batch,
 }
 
 impl<W: Write> ShotWriter<W> {
@@ -280,28 +278,74 @@ impl<W: Write> ShotWriter<W> {
         Self {
             w,
             source,
-            view: ShotMajor::default(),
-            buf: Vec::new(),
+            stacked: Vec::new(),
+            tile: Tile::default(),
+            batch: Batch::default(),
         }
     }
 
-    /// Transposes `chunk` once, then appends each shot's serialization
-    /// with `render`, writing whenever [`WRITE_BATCH`] bytes accumulate.
+    /// Transposes `chunk` one tile at a time and calls `shot` on each of
+    /// the tile's shots in order. `max_shot` gives, from the tile's shape,
+    /// the most bytes `shot` writes to the batch; the batch is drained to
+    /// the writer whenever [`WRITE_BATCH`] bytes accumulate.
     fn chunk(
         &mut self,
         chunk: &SampleBatch,
-        mut render: impl FnMut(&ShotMajor, usize, &mut Vec<u8>),
+        max_shot: impl FnOnce(&Tile) -> usize,
+        mut shot: impl FnMut(&Tile, usize, &mut Batch),
     ) -> io::Result<()> {
-        self.view.load(self.source, chunk);
-        self.buf.clear();
-        for s in 0..chunk.shots() {
-            render(&self.view, s, &mut self.buf);
-            if self.buf.len() >= WRITE_BATCH {
-                self.w.write_all(&self.buf)?;
-                self.buf.clear();
+        let Self {
+            w,
+            source,
+            stacked,
+            tile,
+            batch,
+        } = self;
+        let shots = chunk.shots();
+        // The record matrices share a shot stride, so stacking two parts
+        // is a row copy; a single nonempty part is transposed in place.
+        let (first, second) = source.parts(chunk);
+        let second_rows = second.map_or(0, BitMatrix::rows);
+        tile.rows = first.rows() + second_rows;
+        tile.split = first.rows();
+        tile.two_groups = first.rows() > 0 && second_rows > 0;
+        tile.stride = tile.rows.div_ceil(64);
+        let tile_words = TILE.min(shots) * tile.stride;
+        if tile.words.len() < tile_words {
+            tile.words.resize(tile_words, 0);
+        }
+        let (src, src_stride) = match second {
+            Some(second) if tile.two_groups => {
+                assert_eq!(first.stride(), second.stride(), "parts share a shot stride");
+                stacked.clear();
+                stacked.extend_from_slice(first.words());
+                stacked.extend_from_slice(second.words());
+                (&stacked[..], first.stride())
+            }
+            Some(second) if second_rows > 0 => (second.words(), second.stride()),
+            _ => (first.words(), first.stride()),
+        };
+        batch.fit(shots, max_shot(tile));
+        for t0 in (0..shots).step_by(TILE) {
+            let n = TILE.min(shots - t0);
+            if tile.rows > 0 {
+                symphase_bitmat::transpose::transpose_packed(
+                    &src[t0 / 64..],
+                    tile.rows,
+                    n,
+                    src_stride,
+                    &mut tile.words,
+                    tile.stride,
+                );
+            }
+            for s in 0..n {
+                shot(tile, s, batch);
+                if batch.len >= WRITE_BATCH {
+                    batch.drain(w)?;
+                }
             }
         }
-        self.w.write_all(&self.buf)
+        batch.drain(w)
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -321,10 +365,15 @@ impl<W: Write> Sink01<W> {
 
 impl<W: Write> ShotSink for Sink01<W> {
     fn chunk(&mut self, chunk: &SampleBatch, _start: usize) -> io::Result<()> {
-        self.0.chunk(chunk, |view, s, out| {
-            view.push_01(s, out);
-            out.push(b'\n');
-        })
+        let kernels = simd::kernels();
+        self.0.chunk(
+            chunk,
+            |tile| tile.width_01() + 1,
+            |tile, s, out| {
+                tile.render_01(kernels, s, out.take(tile.width_01()));
+                out.push(b'\n');
+            },
+        )
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -353,20 +402,20 @@ impl<W: Write> SinkCounts<W> {
 
 impl<W: Write> ShotSink for SinkCounts<W> {
     fn chunk(&mut self, chunk: &SampleBatch, _start: usize) -> io::Result<()> {
-        let ShotWriter {
-            source, view, buf, ..
-        } = &mut self.out;
-        view.load(*source, chunk);
-        for shot in 0..chunk.shots() {
-            buf.clear();
-            view.push_01(shot, buf);
-            if let Some(n) = self.counts.get_mut(buf.as_slice()) {
+        let kernels = simd::kernels();
+        let counts = &mut self.counts;
+        // Each shot renders into the batch as its lookup key, and the
+        // batch is cleared again: nothing is written before `finish`.
+        self.out.chunk(chunk, Tile::width_01, |tile, s, out| {
+            let key = out.take(tile.width_01());
+            tile.render_01(kernels, s, key);
+            if let Some(n) = counts.get_mut(&*key) {
                 *n += 1;
             } else {
-                self.counts.insert(buf.clone(), 1);
+                counts.insert(key.to_vec(), 1);
             }
-        }
-        Ok(())
+            out.clear();
+        })
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -398,14 +447,11 @@ impl<W: Write> SinkB8<W> {
 
 impl<W: Write> ShotSink for SinkB8<W> {
     fn chunk(&mut self, chunk: &SampleBatch, _start: usize) -> io::Result<()> {
-        self.0.chunk(chunk, |view, s, out| {
-            let mut remaining = view.rows.div_ceil(8);
-            for w in view.shot(s) {
-                let take = remaining.min(8);
-                out.extend_from_slice(&w.to_le_bytes()[..take]);
-                remaining -= take;
-            }
-        })
+        self.0.chunk(
+            chunk,
+            |tile| tile.rows.div_ceil(8),
+            |tile, s, out| copy_le_bytes(tile.shot(s), out.take(tile.rows.div_ceil(8))),
+        )
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -428,15 +474,19 @@ impl<W: Write> SinkHits<W> {
 
 impl<W: Write> ShotSink for SinkHits<W> {
     fn chunk(&mut self, chunk: &SampleBatch, _start: usize) -> io::Result<()> {
-        self.0.chunk(chunk, |view, s, out| {
-            for (k, r) in view.ones(s).enumerate() {
-                if k > 0 {
-                    out.push(b',');
+        self.0.chunk(
+            chunk,
+            |tile| tile.rows * (decimal_len(tile.rows) + 1) + 1,
+            |tile, s, out| {
+                for (k, r) in tile.ones(s).enumerate() {
+                    if k > 0 {
+                        out.push(b',');
+                    }
+                    out.push_decimal(r);
                 }
-                push_decimal(out, r);
-            }
-            out.push(b'\n');
-        })
+                out.push(b'\n');
+            },
+        )
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -465,20 +515,24 @@ impl<W: Write> ShotSink for SinkDets<W> {
             RecordSource::Observables => [b'L', b'L'],
             RecordSource::DetectorsAndObservables => [b'D', b'L'],
         };
-        self.0.chunk(chunk, |view, s, out| {
-            out.extend_from_slice(b"shot");
-            for r in view.ones(s) {
-                let (label, index) = if r < view.split {
-                    (first, r)
-                } else {
-                    (second, r - view.split)
-                };
-                out.push(b' ');
-                out.push(label);
-                push_decimal(out, index);
-            }
-            out.push(b'\n');
-        })
+        self.0.chunk(
+            chunk,
+            |tile| b"shot\n".len() + tile.rows * (decimal_len(tile.rows) + 2),
+            |tile, s, out| {
+                out.extend(b"shot");
+                for r in tile.ones(s) {
+                    let (label, index) = if r < tile.split {
+                        (first, r)
+                    } else {
+                        (second, r - tile.split)
+                    };
+                    out.push(b' ');
+                    out.push(label);
+                    out.push_decimal(index);
+                }
+                out.push(b'\n');
+            },
+        )
     }
 
     fn finish(&mut self) -> io::Result<()> {

@@ -2,9 +2,11 @@
 //!
 //! Every inner loop of this crate — the m4r table XOR-accumulate, the
 //! Gray-code table build, row XOR/AND primitives, and the 64×64 transpose
-//! swap network — moves whole machine words with no cross-word carries,
-//! so the same code runs unchanged over 256-bit (AVX2) or 512-bit
-//! (AVX-512) lanes. This module owns that widening:
+//! swap network (one block, or a strip of four blocks side by side) —
+//! moves whole machine words with no cross-word carries, so the same code
+//! runs unchanged over 256-bit (AVX2) or 512-bit (AVX-512) lanes. The
+//! output writers' bit-to-`0`/`1` text expansion is a byte shuffle, compare
+//! and subtract per 32 chars. This module owns that widening:
 //!
 //! * [`SimdLevel`] — the dispatch ladder (`Scalar` → `Avx2` → `Avx512`),
 //!   with one-time runtime feature detection and an optional
@@ -14,8 +16,8 @@
 //! * [`with_level`] — a thread-local override so tests and benchmarks can
 //!   force every available level and pin bit-identity against scalar.
 //!
-//! Every SIMD path computes exactly the word sequence of its scalar
-//! fallback (XOR/AND are lane-local), so outputs are **bit-identical**
+//! Every SIMD path computes exactly the output of its scalar fallback
+//! (XOR/AND are lane-local), so outputs are **bit-identical**
 //! across levels; `crates/bitmat/tests/properties.rs` pins that with
 //! proptests run at every available level.
 //!
@@ -276,6 +278,48 @@ impl Kernels {
             _ => crate::transpose::transpose_64x64(a),
         }
     }
+
+    /// Transposes four adjacent 64×64 bit-blocks in place: `a[r][l]` is
+    /// row `r` of block `l`, and after the call `a[c][l]` bit `r` holds
+    /// block `l`'s old `(r, c)`. Each 256-bit row of the strip carries one
+    /// row of every block, so all six swap scales run over wide lanes
+    /// (AVX-512 moves two rows per vector down to `j = 2`);
+    /// the result equals four [`crate::transpose::transpose_64x64`] calls.
+    #[inline]
+    pub fn transpose_strip(&self, a: &mut [[Word; 4]; 64]) {
+        match self.level {
+            SimdLevel::Scalar => scalar::transpose_strip(a),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: handle construction proves feature support.
+            SimdLevel::Avx2 => unsafe { x86::transpose_strip_avx2(a) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above; avx512f implies avx2 on every CPU that
+            // reports it.
+            SimdLevel::Avx512 => unsafe { x86::transpose_strip_avx512(a) },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => scalar::transpose_strip(a),
+        }
+    }
+
+    /// Renders bits as ASCII: `dst[i]` becomes `b'1'` if bit `i` of `src`
+    /// (bit `i % 64` of word `i / 64`) is set, else `b'0'`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` holds fewer than `dst.len()` bits.
+    #[inline]
+    pub fn expand_01(&self, src: &[Word], dst: &mut [u8]) {
+        assert!(src.len() * 64 >= dst.len(), "expand_01 source too short");
+        match self.level {
+            SimdLevel::Scalar => scalar::expand_01(src, 0, dst),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: handle construction proves feature support; avx512f
+            // implies avx2 on every CPU that reports it.
+            SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { x86::expand_01_avx2(src, dst) },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => scalar::expand_01(src, 0, dst),
+        }
+    }
 }
 
 /// Portable word-at-a-time fallbacks (the reference semantics every wide
@@ -301,6 +345,57 @@ mod scalar {
             .zip(b)
             .map(|(x, y)| (x & y).count_ones() as usize)
             .sum()
+    }
+
+    /// Four block transposes, one per lane of the strip.
+    pub fn transpose_strip(a: &mut [[Word; 4]; 64]) {
+        let mut block = [0 as Word; 64];
+        for l in 0..4 {
+            for (b, row) in block.iter_mut().zip(a.iter()) {
+                *b = row[l];
+            }
+            crate::transpose::transpose_64x64(&mut block);
+            for (row, b) in a.iter_mut().zip(block) {
+                row[l] = b;
+            }
+        }
+    }
+
+    /// `ASCII01[b]` is byte `b` rendered as eight ASCII `0`/`1` chars,
+    /// bit 0 first, packed little-endian into a `u64` (so `to_le_bytes` is
+    /// the text).
+    const ASCII01: [u64; 256] = {
+        let mut table = [0u64; 256];
+        let mut b = 0;
+        while b < 256 {
+            let mut chars = 0u64;
+            let mut bit = 0;
+            while bit < 8 {
+                chars |= (b'0' as u64 + ((b >> bit) & 1) as u64) << (8 * bit);
+                bit += 1;
+            }
+            table[b] = chars;
+            b += 1;
+        }
+        table
+    };
+
+    /// `dst[i]` = ASCII of bit `first + i` of `src`; `first` is a
+    /// multiple of 8 (the wide kernel's tail starts mid-word).
+    pub fn expand_01(src: &[Word], first: usize, dst: &mut [u8]) {
+        debug_assert!(first.is_multiple_of(8));
+        let byte = |j: usize| (src[j / 8] >> (8 * (j % 8))) as u8;
+        let mut chars = dst.chunks_exact_mut(8);
+        let mut j = first / 8;
+        for out in &mut chars {
+            out.copy_from_slice(&ASCII01[byte(j) as usize].to_le_bytes());
+            j += 1;
+        }
+        let tail = chars.into_remainder();
+        if !tail.is_empty() {
+            let text = ASCII01[byte(j) as usize].to_le_bytes();
+            tail.copy_from_slice(&text[..tail.len()]);
+        }
     }
 }
 
@@ -628,6 +723,152 @@ mod x86 {
         }
     }
 
+    /// One swap scale of the strip network over 256-bit lanes: row `k`
+    /// of all four blocks is one vector, and rows `k` / `k + J` swap for
+    /// every `k` with bit `J` clear.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2; `p` must point at 64
+    /// rows of four words.
+    #[target_feature(enable = "avx2")]
+    unsafe fn strip_scale_avx2<const J: i32>(p: *mut __m256i, m: Word) {
+        // SAFETY: the `# Safety` contract above holds — the caller has
+        // verified the required CPU features, and every row index below
+        // is < 64, so each 32-byte access stays inside the strip.
+        unsafe {
+            let mask = _mm256_set1_epi64x(m as i64);
+            let j = J as usize;
+            let mut base = 0usize;
+            while base < 64 {
+                for k in base..base + j {
+                    let (lo, hi) = (p.add(k), p.add(k + j));
+                    let vlo = _mm256_loadu_si256(lo);
+                    let vhi = _mm256_loadu_si256(hi);
+                    let t =
+                        _mm256_and_si256(_mm256_xor_si256(_mm256_srli_epi64::<J>(vlo), vhi), mask);
+                    _mm256_storeu_si256(hi, _mm256_xor_si256(vhi, t));
+                    _mm256_storeu_si256(lo, _mm256_xor_si256(vlo, _mm256_slli_epi64::<J>(t)));
+                }
+                base += 2 * j;
+            }
+        }
+    }
+
+    /// The same swap scale over 512-bit lanes, two adjacent rows per
+    /// vector (`J ≥ 2`, so rows `k` and `k + 1` share their bit `J`).
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX-512F; `p` must point at 64
+    /// rows of four words.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn strip_scale_avx512<const J: u32>(p: *mut __m256i, m: Word) {
+        // SAFETY: the `# Safety` contract above holds — the caller has
+        // verified the required CPU features; `k + J + 1 < 64` below, so
+        // each 64-byte access (rows `k`, `k + 1`) stays inside the strip.
+        unsafe {
+            let mask = _mm512_set1_epi64(m as i64);
+            let j = J as usize;
+            let mut base = 0usize;
+            while base < 64 {
+                for k in (base..base + j).step_by(2) {
+                    let (lo, hi) = (p.add(k) as *mut __m512i, p.add(k + j) as *mut __m512i);
+                    let vlo = _mm512_loadu_si512(lo);
+                    let vhi = _mm512_loadu_si512(hi);
+                    let t =
+                        _mm512_and_si512(_mm512_xor_si512(_mm512_srli_epi64::<J>(vlo), vhi), mask);
+                    _mm512_storeu_si512(hi, _mm512_xor_si512(vhi, t));
+                    _mm512_storeu_si512(lo, _mm512_xor_si512(vlo, _mm512_slli_epi64::<J>(t)));
+                }
+                base += 2 * j;
+            }
+        }
+    }
+
+    /// The 64×64 swap network over a strip of four blocks: row `k` of
+    /// every block sits in one 256-bit vector, so each scale, down to
+    /// `j = 1`, swaps four blocks' partner rows per vector op.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn transpose_strip_avx2(a: &mut [[Word; 4]; 64]) {
+        // SAFETY: the `# Safety` contract above holds — the caller has
+        // verified the required CPU features, and `a` is 64 rows of four
+        // words.
+        unsafe {
+            let p = a.as_mut_ptr() as *mut __m256i;
+            strip_scale_avx2::<32>(p, 0x0000_0000_FFFF_FFFF);
+            strip_scale_avx2::<16>(p, 0x0000_FFFF_0000_FFFF);
+            strip_scale_avx2::<8>(p, 0x00FF_00FF_00FF_00FF);
+            strip_scale_avx2::<4>(p, 0x0F0F_0F0F_0F0F_0F0F);
+            strip_scale_avx2::<2>(p, 0x3333_3333_3333_3333);
+            strip_scale_avx2::<1>(p, 0x5555_5555_5555_5555);
+        }
+    }
+
+    /// The strip network with the scales `j ≥ 2` over 512-bit lanes (two
+    /// rows per vector); the last scale pairs adjacent rows and stays on
+    /// 256-bit lanes.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX-512F (which implies AVX2).
+    #[target_feature(enable = "avx512f", enable = "avx2")]
+    pub unsafe fn transpose_strip_avx512(a: &mut [[Word; 4]; 64]) {
+        // SAFETY: the `# Safety` contract above holds — the caller has
+        // verified the required CPU features, and `a` is 64 rows of four
+        // words.
+        unsafe {
+            let p = a.as_mut_ptr() as *mut __m256i;
+            strip_scale_avx512::<32>(p, 0x0000_0000_FFFF_FFFF);
+            strip_scale_avx512::<16>(p, 0x0000_FFFF_0000_FFFF);
+            strip_scale_avx512::<8>(p, 0x00FF_00FF_00FF_00FF);
+            strip_scale_avx512::<4>(p, 0x0F0F_0F0F_0F0F_0F0F);
+            strip_scale_avx512::<2>(p, 0x3333_3333_3333_3333);
+            strip_scale_avx2::<1>(p, 0x5555_5555_5555_5555);
+        }
+    }
+
+    /// Bits to ASCII `0`/`1`, 32 chars per step: broadcast 32 bits,
+    /// shuffle so byte `k` holds source byte `k / 8`, AND with the bit of
+    /// `k % 8`, compare to get `0xFF` where set, and subtract that from
+    /// `b'0'` (`'0' − (−1) = '1'`). The ragged tail goes through the table.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2 and `src` holds at least
+    /// `dst.len()` bits.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn expand_01_avx2(src: &[Word], dst: &mut [u8]) {
+        // SAFETY: the `# Safety` contract above holds — the caller has
+        // verified the required CPU features, and each store writes
+        // `dst[i..i + 32]` with `i + 32 <= dst.len()`.
+        unsafe {
+            let spread = _mm256_setr_epi8(
+                0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, //
+                2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3,
+            );
+            let bits = _mm256_set1_epi64x(0x8040_2010_0804_0201u64 as i64);
+            let zero = _mm256_set1_epi8(b'0' as i8);
+            let expand = |half: u32| {
+                let v = _mm256_shuffle_epi8(_mm256_set1_epi32(half as i32), spread);
+                _mm256_sub_epi8(zero, _mm256_cmpeq_epi8(_mm256_and_si256(v, bits), bits))
+            };
+            let n = dst.len();
+            let out = dst.as_mut_ptr();
+            let mut i = 0;
+            while i + 64 <= n {
+                let w = src[i / 64];
+                _mm256_storeu_si256(out.add(i) as *mut __m256i, expand(w as u32));
+                _mm256_storeu_si256(out.add(i + 32) as *mut __m256i, expand((w >> 32) as u32));
+                i += 64;
+            }
+            if i + 32 <= n {
+                _mm256_storeu_si256(out.add(i) as *mut __m256i, expand(src[i / 64] as u32));
+                i += 32;
+            }
+            super::scalar::expand_01(src, i, &mut dst[i..]);
+        }
+    }
+
     /// # Safety
     /// Caller must ensure the CPU supports AVX-512F (which implies AVX2).
     #[target_feature(enable = "avx512f", enable = "avx2")]
@@ -744,6 +985,45 @@ mod tests {
                     "{}",
                     level.name()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn strip_transpose_is_four_block_transposes_at_every_level() {
+        for seed in 0..4u64 {
+            let words = random_words(256, 7500 + seed);
+            let mut strip = [[0 as Word; 4]; 64];
+            for (i, w) in words.iter().enumerate() {
+                strip[i / 4][i % 4] = *w;
+            }
+            let mut expect = strip;
+            for l in 0..4 {
+                let mut block: [Word; 64] = std::array::from_fn(|r| strip[r][l]);
+                crate::transpose::transpose_64x64(&mut block);
+                for (r, row) in expect.iter_mut().enumerate() {
+                    row[l] = block[r];
+                }
+            }
+            for level in available_levels() {
+                let mut got = strip;
+                kernels_for(level).transpose_strip(&mut got);
+                assert_eq!(got, expect, "{}", level.name());
+            }
+        }
+    }
+
+    #[test]
+    fn expand_01_matches_per_bit_text_at_every_level() {
+        let words = random_words(4, 8000);
+        for n in [0usize, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 255, 256] {
+            let expect: Vec<u8> = (0..n)
+                .map(|i| b'0' + ((words[i / 64] >> (i % 64)) & 1) as u8)
+                .collect();
+            for level in available_levels() {
+                let mut got = vec![b'x'; n];
+                kernels_for(level).expand_01(&words, &mut got);
+                assert_eq!(got, expect, "{} n {n}", level.name());
             }
         }
     }

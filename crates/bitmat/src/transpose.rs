@@ -6,9 +6,11 @@
 //! block grid — the same structure Stim and SymPhase use for switching the
 //! stabilizer tableau between row-major and column-major access (paper §4).
 //!
-//! [`transpose_packed`] dispatches the block kernel through [`crate::simd`]:
-//! the outer swap scales (`j ≥ 4`) run over 256/512-bit lanes when the CPU
-//! has them, bit-identical to the scalar [`transpose_64x64`] here.
+//! [`transpose_packed`] dispatches its kernels through [`crate::simd`]: the
+//! 64×64 block kernel runs its outer swap scales (`j ≥ 4`) over 256/512-bit
+//! lanes, and the strip kernel transposes four adjacent blocks at once, one
+//! 256-bit lane per block — both bit-identical to the scalar
+//! [`transpose_64x64`] here.
 
 use crate::word::Word;
 
@@ -49,6 +51,16 @@ pub fn transpose_64x64(a: &mut [Word; 64]) {
 /// counts. Slack bits in `src` beyond `cols` are ignored; slack bits in the
 /// output are zero.
 ///
+/// `src` may be a column window of a wider matrix: pass the slice starting
+/// at the window's first word (`&words[t0 / 64..]` for a window starting at
+/// column `t0`, a multiple of 64) with `cols` the window width and
+/// `src_stride` the full matrix's stride. The kernel reads only the first
+/// `⌈cols/64⌉` words of each row, so the last row may end at the window.
+///
+/// Four full 64-column blocks at a time go through the strip kernel
+/// ([`crate::simd::Kernels::transpose_strip`]), the rest through the 64×64
+/// block kernel.
+///
 /// # Panics
 ///
 /// Panics if the slices are too small for the described shapes.
@@ -60,43 +72,78 @@ pub fn transpose_packed(
     dst: &mut [Word],
     dst_stride: usize,
 ) {
-    assert!(src_stride * 64 >= cols || rows == 0, "src stride too small");
-    assert!(dst_stride * 64 >= rows || cols == 0, "dst stride too small");
-    assert!(src.len() >= rows * src_stride, "src slice too small");
-    assert!(dst.len() >= cols * dst_stride, "dst slice too small");
-    dst.iter_mut().for_each(|w| *w = 0);
-
-    let kernels = crate::simd::kernels();
     let block_rows = rows.div_ceil(64);
     let block_cols = cols.div_ceil(64);
+    assert!(
+        src_stride >= block_cols || rows == 0,
+        "src stride too small"
+    );
+    assert!(
+        dst_stride >= block_rows || cols == 0,
+        "dst stride too small"
+    );
+    if rows > 0 {
+        assert!(
+            src.len() >= (rows - 1) * src_stride + block_cols,
+            "src slice too small"
+        );
+    }
+    assert!(dst.len() >= cols * dst_stride, "dst slice too small");
+    // Every output row's first `block_rows` words are written below; only
+    // the slack words past them need clearing.
+    if block_rows < dst_stride {
+        for row in dst[..cols * dst_stride].chunks_exact_mut(dst_stride) {
+            row[block_rows..].fill(0);
+        }
+    }
+
+    let kernels = crate::simd::kernels();
+    // Block columns wholly inside `cols`: the ragged last one is masked.
+    let full_cols = cols / 64;
+    let mut strip = [[0 as Word; 4]; 64];
     let mut block = [0 as Word; 64];
     for br in 0..block_rows {
-        for bc in 0..block_cols {
+        let live = (rows - br * 64).min(64);
+        let mut bc = 0;
+        while bc + 4 <= full_cols {
+            for (i, lanes) in strip.iter_mut().enumerate() {
+                *lanes = if i < live {
+                    let at = (br * 64 + i) * src_stride + bc;
+                    src[at..at + 4].try_into().expect("four words")
+                } else {
+                    [0; 4]
+                };
+            }
+            kernels.transpose_strip(&mut strip);
+            for (l, bcol) in (bc..bc + 4).enumerate() {
+                for (i, lanes) in strip.iter().enumerate() {
+                    dst[(bcol * 64 + i) * dst_stride + br] = lanes[l];
+                }
+            }
+            bc += 4;
+        }
+        for bc in bc..block_cols {
             // Gather the 64×64 block at (br, bc); rows beyond `rows` are zero.
             for (i, b) in block.iter_mut().enumerate() {
-                let r = br * 64 + i;
-                *b = if r < rows {
-                    src[r * src_stride + bc]
+                *b = if i < live {
+                    src[(br * 64 + i) * src_stride + bc]
                 } else {
                     0
                 };
             }
             // Mask slack columns of the final block column so they cannot
             // leak into the output as phantom rows.
-            if (bc + 1) * 64 > cols {
-                let valid = cols - bc * 64;
-                let mask = if valid == 64 { !0 } else { (1 << valid) - 1 };
+            let valid = (cols - bc * 64).min(64);
+            if valid < 64 {
+                let mask = (1 << valid) - 1;
                 for b in block.iter_mut() {
                     *b &= mask;
                 }
             }
             kernels.transpose_64x64(&mut block);
             // Scatter to the transposed block position (bc, br).
-            for (i, b) in block.iter().enumerate() {
-                let r = bc * 64 + i;
-                if r < cols {
-                    dst[r * dst_stride + br] = *b;
-                }
+            for (i, b) in block.iter().take(valid).enumerate() {
+                dst[(bc * 64 + i) * dst_stride + br] = *b;
             }
         }
     }

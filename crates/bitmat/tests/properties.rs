@@ -289,7 +289,8 @@ proptest! {
     /// scalar reference for the full kernel surface: the blocked
     /// Four-Russians multiply (table + gather + narrow-shot transposed
     /// paths), the row-gather `mul`, `transpose_packed`, and the row
-    /// AND-popcount behind `mul_vec`. The `SYMPHASE_SIMD` override and the
+    /// AND-popcount behind `mul_vec`, the four-block strip transpose and
+    /// the `0`/`1` text expansion. The `SYMPHASE_SIMD` override and the
     /// bench `--simd` flag force exactly these levels, so this is the
     /// contract that makes forcing safe.
     #[test]
@@ -304,17 +305,75 @@ proptest! {
         let a = BitMatrix::from_fn(m, k, |r, c| abits[r * k + c]);
         let b = BitMatrix::from_fn(k, n, |r, c| bbits[r * n + c]);
         let v = BitVec::from_fn(k, |i| abits[i % abits.len()]);
-        let reference = simd::with_level(simd::SimdLevel::Scalar, || {
-            (a.mul_blocked(&b), a.mul(&b), a.transpose(), a.mul_vec(&v))
-        });
+        // A four-block strip and `k` bits of text from the same bits.
+        let word = |w: usize| {
+            (0..64).fold(0u64, |acc, i| acc | (u64::from(abits[(w * 64 + i) % abits.len()]) << i))
+        };
+        let strip: [[u64; 4]; 64] = std::array::from_fn(|r| std::array::from_fn(|l| word(4 * r + l)));
+        let kernels = || {
+            let kernels = simd::kernels();
+            let mut s = strip;
+            kernels.transpose_strip(&mut s);
+            let mut text = vec![0u8; k];
+            kernels.expand_01(v.words(), &mut text);
+            (a.mul_blocked(&b), a.mul(&b), a.transpose(), a.mul_vec(&v), s, text)
+        };
+        let reference = simd::with_level(simd::SimdLevel::Scalar, kernels);
         for level in simd::available_levels() {
-            let got = simd::with_level(level, || {
-                (a.mul_blocked(&b), a.mul(&b), a.transpose(), a.mul_vec(&v))
-            });
+            let got = simd::with_level(level, kernels);
             prop_assert_eq!(&got.0, &reference.0, "mul_blocked diverged at {}", level.name());
             prop_assert_eq!(&got.1, &reference.1, "mul diverged at {}", level.name());
             prop_assert_eq!(&got.2, &reference.2, "transpose diverged at {}", level.name());
             prop_assert_eq!(&got.3, &reference.3, "mul_vec diverged at {}", level.name());
+            prop_assert_eq!(&got.4, &reference.4, "transpose_strip diverged at {}", level.name());
+            prop_assert_eq!(&got.5, &reference.5, "expand_01 diverged at {}", level.name());
+        }
+    }
+
+    /// `transpose_packed` on a column window — `src` starting at the
+    /// window's first word and ending exactly at the last word it reads —
+    /// matches a naive transpose at every level, and every output word is
+    /// either written or zeroed (`dst` starts as all ones). Widths reach
+    /// past four 64-column blocks, so windows take the strip kernel.
+    #[test]
+    fn transpose_packed_column_window_matches_naive(
+        rows in prop_oneof![Just(0usize), Just(1usize), Just(64usize), Just(65usize), 2usize..200],
+        cols in prop_oneof![Just(0usize), Just(255usize), Just(256usize), Just(257usize), 1usize..330],
+        lead in 0usize..3,
+        tail in 0usize..2,
+        seed in any::<u64>(),
+    ) {
+        let src_stride = lead + cols.div_ceil(64) + tail;
+        let mut state = seed | 1;
+        let words: Vec<u64> = (0..rows * src_stride)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            })
+            .collect();
+        let window = match rows {
+            0 => &[][..],
+            _ => &words[lead..lead + (rows - 1) * src_stride + cols.div_ceil(64)],
+        };
+        let bit = |r: usize, c: usize| (words[r * src_stride + lead + c / 64] >> (c % 64)) & 1;
+        // One slack word per output row.
+        let dst_stride = rows.div_ceil(64) + 1;
+        let mut naive = vec![0u64; cols * dst_stride];
+        for c in 0..cols {
+            for r in 0..rows {
+                naive[c * dst_stride + r / 64] |= bit(r, c) << (r % 64);
+            }
+        }
+        for level in simd::available_levels() {
+            let mut dst = vec![!0u64; cols * dst_stride];
+            simd::with_level(level, || {
+                symphase_bitmat::transpose::transpose_packed(
+                    window, rows, cols, src_stride, &mut dst, dst_stride,
+                )
+            });
+            prop_assert_eq!(&dst, &naive, "diverged at {}", level.name());
         }
     }
 

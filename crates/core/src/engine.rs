@@ -13,7 +13,7 @@ use symphase_circuit::{Circuit, Gate, PauliKind};
 use symphase_tableau::{Collapse, Tableau};
 
 use crate::expr::SymExpr;
-use crate::phases::{symbol_bound, SymbolicPhases};
+use crate::phases::{group_bound, symbol_bound, SymbolicPhases};
 use crate::symbol::{SymbolId, SymbolTable};
 
 /// Everything the Initialization produces: symbol distributions and the
@@ -43,7 +43,8 @@ pub(crate) fn initialize<S: SymbolicPhases>(circuit: &Circuit) -> InitResult {
     // Destabilizer phases never influence outcomes — skip their symbol
     // bookkeeping (see `SymbolicPhases::set_symbol_tracking_floor`).
     tab.phases_mut().set_symbol_tracking_floor(n);
-    if let Some(bound) = symbol_bound(&circuit.stats()) {
+    let stats = circuit.stats();
+    if let Some(bound) = symbol_bound(&stats) {
         tab.phases_mut().reserve_symbols(bound);
     }
     let mut init = Init {
@@ -52,7 +53,8 @@ pub(crate) fn initialize<S: SymbolicPhases>(circuit: &Circuit) -> InitResult {
         // — noise, the reset half of R/MR, and feedback — reuses it.
         mask: vec![0u64; tab.words_per_col()],
         tab,
-        table: SymbolTable::new(),
+        // Sized once: growing it by doubling churns large allocations.
+        table: SymbolTable::with_capacity(group_bound(&stats).unwrap_or(0)),
         measurements: Vec::with_capacity(circuit.num_measurements()),
         random_records: Vec::with_capacity(circuit.num_measurements()),
     };

@@ -16,7 +16,7 @@ use symphase_circuit::CircuitStats;
 use symphase_tableau::PhaseStore;
 
 use crate::expr::SymExpr;
-use crate::symbol::SymbolId;
+use crate::symbol::{SymbolGroup, SymbolId};
 
 /// Extension of [`PhaseStore`] with symbol-coefficient operations (paper
 /// Init-P and Init-M).
@@ -353,7 +353,24 @@ impl SymbolicPhases for SparsePhases {
 /// measurement or reset. `None` when a count saturated (a `REPEAT` trip
 /// count too large to multiply out), so no store is sized from it.
 pub(crate) fn symbol_bound(stats: &CircuitStats) -> Option<usize> {
-    let counts = [stats.noise_symbols, stats.measurements, stats.resets];
+    saturating_sum([stats.noise_symbols, stats.measurements, stats.resets])
+}
+
+/// An upper bound on the symbol groups Initialization records, by the
+/// same rule as [`symbol_bound`]: one group per noise site, plus at most
+/// one coin per measurement or reset. `None` when a count saturated or
+/// when the groups would take more than the dense store's reservation cap,
+/// so the symbol table is only sized up front for circuits it fits.
+pub(crate) fn group_bound(stats: &CircuitStats) -> Option<usize> {
+    saturating_sum([stats.noise_sites, stats.measurements, stats.resets]).filter(|&groups| {
+        groups
+            .checked_mul(std::mem::size_of::<SymbolGroup>())
+            .is_some_and(|bytes| bytes <= MAX_RESERVED_BYTES)
+    })
+}
+
+/// The sum of `counts`, or `None` if one saturated or the sum overflows.
+fn saturating_sum(counts: [usize; 3]) -> Option<usize> {
     if counts.contains(&usize::MAX) {
         return None;
     }
@@ -570,12 +587,39 @@ mod tests {
         });
         assert_eq!(c.stats().measurements, usize::MAX);
         assert_eq!(symbol_bound(&c.stats()), None);
+        assert_eq!(group_bound(&c.stats()), None);
         // A bound past the reservation cap leaves the store to grow.
         let mut d = DensePhases::with_rows(1 << 10);
         d.reserve_symbols(MAX_RESERVED_BYTES);
         assert_eq!(d.stride, 0);
         d.reserve_symbols(64);
         assert_eq!(d.stride, 1);
+    }
+
+    #[test]
+    fn group_reservation_skips_saturated_and_oversized_stats() {
+        let stats = |noise_sites, measurements, resets| CircuitStats {
+            noise_sites,
+            measurements,
+            resets,
+            ..CircuitStats::default()
+        };
+        assert_eq!(group_bound(&stats(5, 3, 2)), Some(10));
+        for saturated in [
+            stats(usize::MAX, 0, 0),
+            stats(0, usize::MAX, 0),
+            stats(0, 0, usize::MAX),
+        ] {
+            assert_eq!(group_bound(&saturated), None);
+        }
+        assert_eq!(
+            group_bound(&stats(usize::MAX - 1, 1, 1)),
+            None,
+            "sum overflows"
+        );
+        let cap = MAX_RESERVED_BYTES / std::mem::size_of::<SymbolGroup>();
+        assert_eq!(group_bound(&stats(cap, 0, 0)), Some(cap));
+        assert_eq!(group_bound(&stats(cap, 1, 0)), None, "past the byte cap");
     }
 
     #[test]

@@ -111,6 +111,14 @@ impl SymbolTable {
         }
     }
 
+    /// An empty table with room for `groups` symbol groups.
+    pub(crate) fn with_capacity(groups: usize) -> Self {
+        Self {
+            groups: Vec::with_capacity(groups),
+            ..Self::new()
+        }
+    }
+
     /// Number of symbols allocated (excluding the constant `s₀`).
     pub fn num_symbols(&self) -> usize {
         (self.next_id - 1) as usize

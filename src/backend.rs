@@ -18,10 +18,13 @@
 //! # Ok::<(), symphase::backend::BuildError>(())
 //! ```
 
+use std::sync::Arc;
+
 use symphase_backend::Sampler;
 use symphase_circuit::Circuit;
 use symphase_core::SymPhaseSampler;
 use symphase_frame::FrameSampler;
+use symphase_serve::LintGate;
 use symphase_statevec::StateVecSampler;
 use symphase_tableau::TableauSampler;
 
@@ -86,6 +89,25 @@ pub fn check_tableau_budget(circuit: &Circuit, engine: EngineKind) -> Result<(),
         });
     }
     Ok(())
+}
+
+/// The admission gate of `symphase serve --lint`: rejects a circuit with
+/// lint findings, rendered as text. Linting initializes SymPhase, so a
+/// circuit whose tableau is over the budget is not linted but admitted
+/// to the factory, which refuses it with the same typed `Build` error as
+/// a daemon without the gate — before anything allocates.
+pub fn lint_gate() -> LintGate {
+    Arc::new(|circuit: &Circuit| {
+        if check_tableau_budget(circuit, EngineKind::SymPhase).is_err() {
+            return Ok(());
+        }
+        let diags = symphase_analysis::lint(circuit);
+        if diags.is_empty() {
+            Ok(())
+        } else {
+            Err(symphase_analysis::render_text(&diags))
+        }
+    })
 }
 
 /// The memory one engine's stabilizer tableau may take: 256 MiB, about

@@ -52,7 +52,7 @@ use symphase_circuit::Circuit;
 use symphase_core::SymPhaseSampler;
 use symphase_tableau::reference_sample;
 
-use crate::backend::{build_sampler, check_tableau_budget, EngineKind};
+use crate::backend::{build_sampler, check_tableau_budget, lint_gate, EngineKind};
 
 /// A CLI failure: message plus suggested exit code.
 #[derive(Debug)]
@@ -1289,16 +1289,7 @@ fn cmd_serve(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     options.threads = opts.threads.unwrap_or(0);
     options.optimize = opts.optimize;
     let factory: symphase_serve::SamplerFactory = std::sync::Arc::new(build_sampler);
-    let lint: Option<symphase_serve::LintGate> = opts.lint_gate.then(|| {
-        std::sync::Arc::new(|circuit: &Circuit| {
-            let diags = symphase_analysis::lint(circuit);
-            if diags.is_empty() {
-                Ok(())
-            } else {
-                Err(symphase_analysis::render_text(&diags))
-            }
-        }) as symphase_serve::LintGate
-    });
+    let lint = opts.lint_gate.then(lint_gate);
     let server = Server::bind(addr, options, factory, lint)
         .map_err(|e| fail_run(format!("binding {addr}: {e}")))?;
     // Announce readiness on stdout (flushed) so scripts can wait for it.

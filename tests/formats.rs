@@ -35,24 +35,33 @@ fn random_matrix(rows: usize, shots: usize, rng: &mut StdRng) -> BitMatrix {
 /// Runs `format` over `batch` delivered as chunks split at a word-aligned
 /// boundary (exercising the multi-chunk path) and returns the bytes.
 fn write_chunked(format: SampleFormat, source: RecordSource, batch: &SampleBatch) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut sink = format.sink(&mut out, source);
-    let spec = ShotSpec {
-        num_measurements: batch.measurements.rows(),
-        num_detectors: batch.detectors.rows(),
-        num_observables: batch.observables.rows(),
-        shots: batch.shots(),
-    };
-    sink.begin(&spec).unwrap();
     // Split into two chunks at a word boundary when possible (sinks
     // consume chunks independently; `start` only orders them).
     let split = (batch.shots() / 2) & !63;
     if split == 0 || split == batch.shots() {
-        sink.chunk(batch, 0).unwrap();
+        write_chunks(format, source, std::slice::from_ref(batch))
     } else {
         let (a, b) = split_batch(batch, split);
-        sink.chunk(&a, 0).unwrap();
-        sink.chunk(&b, split).unwrap();
+        write_chunks(format, source, &[a, b])
+    }
+}
+
+/// Runs `format` over `chunks`, delivered in order as one stream, and
+/// returns the bytes.
+fn write_chunks(format: SampleFormat, source: RecordSource, chunks: &[SampleBatch]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut sink = format.sink(&mut out, source);
+    let spec = ShotSpec {
+        num_measurements: chunks[0].measurements.rows(),
+        num_detectors: chunks[0].detectors.rows(),
+        num_observables: chunks[0].observables.rows(),
+        shots: chunks.iter().map(SampleBatch::shots).sum(),
+    };
+    sink.begin(&spec).unwrap();
+    let mut start = 0;
+    for chunk in chunks {
+        sink.chunk(chunk, start).unwrap();
+        start += chunk.shots();
     }
     sink.finish().unwrap();
     drop(sink);
@@ -415,6 +424,68 @@ fn every_writer_matches_the_per_bit_reference() {
                             level.name()
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The same byte identity on shapes that cross the writers' 256-shot
+/// tiles and the transpose's four-block strips: shot counts on both sides
+/// of one and two tiles, a 4,161-shot run delivered as a full 4,096-shot
+/// chunk plus a ragged one, record counts on both sides of four 64-row
+/// blocks, and detector/observable stacks whose split is off the word
+/// grid (250 + 3).
+#[test]
+fn every_writer_matches_the_per_bit_reference_across_tiles() {
+    use symphase::bitmat::simd;
+    const SOURCES: [RecordSource; 4] = [
+        RecordSource::Measurements,
+        RecordSource::Detectors,
+        RecordSource::Observables,
+        RecordSource::DetectorsAndObservables,
+    ];
+    // (measurements, detectors, observables): the combined stack has
+    // 253, 256, 257 and 300 rows.
+    let shapes: [(usize, usize, usize); 4] =
+        [(255, 250, 3), (256, 254, 2), (257, 256, 1), (300, 253, 47)];
+    // (shots, width of the first chunk)
+    let runs = [
+        (255usize, 255usize),
+        (256, 256),
+        (257, 257),
+        (511, 256),
+        (513, 512),
+    ];
+    let cases = shapes
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &shape)| [(shape, runs[i]), (shape, runs[i + 1])])
+        .chain([((257, 61, 3), (4161, 4096))]);
+    for (i, ((m_rows, d_rows, o_rows), (shots, split))) in cases.enumerate() {
+        let mut rng = StdRng::seed_from_u64((i * 10_000 + shots) as u64);
+        let batch = SampleBatch {
+            measurements: random_matrix(m_rows, shots, &mut rng),
+            detectors: random_matrix(d_rows, shots, &mut rng),
+            observables: random_matrix(o_rows, shots, &mut rng),
+        };
+        let chunks = if split < shots {
+            let (a, b) = split_batch(&batch, split);
+            vec![a, b]
+        } else {
+            vec![batch.clone()]
+        };
+        for format in SampleFormat::ALL {
+            for source in SOURCES {
+                let want = reference::render(format, source, &batch);
+                for level in simd::available_levels() {
+                    let got = simd::with_level(level, || write_chunks(format, source, &chunks));
+                    assert!(
+                        got == want,
+                        "{} {source:?} {m_rows}/{d_rows}/{o_rows} x {shots} at {}",
+                        format.name(),
+                        level.name()
+                    );
                 }
             }
         }

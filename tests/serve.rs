@@ -553,21 +553,33 @@ fn bind_rejects_a_chunk_width_every_request_would_fail_on() {
 
 #[test]
 fn lint_gate_rejects_at_admission_with_a_typed_frame() {
-    let gate: LintGate = Arc::new(|circuit: &Circuit| {
-        let diags = symphase::analysis::lint(circuit);
-        if diags.is_empty() {
-            Ok(())
-        } else {
-            Err(symphase::analysis::render_text(&diags))
-        }
-    });
+    // The gate `symphase serve --lint` installs.
     let handle = start(
         ServeOptions {
             chunk_shots: 256,
             ..ServeOptions::default()
         },
-        Some(gate),
+        Some(symphase::backend::lint_gate()),
     );
+    // Linting initializes SymPhase, whose tableau here would take 250 GB:
+    // the gate must not lint it, and the factory refuses it with a typed
+    // Build frame before anything allocates. The daemon serves on.
+    let huge = sample_request(
+        CircuitRef::Text("H 1000000\nM 1000000\nDETECTOR rec[-1]\n".into()),
+        EngineKind::SymPhase,
+        SampleFormat::B8,
+        RecordSource::Measurements,
+        0,
+        0,
+        256,
+    );
+    match request_sample(handle.addr(), &huge, &mut Vec::new()) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::Build, "message: {message}");
+            assert!(message.contains("1000001 qubits"), "message: {message}");
+        }
+        other => panic!("expected a Build rejection, got {other:?}"),
+    }
     // A qubit that is touched but never measured trips the analyzer.
     let req = sample_request(
         CircuitRef::Text("H 0\nH 1\nM 0\n".into()),
