@@ -172,8 +172,7 @@ pub trait Sampler: Send + Sync {
     ///
     /// `batch` must be shaped by [`SampleBatch::zeros`] with this
     /// sampler's row counts. Implementations overwrite all previous
-    /// contents (they clear the batch first), so a batch may be reused
-    /// across calls.
+    /// contents, so a batch may be reused across calls.
     fn sample_into(&self, batch: &mut SampleBatch, rng: &mut dyn RngCore);
 
     /// Samples `shots` shots from a caller-supplied RNG stream.

@@ -5,22 +5,25 @@
 //! those rows bit-by-bit would dominate sampling time, so this module
 //! provides word-block fills:
 //!
-//! * `p = 1/2` (measurement coins): raw RNG words.
+//! * `p = 1/2` (measurement coins): raw RNG words, the whole row in one
+//!   `fill_bytes` call.
 //! * small `p` (realistic noise rates): geometric skip sampling — draw the
 //!   gap to the next set bit instead of testing every bit.
 //! * large `p`: fill with ones and clear with the complementary rate.
 //!
 //! The block fills run as whole-slice `fill` (compiled to memset-wide
-//! stores, the widest the target has). The RNG-consuming loops stay
-//! word-at-a-time deliberately: the coin path draws one RNG word per
-//! output word and the geometric path's draws are data-dependent, so any
-//! lane-widening would reorder the stream and break the bit-identical
-//! contract pinned by `index_iteration_matches_fill_stream` (see
-//! [`crate::simd`] for the kernels that *do* widen).
+//! stores, the widest the target has). The RNG-consuming paths keep the
+//! stream word-at-a-time: the coin path takes one RNG word per output
+//! word, in order (through one `fill_bytes` over the row's little-endian
+//! byte view, which is the same words), and the geometric path's draws
+//! are data-dependent, so any lane-widening would reorder the stream and
+//! break the bit-identical contract pinned by
+//! `index_iteration_matches_fill_stream` (see [`crate::simd`] for the
+//! kernels that *do* widen).
 
 use rand::Rng;
 
-use crate::word::{tail_mask, Word, WORD_BITS};
+use crate::word::{fill_le_bytes, tail_mask, Word, WORD_BITS};
 
 /// Fills the first `nbits` bits of `words` with i.i.d. Bernoulli(`p`) bits;
 /// slack bits are zeroed.
@@ -53,7 +56,9 @@ pub fn fill_bernoulli(words: &mut [Word], nbits: usize, p: f64, rng: &mut impl R
     // breaks the bit-identical method-equivalence contract of the
     // sampler's `SamplingMethod` strategies.
     if p == 0.5 {
-        words.iter_mut().for_each(|w| *w = rng.random());
+        // One `fill_bytes` over the row: the same words as one
+        // `rng.random::<Word>()` each, without a call per word.
+        fill_le_bytes(words, |bytes| rng.fill_bytes(bytes));
         mask_tail(words, nbits);
         return;
     }

@@ -120,9 +120,10 @@ fn resize_tracked<T: Copy>(v: &mut Vec<T>, len: usize, fill: T, allocs: &mut u64
 /// `out[.., window] ^= a · b` over F₂ with the blocked kernel.
 ///
 /// The product is XOR-accumulated into the word-aligned column window of
-/// `out` starting at `col_word_offset` (mirroring
-/// [`crate::SparseRowMatrix::mul_dense_into`]), so shot-batched sampling
-/// can write each batch straight into the full-width output.
+/// `out` starting at `col_word_offset` (the window
+/// [`crate::SparseRowMatrix::mul_dense_overwrite`] overwrites), so
+/// shot-batched sampling can write each batch straight into the
+/// full-width output once the window is zeroed.
 ///
 /// # Panics
 ///

@@ -156,15 +156,23 @@ impl SparseBitVec {
         self.indices = out;
     }
 
-    /// XOR-accumulates, for every set bit `k`, the packed row `rows(k)` into
-    /// `acc` — the sparse-row half of the paper's sparse matrix
-    /// multiplication (§3.2.3): `acc ^= Σ_k B[k]`.
+    /// Overwrites `out` with the XOR of the packed rows `rows(k)` over
+    /// every set bit `k` — the sparse-row half of the paper's sparse
+    /// matrix multiplication (§3.2.3): `out = Σ_k B[k]`. An empty vector
+    /// writes zeros; otherwise the first row is copied and the rest are
+    /// XORed on top, so `out`'s previous contents are never read.
     ///
-    /// `rows(k)` must yield slices at least as long as `acc`.
-    pub fn xor_gather_rows<'a>(&self, mut rows: impl FnMut(u32) -> &'a [Word], acc: &mut [Word]) {
-        for &k in &self.indices {
-            let src = rows(k);
-            for (d, s) in acc.iter_mut().zip(src) {
+    /// # Panics
+    ///
+    /// Panics if `rows(k)` yields a slice shorter than `out`.
+    pub fn gather_rows_into<'a>(&self, mut rows: impl FnMut(u32) -> &'a [Word], out: &mut [Word]) {
+        let Some((&first, rest)) = self.indices.split_first() else {
+            out.fill(0);
+            return;
+        };
+        out.copy_from_slice(&rows(first)[..out.len()]);
+        for &k in rest {
+            for (d, s) in out.iter_mut().zip(rows(k)) {
                 *d ^= *s;
             }
         }
@@ -285,24 +293,30 @@ impl SparseRowMatrix {
     /// Panics if `b.rows() != self.cols()`.
     pub fn mul_dense(&self, b: &crate::BitMatrix) -> crate::BitMatrix {
         let mut out = crate::BitMatrix::zeros(self.rows.len(), b.cols());
-        self.mul_dense_into(b, &mut out, 0);
+        self.mul_dense_overwrite(b, &mut out, 0);
         out
     }
 
-    /// Like [`SparseRowMatrix::mul_dense`], but XORs the product into a
+    /// Like [`SparseRowMatrix::mul_dense`], but writes the product over a
     /// word-aligned column window of an existing output matrix (used for
-    /// shot-batched sampling without intermediate allocations).
+    /// shot-batched sampling without intermediate allocations). The
+    /// window's previous contents are overwritten, never read; the rest
+    /// of `out` is untouched.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch or if the window does not fit.
-    pub fn mul_dense_into(
+    pub fn mul_dense_overwrite(
         &self,
         b: &crate::BitMatrix,
         out: &mut crate::BitMatrix,
         col_word_offset: usize,
     ) {
-        assert_eq!(b.rows(), self.cols, "dimension mismatch in mul_dense_into");
+        assert_eq!(
+            b.rows(),
+            self.cols,
+            "dimension mismatch in mul_dense_overwrite"
+        );
         assert_eq!(out.rows(), self.rows.len(), "output row count mismatch");
         let bstride = b.stride();
         let ostride = out.stride();
@@ -310,7 +324,7 @@ impl SparseRowMatrix {
         for (r, row) in self.rows.iter().enumerate() {
             let start = r * ostride + col_word_offset;
             let dst = &mut out.words_mut()[start..start + bstride];
-            row.xor_gather_rows(|k| b.row(k as usize), dst);
+            row.gather_rows_into(|k| b.row(k as usize), dst);
         }
     }
 }

@@ -4,7 +4,7 @@ use std::sync::OnceLock;
 
 use rand::{Rng, RngCore};
 
-use symphase_backend::noise::FaultSink;
+use symphase_backend::noise::{FaultSink, NoiseSite};
 use symphase_backend::record::{detector_measurement_sets, observable_measurement_sets};
 pub use symphase_backend::SampleBatch;
 use symphase_backend::Sampler;
@@ -334,8 +334,8 @@ impl SymPhaseSampler {
     /// all three record matrices, whatever the method, so columns stay
     /// shot-aligned and the RNG stream is method-independent.
     ///
-    /// The batch is cleared first: every kernel XOR-accumulates, so a
-    /// reused batch would otherwise mix draws.
+    /// Every bit of the batch is overwritten (each kernel owns its shot
+    /// window), so a reused batch never mixes draws.
     pub fn sample_batch_with_method(
         &self,
         batch: &mut SampleBatch,
@@ -343,7 +343,6 @@ impl SymPhaseSampler {
         method: SamplingMethod,
     ) {
         let shots = batch.shots();
-        batch.clear();
         self.fill_records(
             shots,
             rng,
@@ -357,8 +356,9 @@ impl SymPhaseSampler {
     }
 
     /// The one shot-batch loop: per batch of [`Self::SHOT_BATCH`] shots,
-    /// draws once, then XOR-accumulates `rows · B` into every output
-    /// (each zeroed by the caller) with `method`'s kernel.
+    /// draws once, then writes `rows · B` over that batch's window of
+    /// every output with `method`'s kernel. The windows tile each output,
+    /// so every bit is overwritten and the outputs need no clearing.
     ///
     /// Scratch buffers (the assignment matrix, the blocked-kernel tables,
     /// the hybrid draw buffers) live in a thread-local and are reused
@@ -396,8 +396,12 @@ impl SymPhaseSampler {
                         self.plan.sample_into(&self.table, b, rng);
                         for (record, out) in outs.iter_mut() {
                             if method == SamplingMethod::SparseRows {
-                                record.sparse(&self.plan).mul_dense_into(b, out, start / 64);
+                                record
+                                    .sparse(&self.plan)
+                                    .mul_dense_overwrite(b, out, start / 64);
                             } else {
+                                // The blocked kernel XOR-accumulates.
+                                clear_window(out, start / 64, b.stride());
                                 record.dense(&self.plan).mul_into(
                                     b,
                                     out,
@@ -431,7 +435,7 @@ impl Sampler for SymPhaseSampler {
     }
 
     fn sample_into(&self, batch: &mut SampleBatch, mut rng: &mut dyn RngCore) {
-        // The batch path clears the batch itself, so reused batches never
+        // The batch path overwrites every bit, so reused batches never
         // mix draws.
         self.sample_batch_with_method(batch, &mut rng, self.method);
     }
@@ -500,14 +504,15 @@ impl FaultSink for HybridSink<'_> {
 }
 
 impl SymbolSink for HybridSink<'_> {
-    fn set_group(&mut self, ids: [u32; 4]) {
+    fn set_group(&mut self, _site: &NoiseSite, ids: [u32; 4]) {
         self.ids = ids;
     }
 }
 
-/// Applies one hybrid draw to one record matrix: the coin part as a dense
-/// product through the target's coin-restricted rows, the fault part as
-/// per-event bit flips through the symbol → rows index.
+/// Applies one hybrid draw to one record matrix's shot window: the coin
+/// part as a dense product through the target's coin-restricted rows,
+/// which overwrites the window, then the fault part as per-event bit
+/// flips on top through the symbol → rows index.
 fn apply_hybrid(
     target: &EventTarget,
     coins: &BitMatrix,
@@ -516,7 +521,7 @@ fn apply_hybrid(
     start: usize,
 ) {
     debug_assert_eq!(start % 64, 0, "batch starts must be word-aligned");
-    target.coin_rows.mul_dense_into(coins, out, start / 64);
+    target.coin_rows.mul_dense_overwrite(coins, out, start / 64);
     let ostride = out.stride();
     let words = out.words_mut();
     for &(k, shot) in events {
@@ -585,7 +590,8 @@ fn resolve_auto_from_matrix(
 }
 
 /// The matrix in `slot`, reallocated as `rows × cols` zeros only when
-/// its shape differs (the final, narrower shot batch).
+/// its shape differs (the final, narrower shot batch). A reused matrix
+/// keeps its last contents, which the draws overwrite.
 fn shaped(slot: &mut Option<BitMatrix>, rows: usize, cols: usize) -> &mut BitMatrix {
     if slot
         .as_ref()
@@ -594,6 +600,15 @@ fn shaped(slot: &mut Option<BitMatrix>, rows: usize, cols: usize) -> &mut BitMat
         *slot = Some(BitMatrix::zeros(rows, cols));
     }
     slot.as_mut().expect("just ensured")
+}
+
+/// Zeroes words `col_word_offset..col_word_offset + words` of every row
+/// of `out`.
+fn clear_window(out: &mut BitMatrix, col_word_offset: usize, words: usize) {
+    let stride = out.stride();
+    for row in out.words_mut().chunks_exact_mut(stride) {
+        row[col_word_offset..col_word_offset + words].fill(0);
+    }
 }
 
 #[cfg(test)]
@@ -671,10 +686,109 @@ mod tests {
         }
     }
 
+    /// Every noise kind on halves of Bell pairs, plus two coins. Undoing
+    /// the pairs turns each error's Z part into one record and its X part
+    /// into another, so every jointly distributed channel stays whole in
+    /// the draw plan. The plan's shape does not depend on `p`.
+    fn channel_mix(p: f64) -> Circuit {
+        let (a, b) = (p / 3.0, p / 15.0);
+        let pairs = "CX 0 6 1 7 2 8 3 9 4 10 5 11";
+        let text = format!(
+            "H 0 1 2 3 4 5\n{pairs}\nX_ERROR({p}) 0\nDEPOLARIZE1({p}) 0 1\n\
+             DEPOLARIZE2({p}) 2 3\nPAULI_CHANNEL_1({a},{a},{a}) 4\n\
+             PAULI_CHANNEL_2({b},{b},{b},{b},{b},{b},{b},{b},{b},{b},{b},{b},{b},{b},{b}) 4 5\n\
+             E({p}) X0 Z1\nELSE_CORRELATED_ERROR({p}) X2\n{pairs}\nH 0 1 2 3 4 5\n\
+             H 12 13\nM 0 1 2 3 4 5 6 7 8 9 10 11 12 13\n\
+             DETECTOR rec[-14]\nDETECTOR rec[-8] rec[-7]\nDETECTOR rec[-5] rec[-1]\n\
+             OBSERVABLE_INCLUDE(0) rec[-10] rec[-4] rec[-2]\n"
+        );
+        Circuit::parse(&text).expect("channel mix parses")
+    }
+
+    #[test]
+    fn stale_scratch_and_batch_do_not_leak_into_a_draw() {
+        // Neither the assignment matrix nor the output batch is zeroed
+        // as a whole: every row of `B` and every output window is written
+        // in full. Leave both full of another circuit's draw (same `B`
+        // shape, so the thread-local scratch is reused as it stands) or
+        // of ones, and the draw must equal a fresh one on a fresh thread.
+        let target = SymPhaseSampler::new(&channel_mix(0.05));
+        let other = SymPhaseSampler::new(&channel_mix(0.9));
+        assert_eq!(target.plan.len(), other.plan.len());
+        assert_eq!(target.plan.num_coins(), other.plan.num_coins());
+        // The channels whose rows are OR-written, so zeroed per site.
+        let joint: [fn(&NoiseSite) -> bool; 4] = [
+            |s| matches!(s, NoiseSite::Depolarize1(_)),
+            |s| matches!(s, NoiseSite::Depolarize2(_)),
+            |s| matches!(s, NoiseSite::PauliChannel1 { .. }),
+            |s| matches!(s, NoiseSite::PauliChannel2 { .. }),
+        ];
+        for (i, is_kind) in joint.iter().enumerate() {
+            assert!(
+                target
+                    .plan
+                    .sites(&target.table)
+                    .any(|(site, _)| is_kind(&site)),
+                "joint channel {i} must be drawn whole for the test to cover its rows"
+            );
+        }
+        // `B` keeps its buffer only while its width does: `other` ends on
+        // a full batch, so `target`'s first batch reuses it; `target`'s
+        // own tail is partial, so its output's slack is covered too.
+        let shots = 2 * SymPhaseSampler::SHOT_BATCH + 100;
+        let shaped = || {
+            SampleBatch::zeros(
+                target.num_measurements(),
+                target.num_detectors(),
+                target.num_observables(),
+                shots,
+            )
+        };
+        for method in SamplingMethod::ALL {
+            let fresh = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut batch = shaped();
+                    target.sample_batch_with_method(&mut batch, &mut rng(43), method);
+                    batch
+                })
+                .join()
+                .unwrap()
+            });
+            let stale = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut warm = SampleBatch::zeros(
+                        other.num_measurements(),
+                        other.num_detectors(),
+                        other.num_observables(),
+                        2 * SymPhaseSampler::SHOT_BATCH,
+                    );
+                    other.sample_batch_with_method(&mut warm, &mut rng(44), method);
+                    let mut batch = shaped();
+                    batch.measurements.words_mut().fill(!0);
+                    batch.detectors.words_mut().fill(!0);
+                    batch.observables.words_mut().fill(!0);
+                    target.sample_batch_with_method(&mut batch, &mut rng(43), method);
+                    batch
+                })
+                .join()
+                .unwrap()
+            });
+            assert_eq!(
+                stale.measurements, fresh.measurements,
+                "{method:?} measurements"
+            );
+            assert_eq!(stale.detectors, fresh.detectors, "{method:?} detectors");
+            assert_eq!(
+                stale.observables, fresh.observables,
+                "{method:?} observables"
+            );
+        }
+    }
+
     #[test]
     fn batch_reuse_does_not_mix_draws() {
-        // The kernels XOR-accumulate, so the batch paths must clear a
-        // reused batch before refilling it.
+        // The batch paths overwrite every bit of a reused batch, so its
+        // last draw never shows through.
         let c = repetition_code_memory(&RepetitionCodeConfig {
             distance: 3,
             rounds: 2,

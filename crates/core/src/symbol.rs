@@ -252,16 +252,17 @@ fn for_each_site_outcome(
     });
 }
 
-/// Refills `b` (zeroed here): row 0 the constant 1, then every site in
-/// order through the shared noise draw, each slot into the row its id
-/// names.
+/// Refills `b`: row 0 the constant 1, then every site in order through
+/// the shared noise draw, each slot into the row its id names. `sites`
+/// must name every other row of `b` exactly once: each row is written
+/// once, in full, and `b` is never zeroed as a whole (see
+/// [`MatrixSink`]).
 fn fill_assignments(
     b: &mut BitMatrix,
     rng: &mut impl Rng,
     sites: impl Iterator<Item = (NoiseSite, [SymbolId; 4])>,
 ) {
     let shots = b.cols();
-    b.words_mut().fill(0);
     // Row 0: the constant symbol s₀ = 1 (p = 1 draws no randomness).
     fill_bernoulli(b.row_mut(0), shots, 1.0, rng);
     let stride = b.stride();
@@ -274,7 +275,8 @@ fn fill_assignments(
 }
 
 /// Draws `sites` in order for a window of `width` shots through the
-/// shared noise draw; before each site, `sink` learns its slots' ids.
+/// shared noise draw; before each site, `sink` learns the site and its
+/// slots' ids.
 fn draw_sites<S: SymbolSink>(
     sites: impl Iterator<Item = (NoiseSite, [SymbolId; 4])>,
     width: usize,
@@ -283,7 +285,7 @@ fn draw_sites<S: SymbolSink>(
 ) {
     let mut scratch = NoiseScratch::default();
     for (site, ids) in sites {
-        sink.set_group(ids);
+        sink.set_group(&site, ids);
         noise::draw(&site, width, rng, &mut scratch, sink);
     }
 }
@@ -626,12 +628,15 @@ impl Transpose {
 
 /// A [`FaultSink`] whose slots are the current group's symbols.
 pub(crate) trait SymbolSink: FaultSink {
-    /// Routes the next group's slots to `ids`.
-    fn set_group(&mut self, ids: [SymbolId; 4]);
+    /// Routes the next group's slots, drawn as `site`, to `ids`.
+    fn set_group(&mut self, site: &NoiseSite, ids: [SymbolId; 4]);
 }
 
-/// Writes fired slots into the rows of the assignment matrix `B` (zeroed
-/// by the caller).
+/// Writes fired slots into the rows of the assignment matrix `B`. A
+/// `bernoulli` or `mask` slot writes its whole row, so `B` is not zeroed
+/// beforehand; only the rows of the sites that report shot by shot
+/// through `set` (the jointly distributed channels) are zeroed, when
+/// [`SymbolSink::set_group`] names them.
 struct MatrixSink<'a> {
     ids: [SymbolId; 4],
     words: &'a mut [u64],
@@ -660,8 +665,13 @@ impl FaultSink for MatrixSink<'_> {
 }
 
 impl SymbolSink for MatrixSink<'_> {
-    fn set_group(&mut self, ids: [SymbolId; 4]) {
+    fn set_group(&mut self, site: &NoiseSite, ids: [SymbolId; 4]) {
         self.ids = ids;
+        if !matches!(site, NoiseSite::Bernoulli(_) | NoiseSite::Correlated { .. }) {
+            for slot in 0..site.slots() {
+                self.row(slot).fill(0);
+            }
+        }
     }
 }
 

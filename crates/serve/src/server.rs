@@ -24,7 +24,7 @@ use std::any::Any;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -97,6 +97,8 @@ struct Shared {
     lint: Option<LintGate>,
     served: AtomicU64,
     busy: AtomicU64,
+    /// Connections a worker has popped and not yet finished.
+    in_flight: AtomicUsize,
     shutdown: AtomicBool,
 }
 
@@ -148,6 +150,7 @@ impl Server {
             lint,
             served: AtomicU64::new(0),
             busy: AtomicU64::new(0),
+            in_flight: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         });
         Ok(Server {
@@ -168,7 +171,9 @@ impl Server {
                 let shared = Arc::clone(&self.shared);
                 std::thread::spawn(move || {
                     while let Some(conn) = shared.queue.pop() {
+                        shared.in_flight.fetch_add(1, Ordering::Relaxed);
                         handle_conn_isolated(&shared, conn);
+                        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
                     }
                 })
             })
@@ -278,6 +283,17 @@ impl ServerHandle {
     /// Current counters (the same numbers a stats request reports).
     pub fn stats(&self) -> StatsReply {
         self.shared.stats()
+    }
+
+    /// Connections a worker is handling right now (popped from the queue
+    /// and not yet finished).
+    pub fn in_flight(&self) -> usize {
+        self.shared.in_flight.load(Ordering::Relaxed)
+    }
+
+    /// Connections admitted to the queue and not yet popped by a worker.
+    pub fn queued(&self) -> usize {
+        self.shared.queue.len()
     }
 
     /// Stops accepting, drains the queue, and joins every thread.

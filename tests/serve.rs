@@ -388,12 +388,26 @@ fn busy_backpressure_fires_when_queue_and_workers_are_full() {
         None,
     );
     let addr = handle.addr();
+    // Waits until `ready` holds; the daemon's gauges, not sleeps, order
+    // the hogs, so a slow runner cannot reject one before the other.
+    let wait_for = |what: &str, ready: &dyn Fn() -> bool| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !ready() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "timed out waiting for {what}"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    };
     // Occupy the single worker: a connection that never sends a request.
     let worker_hog = HeldConnection::open(addr).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(150));
+    wait_for("the worker to take the first hog", &|| {
+        handle.in_flight() == 1
+    });
     // Occupy the single queue slot the same way.
     let queue_hog = HeldConnection::open(addr).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(150));
+    wait_for("the second hog to be queued", &|| handle.queued() == 1);
     // Every further request is rejected at admission with a typed BUSY
     // frame, never a transport error.
     let req = sample_request(
