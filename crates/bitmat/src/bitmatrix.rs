@@ -110,6 +110,13 @@ impl BitMatrix {
         self.stride
     }
 
+    /// Words the backing buffer holds without reallocating (see
+    /// [`Self::reset_zeros`]).
+    #[inline]
+    pub fn word_capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Reads entry `(r, c)`.
     ///
     /// # Panics

@@ -4,14 +4,15 @@
 //! Clifford gates stay word-parallel, and differ in how they hold the
 //! symbol coefficients of each row:
 //!
-//! * [`DensePhases`] — a packed bit-row per tableau row (grown geometrically
-//!   as symbols appear): faithful to the paper's bit-matrix picture.
+//! * [`DensePhases`] — a packed bit-row per tracked tableau row (grown
+//!   geometrically as symbols appear): faithful to the paper's bit-matrix
+//!   picture.
 //! * [`SparsePhases`] — a sorted symbol list per row: per-row XOR cost
 //!   proportional to the number of symbols actually present, which stays
 //!   tiny for QEC-style circuits (the "sparse circuits" case of Table 1).
 
 use symphase_bitmat::word::xor_into;
-use symphase_bitmat::{BitVec, SparseBitVec, WORD_BITS};
+use symphase_bitmat::{simd, BitVec, SparseBitVec, WORD_BITS};
 use symphase_circuit::CircuitStats;
 use symphase_tableau::PhaseStore;
 
@@ -63,11 +64,24 @@ pub trait SymbolicPhases: PhaseStore {
 /// Dense symbolic phases: per-row packed coefficient words (symbol `k` at
 /// bit `k−1`), plus a shared constant-term bit-vector.
 ///
-/// Row operations touch only the *active prefix* of each row — the words
-/// the symbols allocated so far can occupy — so a stride reserved up front
-/// for the whole circuit ([`SymbolicPhases::reserve_symbols`]) costs
-/// nothing until its symbols appear. Words past the active prefix stay
-/// zero in every row.
+/// Only tracked rows (see [`SymbolicPhases::set_symbol_tracking_floor`])
+/// hold symbol words. Row operations touch only the *active prefix* of
+/// each row — the words the symbols allocated so far can occupy — so a
+/// stride reserved up front for the whole circuit
+/// ([`SymbolicPhases::reserve_symbols`]) costs nothing until its symbols
+/// appear. Words past the active prefix stay zero in every row.
+///
+/// Each row also keeps a *start word*: every word below it is zero. A row
+/// cleared at a random collapse restarts from its fresh coin's word, so
+/// the row additions of later collapses XOR only the recent words of
+/// their pivot rather than the whole prefix. The bound is conservative:
+/// cancellation never raises it.
+///
+/// Noise faults flip one symbol bit in many rows. Those flips are
+/// batched: they accumulate as row masks in a 64-symbol pending block for
+/// one symbol word, which is transposed into the rows before anything
+/// else rewrites them (`row_expr` folds a row's pending bits in instead).
+/// A flip of a single row, such as a coin, is written directly.
 #[derive(Clone, Debug)]
 pub struct DensePhases {
     constants: BitVec,
@@ -76,11 +90,27 @@ pub struct DensePhases {
     stride: usize,
     /// Words per row that can hold a nonzero coefficient (`≤ stride`).
     active: usize,
-    /// `sym[row * stride ..][..stride]`.
+    /// `sym[(row - first_tracked) * stride ..][..stride]`, tracked rows only.
     sym: Vec<u64>,
-    /// Rows below this index skip symbol maintenance.
+    /// Per tracked row, the lowest word that may be nonzero (`EMPTY`: none).
+    first: Vec<usize>,
+    /// Rows below this index skip symbol maintenance and hold no words.
     first_tracked: usize,
+    /// Pending flips in symbol word `open`, column-major:
+    /// `pend[bit * row_words + w]` selects the rows of row word `w` whose
+    /// symbol `64·open + bit + 1` flips.
+    pend: Vec<u64>,
+    /// Per row word, the rows with any pending flip.
+    pend_rows: Vec<u64>,
+    /// The symbol word the pending flips belong to (`None`: nothing pending).
+    open: Option<usize>,
 }
+
+/// Row adds start on a multiple of this many words (one AVX-512 vector).
+const XOR_ALIGN: usize = 8;
+
+/// The start word of a row with no nonzero word.
+const EMPTY: usize = usize::MAX;
 
 /// Largest symbol block [`DensePhases`] reserves up front. A bigger bound
 /// (a long `REPEAT`) falls back to growing as its symbols appear, so
@@ -90,31 +120,80 @@ const MAX_RESERVED_BYTES: usize = 1 << 30;
 impl DensePhases {
     /// Re-lays the symbol block out at `new_stride` words per row.
     fn set_stride(&mut self, new_stride: usize) {
-        let active = self.active;
-        let mut new_sym = vec![0u64; self.rows * new_stride];
-        for r in 0..self.rows {
-            new_sym[r * new_stride..r * new_stride + active]
-                .copy_from_slice(&self.sym[r * self.stride..r * self.stride + active]);
+        debug_assert!(self.open.is_none(), "flips pending across a re-layout");
+        let (stride, active) = (self.stride, self.active);
+        let mut new_sym = vec![0u64; self.first.len() * new_stride];
+        for (t, &from) in self.first.iter().enumerate() {
+            if from < active {
+                new_sym[t * new_stride + from..t * new_stride + active]
+                    .copy_from_slice(&self.sym[t * stride + from..t * stride + active]);
+            }
         }
         self.sym = new_sym;
         self.stride = new_stride;
     }
 
-    /// The active words of `row`.
-    fn row_words(&self, row: usize) -> &[u64] {
-        &self.sym[row * self.stride..row * self.stride + self.active]
+    /// Applies the pending flips: one 64×64 transpose per row word with a
+    /// pending row, then one word XOR per row whose flips did not cancel.
+    fn flush(&mut self) {
+        let Some(sw) = self.open.take() else {
+            return;
+        };
+        let kernels = simd::kernels();
+        let row_words = self.pend_rows.len();
+        for w in 0..row_words {
+            let rows = std::mem::take(&mut self.pend_rows[w]);
+            if rows == 0 {
+                continue;
+            }
+            let mut block = [0u64; WORD_BITS];
+            for (bit, word) in block.iter_mut().enumerate() {
+                *word = std::mem::take(&mut self.pend[bit * row_words + w]);
+            }
+            // Row `b` of the transposed block holds row `64w + b`'s flips.
+            kernels.transpose_64x64(&mut block);
+            let mut m = rows;
+            while m != 0 {
+                let b = m.trailing_zeros() as usize;
+                m &= m - 1;
+                if block[b] != 0 {
+                    let t = w * WORD_BITS + b - self.first_tracked;
+                    self.sym[t * self.stride + sw] ^= block[b];
+                    self.first[t] = self.first[t].min(sw);
+                }
+            }
+        }
+    }
+
+    /// `row`'s pending flips as `(symbol word, flips)`, if it has any.
+    fn pending_word(&self, row: usize) -> Option<(usize, u64)> {
+        let sw = self.open?;
+        let (w, b) = (row / WORD_BITS, row % WORD_BITS);
+        if (self.pend_rows[w] >> b) & 1 == 0 {
+            return None;
+        }
+        let row_words = self.pend_rows.len();
+        let flips = (0..WORD_BITS).fold(0u64, |acc, bit| {
+            acc | ((self.pend[bit * row_words + w] >> b) & 1) << bit
+        });
+        Some((sw, flips))
     }
 }
 
 impl PhaseStore for DensePhases {
     fn with_rows(rows: usize) -> Self {
+        let row_words = rows.div_ceil(WORD_BITS);
         Self {
             constants: BitVec::zeros(rows),
             rows,
             stride: 0,
             active: 0,
             sym: Vec::new(),
+            first: vec![EMPTY; rows],
             first_tracked: 0,
+            pend: vec![0; WORD_BITS * row_words],
+            pend_rows: vec![0; row_words],
+            open: None,
         }
     }
 
@@ -130,36 +209,63 @@ impl PhaseStore for DensePhases {
     fn add_row_into(&mut self, src: usize, dst: usize, extra_constant: bool) {
         let c = self.constants.get(dst) ^ self.constants.get(src) ^ extra_constant;
         self.constants.set(dst, c);
-        if self.active == 0 || dst < self.first_tracked {
+        if dst < self.first_tracked {
             return;
         }
         debug_assert!(src >= self.first_tracked, "untracked row used as source");
-        let (stride, active) = (self.stride, self.active);
-        let (s_off, d_off) = (src * stride, dst * stride);
+        self.flush();
+        let (s, d) = (src - self.first_tracked, dst - self.first_tracked);
+        let (from, active) = (self.first[s], self.active);
+        if from >= active {
+            return;
+        }
+        self.first[d] = self.first[d].min(from);
+        // Round the start down to whole vectors: the words below `from`
+        // are zero, and the kernel then leaves only the tail at `active`
+        // to word-at-a-time XORs, as on the full prefix.
+        let from = from & !(XOR_ALIGN - 1);
+        let (s_off, d_off) = (s * self.stride, d * self.stride);
         if s_off < d_off {
             let (lo, hi) = self.sym.split_at_mut(d_off);
-            xor_into(&mut hi[..active], &lo[s_off..s_off + active]);
+            xor_into(&mut hi[from..active], &lo[s_off + from..s_off + active]);
         } else {
             let (lo, hi) = self.sym.split_at_mut(s_off);
-            xor_into(&mut lo[d_off..d_off + active], &hi[..active]);
+            xor_into(&mut lo[d_off + from..d_off + active], &hi[from..active]);
         }
     }
 
     fn copy_row(&mut self, src: usize, dst: usize) {
         let c = self.constants.get(src);
         self.constants.set(dst, c);
-        if self.active == 0 || dst < self.first_tracked {
+        if dst < self.first_tracked {
             return;
         }
-        let (stride, active) = (self.stride, self.active);
-        self.sym
-            .copy_within(src * stride..src * stride + active, dst * stride);
+        debug_assert!(src >= self.first_tracked, "untracked row used as source");
+        self.flush();
+        let (s, d) = (src - self.first_tracked, dst - self.first_tracked);
+        let from = self.first[s].min(self.first[d]);
+        if from < self.active {
+            let stride = self.stride;
+            self.sym.copy_within(
+                s * stride + from..s * stride + self.active,
+                d * stride + from,
+            );
+        }
+        self.first[d] = self.first[s];
     }
 
     fn clear_row(&mut self, row: usize) {
         self.constants.set(row, false);
-        let start = row * self.stride;
-        self.sym[start..start + self.active].fill(0);
+        if row < self.first_tracked {
+            return;
+        }
+        self.flush();
+        let t = row - self.first_tracked;
+        let from = self.first[t];
+        if from < self.active {
+            self.sym[t * self.stride + from..t * self.stride + self.active].fill(0);
+        }
+        self.first[t] = EMPTY;
     }
 
     fn constant_bit(&self, row: usize) -> bool {
@@ -175,6 +281,7 @@ impl SymbolicPhases for DensePhases {
     fn ensure_symbol_capacity(&mut self, max_id: SymbolId) {
         let needed_words = (max_id as usize).div_ceil(WORD_BITS);
         if needed_words > self.stride {
+            self.flush();
             self.set_stride(needed_words.max(self.stride * 2));
         }
         self.active = self.active.max(needed_words);
@@ -183,28 +290,47 @@ impl SymbolicPhases for DensePhases {
     fn reserve_symbols(&mut self, count: usize) {
         let words = count.div_ceil(WORD_BITS);
         let fits = words
-            .checked_mul(self.rows * std::mem::size_of::<u64>())
+            .checked_mul(self.first.len() * std::mem::size_of::<u64>())
             .is_some_and(|bytes| bytes <= MAX_RESERVED_BYTES);
         if words > self.stride && fits {
+            self.flush();
             self.set_stride(words);
         }
     }
 
     fn set_symbol_tracking_floor(&mut self, first_tracked: usize) {
+        debug_assert!(
+            self.stride == 0,
+            "set the tracking floor before symbols are reserved"
+        );
         self.first_tracked = first_tracked;
+        self.first = vec![EMPTY; self.rows.saturating_sub(first_tracked)];
     }
 
     fn xor_symbol_word(&mut self, sym: SymbolId, word_index: usize, mask: u64) {
         debug_assert!(sym >= 1);
+        let m = tracked_mask(mask, word_index, self.first_tracked);
+        if m == 0 {
+            return;
+        }
         let bit = (sym - 1) as usize;
         let (sw, sb) = (bit / WORD_BITS, bit % WORD_BITS);
-        let mut m = tracked_mask(mask, word_index, self.first_tracked);
-        while m != 0 {
-            let b = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let row = word_index * WORD_BITS + b;
-            self.sym[row * self.stride + sw] ^= 1 << sb;
+        debug_assert!(sw < self.active, "symbol past the active prefix");
+        if m & (m - 1) == 0 {
+            // One row (a coin, or a fault on one generator): a direct
+            // write is cheaper than a transpose, and XOR commutes with
+            // whatever is pending.
+            let t = word_index * WORD_BITS + m.trailing_zeros() as usize - self.first_tracked;
+            self.sym[t * self.stride + sw] ^= 1 << sb;
+            self.first[t] = self.first[t].min(sw);
+            return;
         }
+        if self.open != Some(sw) {
+            self.flush();
+            self.open = Some(sw);
+        }
+        self.pend[sb * self.pend_rows.len() + word_index] ^= m;
+        self.pend_rows[word_index] |= m;
     }
 
     fn xor_expr_word(&mut self, expr: &SymExpr, word_index: usize, mask: u64) {
@@ -212,21 +338,42 @@ impl SymbolicPhases for DensePhases {
             self.constants.words_mut()[word_index] ^= mask;
         }
         let mut m = tracked_mask(mask, word_index, self.first_tracked);
+        let Some(&lowest) = expr.symbol_ids().first() else {
+            return;
+        };
+        if m == 0 {
+            return;
+        }
+        self.flush();
+        let low_word = (lowest - 1) as usize / WORD_BITS;
         while m != 0 {
             let b = m.trailing_zeros() as usize;
             m &= m - 1;
-            let row = word_index * WORD_BITS + b;
+            let t = word_index * WORD_BITS + b - self.first_tracked;
+            let row = &mut self.sym[t * self.stride..(t + 1) * self.stride];
             for &id in expr.symbol_ids() {
                 let bit = (id - 1) as usize;
-                self.sym[row * self.stride + bit / WORD_BITS] ^= 1 << (bit % WORD_BITS);
+                row[bit / WORD_BITS] ^= 1 << (bit % WORD_BITS);
             }
+            self.first[t] = self.first[t].min(low_word);
         }
     }
 
     fn row_expr(&self, row: usize) -> SymExpr {
         let mut e = SymExpr::constant(self.constants.get(row));
-        for (w, &word) in self.row_words(row).iter().enumerate() {
-            let mut bits = word;
+        if row < self.first_tracked {
+            return e;
+        }
+        let t = row - self.first_tracked;
+        let pending = self.pending_word(row);
+        let from = pending.map_or(self.first[t], |(sw, _)| self.first[t].min(sw));
+        for w in from..self.active {
+            let mut bits = self.sym[t * self.stride + w];
+            if let Some((sw, flips)) = pending {
+                if sw == w {
+                    bits ^= flips;
+                }
+            }
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -393,6 +540,8 @@ fn tracked_mask(mask: u64, word_index: usize, first_tracked: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn exercise<S: SymbolicPhases + Clone>(mut store: S) {
         store.ensure_symbol_capacity(80);
@@ -452,67 +601,77 @@ mod tests {
         assert_eq!(d.row_expr(0).symbol_ids(), &[1, 5000]);
     }
 
-    /// One random store operation, applied identically to every store in
-    /// `stores` (symbols `1..=max_sym`, rows `0..rows`).
-    fn random_op(rng: &mut impl rand::Rng, stores: &mut [&mut DensePhases], max_sym: u32) {
-        let rows = stores[0].rows();
-        let row_mask = |rng: &mut dyn rand::RngCore, w: usize| {
+    /// One store operation, drawn once and applied to every store compared.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Flip(SymbolId, usize, u64),
+        Expr(SymExpr, usize, u64),
+        Constant(usize, u64),
+        Add(usize, usize, bool),
+        Copy(usize, usize),
+        Clear(usize),
+        ClearThenAdd(usize, usize, bool),
+    }
+
+    impl Op {
+        /// A random operation on `rows` rows with symbols `1..=max_sym`.
+        /// Row operations read only rows at or above `floor`, as the
+        /// tableau's do.
+        fn random(rng: &mut impl Rng, rows: usize, floor: usize, max_sym: u32) -> Self {
+            let w = rng.random_range(0..rows.div_ceil(WORD_BITS));
             let valid = (rows - w * WORD_BITS).min(WORD_BITS);
-            let m = rng.next_u64();
-            if valid == WORD_BITS {
-                m
-            } else {
-                m & ((1 << valid) - 1)
+            let mask = rng.next_u64() & (!0 >> (WORD_BITS - valid));
+            let src = rng.random_range(floor..rows);
+            let dst = (src + rng.random_range(1..rows)) % rows;
+            match rng.random_range(0..10) {
+                0..=1 => Op::Flip(rng.random_range(1..=max_sym), w, mask),
+                // One row, as a coin or a fault on one generator flips.
+                2..=3 => Op::Flip(
+                    rng.random_range(1..=max_sym),
+                    w,
+                    1 << rng.random_range(0..valid),
+                ),
+                4 => {
+                    let mut e =
+                        SymExpr::from_symbols((0..3).map(|_| rng.random_range(1..=max_sym)));
+                    e.xor_constant(rng.random());
+                    Op::Expr(e, w, mask)
+                }
+                5 => Op::Constant(w, mask),
+                6 => Op::Add(src, dst, rng.random()),
+                7 => Op::Copy(src, dst),
+                8 => Op::Clear(dst),
+                _ => Op::ClearThenAdd(dst, src, rng.random()),
             }
-        };
-        let words = rows.div_ceil(WORD_BITS);
-        match rng.random_range(0..5) {
-            0 => {
-                let sym = rng.random_range(1..=max_sym);
-                let w = rng.random_range(0..words);
-                let mask = row_mask(rng, w);
-                for s in stores.iter_mut() {
+        }
+
+        fn apply<S: SymbolicPhases>(&self, s: &mut S) {
+            match *self {
+                Op::Flip(sym, w, mask) => {
                     s.ensure_symbol_capacity(sym);
                     s.xor_symbol_word(sym, w, mask);
                 }
-            }
-            1 => {
-                let src = rng.random_range(0..rows);
-                let dst = (src + rng.random_range(1..rows)) % rows;
-                let extra: bool = rng.random();
-                for s in stores.iter_mut() {
-                    s.add_row_into(src, dst, extra);
+                Op::Expr(ref e, w, mask) => {
+                    if let Some(&max) = e.symbol_ids().last() {
+                        s.ensure_symbol_capacity(max);
+                    }
+                    s.xor_expr_word(e, w, mask);
                 }
-            }
-            2 => {
-                let src = rng.random_range(0..rows);
-                let dst = (src + rng.random_range(1..rows)) % rows;
-                for s in stores.iter_mut() {
-                    s.copy_row(src, dst);
-                }
-            }
-            3 => {
-                let row = rng.random_range(0..rows);
-                for s in stores.iter_mut() {
+                Op::Constant(w, mask) => s.xor_constant_word(w, mask),
+                Op::Add(src, dst, extra) => s.add_row_into(src, dst, extra),
+                Op::Copy(src, dst) => s.copy_row(src, dst),
+                Op::Clear(row) => s.clear_row(row),
+                Op::ClearThenAdd(row, src, extra) => {
                     s.clear_row(row);
-                }
-            }
-            _ => {
-                let ids: Vec<u32> = (0..3).map(|_| rng.random_range(1..=max_sym)).collect();
-                let expr = SymExpr::from_symbols(ids.iter().copied());
-                let w = rng.random_range(0..words);
-                let mask = row_mask(rng, w);
-                for s in stores.iter_mut() {
-                    s.ensure_symbol_capacity(*ids.iter().max().expect("three ids"));
-                    s.xor_expr_word(&expr, w, mask);
+                    s.add_row_into(src, row, extra);
                 }
             }
         }
     }
 
-    /// Every word past the active prefix is zero, in every row.
+    /// Every word past the active prefix is zero, in every tracked row.
     fn tail_is_zero(d: &DensePhases) -> bool {
-        (0..d.rows).all(|r| {
+        (0..d.first.len()).all(|r| {
             d.sym[r * d.stride + d.active..(r + 1) * d.stride]
                 .iter()
                 .all(|&w| w == 0)
@@ -521,8 +680,6 @@ mod tests {
 
     #[test]
     fn reserved_store_equals_grown_store() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(15);
         let rows = 131;
         let mut grown = DensePhases::with_rows(rows);
@@ -532,11 +689,9 @@ mod tests {
         assert_eq!(reserved.active, 0);
         // Symbols arrive in increasing order, as in a traversal.
         for step in 0..2000u32 {
-            random_op(
-                &mut rng,
-                &mut [&mut grown, &mut reserved],
-                1 + step * 700 / 2000,
-            );
+            let op = Op::random(&mut rng, rows, 0, 1 + step * 700 / 2000);
+            op.apply(&mut grown);
+            op.apply(&mut reserved);
         }
         for r in 0..rows {
             assert_eq!(grown.row_expr(r), reserved.row_expr(r), "row {r}");
@@ -560,13 +715,11 @@ mod tests {
 
     #[test]
     fn words_past_the_active_prefix_stay_zero() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(16);
         let mut d = DensePhases::with_rows(70);
         d.reserve_symbols(64 * 16);
         for _ in 0..1000 {
-            random_op(&mut rng, &mut [&mut d], 150);
+            Op::random(&mut rng, 70, 0, 150).apply(&mut d);
             assert!(d.active <= 3);
             assert!(tail_is_zero(&d));
         }
@@ -624,65 +777,102 @@ mod tests {
 
     #[test]
     fn stores_agree_on_random_ops() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(9);
         let rows = 70;
         let mut dense = DensePhases::with_rows(rows);
         let mut sparse = SparsePhases::with_rows(rows);
-        dense.ensure_symbol_capacity(40);
         for _ in 0..400 {
-            match rng.random_range(0..5) {
-                0 => {
-                    let sym = rng.random_range(1..=40u32);
-                    let w = rng.random_range(0..2usize);
-                    let mask: u64 = rng.random();
-                    let mask = if w == 1 {
-                        mask & ((1 << (rows - 64)) - 1)
-                    } else {
-                        mask
-                    };
-                    dense.xor_symbol_word(sym, w, mask);
-                    sparse.xor_symbol_word(sym, w, mask);
-                }
-                1 => {
-                    let src = rng.random_range(0..rows);
-                    let mut dst = rng.random_range(0..rows);
-                    if dst == src {
-                        dst = (dst + 1) % rows;
-                    }
-                    let extra: bool = rng.random();
-                    dense.add_row_into(src, dst, extra);
-                    sparse.add_row_into(src, dst, extra);
-                }
-                2 => {
-                    let src = rng.random_range(0..rows);
-                    let dst = rng.random_range(0..rows);
-                    if src != dst {
-                        dense.copy_row(src, dst);
-                        sparse.copy_row(src, dst);
-                    }
-                }
-                3 => {
-                    let row = rng.random_range(0..rows);
-                    dense.clear_row(row);
-                    sparse.clear_row(row);
-                }
-                _ => {
-                    let w = rng.random_range(0..2usize);
-                    let mask: u64 = rng.random();
-                    let mask = if w == 1 {
-                        mask & ((1 << (rows - 64)) - 1)
-                    } else {
-                        mask
-                    };
-                    dense.xor_constant_word(w, mask);
-                    sparse.xor_constant_word(w, mask);
-                }
-            }
+            let op = Op::random(&mut rng, rows, 0, 40);
+            op.apply(&mut dense);
+            op.apply(&mut sparse);
         }
         for r in 0..rows {
             assert_eq!(dense.row_expr(r), sparse.row_expr(r), "row {r} diverged");
         }
+    }
+
+    /// Every word below each tracked row's start word is zero.
+    fn assert_zero_below_first(d: &DensePhases) {
+        for (t, &from) in d.first.iter().enumerate() {
+            let below = &d.sym[t * d.stride..][..from.min(d.stride)];
+            assert!(
+                below.iter().all(|&w| w == 0),
+                "row {} is nonzero below its start word {from}",
+                t + d.first_tracked
+            );
+        }
+    }
+
+    #[test]
+    fn dense_store_equals_sparse_store_at_scale() {
+        // The 2n + 1 rows of n = 130 qubits: the tracked rows start in the
+        // middle of row word 2 and run past 128 rows. Symbols grow to 12
+        // words without a reservation, so the stride doubles under load.
+        let (n, words, steps) = (130, 12, 3000);
+        let rows = 2 * n + 1;
+        let is_pending =
+            |d: &DensePhases, r: usize| (d.pend_rows[r / WORD_BITS] >> (r % WORD_BITS)) & 1 == 1;
+        // Cases hit: a flip in an older symbol word than the pending one,
+        // `row_expr` of a row with pending flips, stride growth with flips
+        // pending, `copy_row` onto a lower start word, clear then add.
+        let mut hits = [0usize; 5];
+        for seed in 0..4 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut dense = DensePhases::with_rows(rows);
+            let mut sparse = SparsePhases::with_rows(rows);
+            dense.set_symbol_tracking_floor(n);
+            sparse.set_symbol_tracking_floor(n);
+            for step in 0..steps {
+                let max_sym = (WORD_BITS * (1 + step * words / steps)) as u32;
+                let op = Op::random(&mut rng, rows, n, max_sym);
+                match op {
+                    Op::Flip(sym, ..) => {
+                        let sw = (sym as usize - 1) / WORD_BITS;
+                        if let Some(open) = dense.open {
+                            hits[0] += usize::from(sw < open);
+                            hits[2] += usize::from(sw >= dense.stride);
+                        }
+                    }
+                    Op::Copy(src, dst) if dst >= n => {
+                        hits[3] += usize::from(dense.first[dst - n] < dense.first[src - n]);
+                    }
+                    Op::ClearThenAdd(row, ..) => hits[4] += usize::from(row >= n),
+                    _ => {}
+                }
+                op.apply(&mut dense);
+                op.apply(&mut sparse);
+                assert_zero_below_first(&dense);
+                // Read back one row, preferably one whose flips are pending.
+                let pending: Vec<usize> = (n..rows).filter(|&r| is_pending(&dense, r)).collect();
+                let row = if pending.is_empty() {
+                    rng.random_range(0..rows)
+                } else {
+                    hits[1] += 1;
+                    pending[rng.random_range(0..pending.len())]
+                };
+                assert_eq!(
+                    dense.row_expr(row),
+                    sparse.row_expr(row),
+                    "seed {seed}, step {step}, row {row}"
+                );
+            }
+            assert!(
+                dense.active >= words - 1,
+                "symbols span {} words",
+                dense.active
+            );
+            for r in 0..rows {
+                assert_eq!(
+                    dense.row_expr(r),
+                    sparse.row_expr(r),
+                    "seed {seed}, row {r}"
+                );
+            }
+            assert!(tail_is_zero(&dense));
+        }
+        assert!(
+            hits.iter().all(|&k| k > 0),
+            "a case was never hit: {hits:?}"
+        );
     }
 }

@@ -589,17 +589,16 @@ fn resolve_auto_from_matrix(
     }
 }
 
-/// The matrix in `slot`, reallocated as `rows × cols` zeros only when
-/// its shape differs (the final, narrower shot batch). A reused matrix
-/// keeps its last contents, which the draws overwrite.
+/// The matrix in `slot`, reshaped in place to `rows × cols` zeros only
+/// when its shape differs (the final, narrower shot batch), so its buffer
+/// survives width changes. A reused matrix keeps its last contents, which
+/// the draws overwrite.
 fn shaped(slot: &mut Option<BitMatrix>, rows: usize, cols: usize) -> &mut BitMatrix {
-    if slot
-        .as_ref()
-        .is_none_or(|m| m.rows() != rows || m.cols() != cols)
-    {
-        *slot = Some(BitMatrix::zeros(rows, cols));
+    let m = slot.get_or_insert_with(|| BitMatrix::zeros(rows, cols));
+    if m.rows() != rows || m.cols() != cols {
+        m.reset_zeros(rows, cols);
     }
-    slot.as_mut().expect("just ensured")
+    m
 }
 
 /// Zeroes words `col_word_offset..col_word_offset + words` of every row
@@ -732,7 +731,7 @@ mod tests {
                 "joint channel {i} must be drawn whole for the test to cover its rows"
             );
         }
-        // `B` keeps its buffer only while its width does: `other` ends on
+        // `B` keeps its contents only while its width does: `other` ends on
         // a full batch, so `target`'s first batch reuses it; `target`'s
         // own tail is partial, so its output's slack is covered too.
         let shots = 2 * SymPhaseSampler::SHOT_BATCH + 100;
@@ -782,6 +781,41 @@ mod tests {
                 stale.observables, fresh.observables,
                 "{method:?} observables"
             );
+        }
+    }
+
+    #[test]
+    fn width_changes_keep_the_scratch_buffers() {
+        // A 4,196-shot stream ends on a 100-shot batch; the next call
+        // starts on a full one. Neither width change may reallocate `B`
+        // or the hybrid coin matrix.
+        let s = SymPhaseSampler::new(&channel_mix(0.05));
+        let shots = SymPhaseSampler::SHOT_BATCH + 100;
+        let buffers = || {
+            SAMPLE_SCRATCH.with(|cell| {
+                let scratch = cell.borrow();
+                [&scratch.assignments, &scratch.coins].map(|m| {
+                    let m = m.as_ref().expect("both buffers drawn");
+                    // Still holds a full batch after the partial one.
+                    let full = m.rows() * SymPhaseSampler::SHOT_BATCH / 64;
+                    assert!(m.word_capacity() >= full, "buffer shrank");
+                    (m.words().as_ptr(), m.word_capacity())
+                })
+            })
+        };
+        let mut seen = None;
+        for round in 0..2 {
+            for method in [SamplingMethod::SparseRows, SamplingMethod::Hybrid] {
+                let mut batch = SampleBatch::zeros(
+                    s.num_measurements(),
+                    s.num_detectors(),
+                    s.num_observables(),
+                    shots,
+                );
+                s.sample_batch_with_method(&mut batch, &mut rng(50 + round), method);
+            }
+            let now = buffers();
+            assert_eq!(*seen.get_or_insert(now), now, "round {round}");
         }
     }
 
