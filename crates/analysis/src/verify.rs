@@ -110,10 +110,9 @@ pub fn dead_noise_check(circuit: &Circuit) -> Result<(), String> {
 
     // Noise symbols are allocated in execution order, one group per
     // channel application; coins interleave but belong to measurements.
-    let noise_groups: Vec<&SymbolGroup> = sampler
+    let noise_groups: Vec<SymbolGroup> = sampler
         .symbol_table()
         .groups()
-        .iter()
         .filter(|g| !matches!(g, SymbolGroup::Coin { .. }))
         .collect();
 
@@ -280,10 +279,9 @@ fn inject_faults(
     sampler: &SymPhaseSampler,
     fired: &HashSet<SymbolId>,
 ) -> Result<Circuit, String> {
-    let noise_groups: Vec<&SymbolGroup> = sampler
+    let noise_groups: Vec<SymbolGroup> = sampler
         .symbol_table()
         .groups()
-        .iter()
         .filter(|g| !matches!(g, SymbolGroup::Coin { .. }))
         .collect();
     let mut out = Circuit::new(circuit.num_qubits());
@@ -489,7 +487,7 @@ fn symbol_map(
     if let Some(slot) = map.get_mut(0) {
         *slot = Some(0);
     }
-    let mut rew_groups = rew_table.groups().iter();
+    let mut rew_groups = rew_table.groups();
     let mut app = 0usize;
     for group in orig_table.groups() {
         let removed = if matches!(group, SymbolGroup::Coin { .. }) {
@@ -507,12 +505,12 @@ fn symbol_map(
         let counterpart = rew_groups
             .next()
             .ok_or("rewritten circuit allocates fewer symbol groups than expected")?;
-        if discriminant(group) != discriminant(counterpart) {
+        if discriminant(&group) != discriminant(&counterpart) {
             return Err(format!(
                 "symbol group kind changed under rewrite: {group:?} -> {counterpart:?}"
             ));
         }
-        let (from, to) = (group_ids(group), group_ids(counterpart));
+        let (from, to) = (group_ids(&group), group_ids(&counterpart));
         if from.len() != to.len() {
             return Err("symbol group width changed under rewrite".into());
         }

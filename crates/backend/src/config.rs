@@ -385,6 +385,18 @@ pub enum BuildError {
         /// The engine's cap.
         max_qubits: u32,
     },
+    /// The circuit may allocate more symbols than a SymPhase build can
+    /// index (`symphase_core::MAX_SYMBOLS`, about 2³¹), counted from its
+    /// statistics before anything allocates.
+    TooManySymbols {
+        /// Engine name.
+        engine: &'static str,
+        /// Upper bound on the symbols the build would allocate; `None`
+        /// when a `REPEAT` count is too large to multiply out.
+        symbols: Option<usize>,
+        /// The engine's cap.
+        max_symbols: usize,
+    },
     /// A non-`Auto` sampling method was configured for an engine without
     /// a measurement-matrix product.
     SamplingMethodUnsupported {
@@ -429,6 +441,22 @@ impl std::fmt::Display for BuildError {
                 "engine '{engine}' cannot simulate this circuit \
                  ({qubits} qubits exceed its limit of {max_qubits})"
             ),
+            BuildError::TooManySymbols {
+                engine,
+                symbols,
+                max_symbols,
+            } => {
+                write!(f, "engine '{engine}' cannot simulate this circuit (")?;
+                match symbols {
+                    Some(n) => write!(f, "it may allocate {n} symbols")?,
+                    None => write!(f, "its REPEAT counts multiply out past any symbol count")?,
+                }
+                write!(
+                    f,
+                    ", over its limit of {max_symbols}); --engine frame runs it in \
+                     memory linear in the qubits"
+                )
+            }
             BuildError::SamplingMethodUnsupported { engine, method } => write!(
                 f,
                 "--sampling {method} only applies to the symphase engine, not '{engine}'"

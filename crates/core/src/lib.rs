@@ -50,9 +50,9 @@ mod symbol;
 
 pub use dem::{xor_sorted, DemError, DetectorErrorModel};
 pub use expr::SymExpr;
-pub use phases::{DensePhases, SparsePhases, SymbolicPhases};
+pub use phases::{symbol_bound, DensePhases, SparsePhases, SymbolicPhases};
 pub use sampler::{PhaseRepr, SampleBatch, SamplingMethod, SymPhaseSampler};
-pub use symbol::{SymbolGroup, SymbolId, SymbolTable};
+pub use symbol::{SymbolGroup, SymbolId, SymbolTable, MAX_SYMBOLS};
 /// The shared batch noise draw ([`NoiseSite`](noise::NoiseSite) is the
 /// site type of [`SymbolGroup::site`]).
 pub use symphase_backend::noise;

@@ -17,7 +17,7 @@ use symphase_circuit::CircuitStats;
 use symphase_tableau::PhaseStore;
 
 use crate::expr::SymExpr;
-use crate::symbol::{SymbolGroup, SymbolId};
+use crate::symbol::{SymbolId, ENTRY_BYTES};
 
 /// Extension of [`PhaseStore`] with symbol-coefficient operations (paper
 /// Init-P and Init-M).
@@ -499,19 +499,20 @@ impl SymbolicPhases for SparsePhases {
 /// with these statistics: every noise symbol, plus at most one coin per
 /// measurement or reset. `None` when a count saturated (a `REPEAT` trip
 /// count too large to multiply out), so no store is sized from it.
-pub(crate) fn symbol_bound(stats: &CircuitStats) -> Option<usize> {
+pub fn symbol_bound(stats: &CircuitStats) -> Option<usize> {
     saturating_sum([stats.noise_symbols, stats.measurements, stats.resets])
 }
 
 /// An upper bound on the symbol groups Initialization records, by the
 /// same rule as [`symbol_bound`]: one group per noise site, plus at most
 /// one coin per measurement or reset. `None` when a count saturated or
-/// when the groups would take more than the dense store's reservation cap,
-/// so the symbol table is only sized up front for circuits it fits.
+/// when the groups' entries would take more than the dense store's
+/// reservation cap, so the symbol table is only sized up front for
+/// circuits it fits.
 pub(crate) fn group_bound(stats: &CircuitStats) -> Option<usize> {
     saturating_sum([stats.noise_sites, stats.measurements, stats.resets]).filter(|&groups| {
         groups
-            .checked_mul(std::mem::size_of::<SymbolGroup>())
+            .checked_mul(ENTRY_BYTES)
             .is_some_and(|bytes| bytes <= MAX_RESERVED_BYTES)
     })
 }
@@ -770,7 +771,7 @@ mod tests {
             None,
             "sum overflows"
         );
-        let cap = MAX_RESERVED_BYTES / std::mem::size_of::<SymbolGroup>();
+        let cap = MAX_RESERVED_BYTES / ENTRY_BYTES;
         assert_eq!(group_bound(&stats(cap, 0, 0)), Some(cap));
         assert_eq!(group_bound(&stats(cap, 1, 0)), None, "past the byte cap");
     }

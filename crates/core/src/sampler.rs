@@ -861,9 +861,8 @@ mod tests {
         let coin_ids: std::collections::HashSet<u32> = s
             .symbol_table()
             .groups()
-            .iter()
             .filter_map(|g| match g {
-                crate::symbol::SymbolGroup::Coin { id } => Some(*id),
+                crate::symbol::SymbolGroup::Coin { id } => Some(id),
                 _ => None,
             })
             .collect();

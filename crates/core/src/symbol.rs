@@ -19,7 +19,18 @@ use symphase_bitmat::{BitMatrix, SparseBitVec, SparseRowMatrix};
 /// symbols start at 1.
 pub type SymbolId = u32;
 
+/// The most symbols one table may hold: a draw plan numbers its columns
+/// below the `u32` tag bit 2³¹, so the assignment vector, these symbols
+/// plus the constant, must stay under 2³¹ columns. The facade's pre-build
+/// check (`symphase::backend::check_tableau_budget`) refuses a circuit
+/// whose [`symbol_bound`](crate::symbol_bound) passes it.
+pub const MAX_SYMBOLS: usize = (1 << 31) - 2;
+
 /// A group of symbols sampled jointly.
+///
+/// This is the table's public value type, not its storage: the
+/// [`SymbolTable`] keeps an 8-byte entry per group and builds these on
+/// demand ([`SymbolTable::groups`], [`SymbolTable::group`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SymbolGroup {
     /// A fair coin from a random measurement outcome.
@@ -96,17 +107,53 @@ pub enum SymbolGroup {
 
 /// Registry of all symbols introduced during Initialization, with enough
 /// information to sample assignment vectors `b` (paper §3.2.3).
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// Stored compactly: every group is one 8-byte entry, its first symbol id
+/// and the index of its noise site, and the sites themselves are interned
+/// in a side list. A group's symbols are consecutive ids, so the first id
+/// and the site's slot count name them all. A site equal (bit for bit) to
+/// the last one interned reuses its index, so a run of one channel, such
+/// as the `DEPOLARIZE1(p)` layers of a noisy circuit, stores its site
+/// once. With no two neighbouring sites alike, a group takes one entry
+/// plus one site, 136 bytes; the [`SymbolGroup`] values themselves are
+/// built on demand by [`SymbolTable::groups`] and [`SymbolTable::group`].
+#[derive(Clone, Debug, PartialEq)]
 pub struct SymbolTable {
-    groups: Vec<SymbolGroup>,
+    entries: Vec<Entry>,
+    sites: Vec<NoiseSite>,
     next_id: u32,
+}
+
+/// One stored symbol group: its first symbol id, and the index of its
+/// site in [`SymbolTable::sites`] ([`COIN`] for a coin).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Entry {
+    first: SymbolId,
+    site: u32,
+}
+
+/// The size the table's memory estimates charge per group.
+pub(crate) const ENTRY_BYTES: usize = std::mem::size_of::<Entry>();
+const _: () = assert!(ENTRY_BYTES == 8);
+
+/// The site index of a coin: coins are not interned.
+const COIN: u32 = u32::MAX;
+
+/// The site a coin is drawn as.
+const COIN_SITE: NoiseSite = NoiseSite::Bernoulli(0.5);
+
+impl Default for SymbolTable {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SymbolTable {
     /// Creates an empty table (only the constant `s₀` exists).
     pub fn new() -> Self {
         Self {
-            groups: Vec::new(),
+            entries: Vec::new(),
+            sites: Vec::new(),
             next_id: 1,
         }
     }
@@ -114,7 +161,7 @@ impl SymbolTable {
     /// An empty table with room for `groups` symbol groups.
     pub(crate) fn with_capacity(groups: usize) -> Self {
         Self {
-            groups: Vec::with_capacity(groups),
+            entries: Vec::with_capacity(groups),
             ..Self::new()
         }
     }
@@ -129,63 +176,82 @@ impl SymbolTable {
         self.next_id as usize
     }
 
-    /// The symbol groups in allocation order.
-    pub fn groups(&self) -> &[SymbolGroup] {
-        &self.groups
+    /// The symbol groups in allocation order, built from the compact
+    /// storage one value at a time.
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = SymbolGroup> + '_ {
+        self.entries.iter().map(|&e| self.expand(e))
+    }
+
+    /// The `i`-th symbol group in allocation order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= groups().len()`.
+    pub fn group(&self, i: usize) -> SymbolGroup {
+        self.expand(self.entries[i])
     }
 
     /// Number of coin symbols (from random measurements).
     pub fn num_coins(&self) -> usize {
-        self.groups
-            .iter()
-            .filter(|g| matches!(g, SymbolGroup::Coin { .. }))
-            .count()
+        self.entries.iter().filter(|e| e.site == COIN).count()
     }
 
-    fn alloc(&mut self) -> SymbolId {
+    /// The site of a stored group, `None` for a coin.
+    fn noise_site(&self, e: Entry) -> Option<&NoiseSite> {
+        (e.site != COIN).then(|| &self.sites[e.site as usize])
+    }
+
+    /// The site a stored group is drawn as (a coin is `Bernoulli(0.5)`)
+    /// and its symbols in slot order (unused slots are 0).
+    fn site(&self, e: Entry) -> (NoiseSite, [SymbolId; 4]) {
+        let site = *self.noise_site(e).unwrap_or(&COIN_SITE);
+        (site, e.ids(site.slots()))
+    }
+
+    fn expand(&self, e: Entry) -> SymbolGroup {
+        match self.noise_site(e) {
+            None => SymbolGroup::Coin { id: e.first },
+            Some(site) => SymbolGroup::new(site, e.ids(site.slots())),
+        }
+    }
+
+    /// Allocates `n` consecutive ids and returns the first.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the ids run out: `symphase::backend`'s pre-build check
+    /// refuses a circuit that could get there.
+    fn alloc(&mut self, n: usize) -> SymbolId {
         let id = self.next_id;
-        self.next_id += 1;
+        self.next_id = u32::try_from(n)
+            .ok()
+            .and_then(|n| id.checked_add(n))
+            .expect("symbol ids exhausted");
         id
     }
 
     /// Allocates a fair-coin symbol for a random measurement outcome.
     pub fn fresh_coin(&mut self) -> SymbolId {
-        let id = self.alloc();
-        self.groups.push(SymbolGroup::Coin { id });
-        id
+        let first = self.alloc(1);
+        self.entries.push(Entry { first, site: COIN });
+        first
     }
 
     /// Allocates the symbols of one noise site, in slot order (unused
     /// slots are 0), and records their group.
     pub fn fresh_site(&mut self, site: NoiseSite) -> [SymbolId; 4] {
-        let mut ids = [0; 4];
-        for id in &mut ids[..site.slots()] {
-            *id = self.alloc();
+        let first = self.alloc(site.slots());
+        if !self.sites.last().is_some_and(|last| same_bits(last, &site)) {
+            self.sites.push(site);
         }
-        let [a, b, ..] = ids;
-        self.groups.push(match site {
-            NoiseSite::Bernoulli(p) => SymbolGroup::Bernoulli { id: a, p },
-            NoiseSite::Depolarize1(p) => SymbolGroup::Depolarize1 {
-                x_id: a,
-                z_id: b,
-                p,
-            },
-            NoiseSite::Depolarize2(p) => SymbolGroup::Depolarize2 { ids, p },
-            NoiseSite::PauliChannel1 { px, py, pz } => SymbolGroup::PauliChannel1 {
-                x_id: a,
-                z_id: b,
-                px,
-                py,
-                pz,
-            },
-            NoiseSite::PauliChannel2 { probs } => SymbolGroup::PauliChannel2 { ids, probs },
-            NoiseSite::Correlated { p, else_branch } => SymbolGroup::Correlated {
-                id: a,
-                p,
-                else_branch,
-            },
-        });
-        ids
+        // At most one site per group and one id per group, so the index
+        // stays below the `u32` ids and thus below `COIN`.
+        let entry = Entry {
+            first,
+            site: (self.sites.len() - 1) as u32,
+        };
+        self.entries.push(entry);
+        entry.ids(site.slots())
     }
 
     /// Samples the assignment matrix `B ∈ F₂^{(n_s+1) × shots}`: row 0 is
@@ -211,7 +277,7 @@ impl SymbolTable {
     /// Panics if `b.rows() != assignment_len()`.
     pub fn sample_assignments_into(&self, b: &mut BitMatrix, rng: &mut impl Rng) {
         assert_eq!(b.rows(), self.assignment_len(), "assignment row mismatch");
-        fill_assignments(b, rng, self.groups.iter().map(SymbolGroup::site));
+        fill_assignments(b, rng, self.entries.iter().map(|&e| self.site(e)));
     }
 
     /// Calls `f(symbols, p)` for every non-identity outcome of every noise
@@ -221,13 +287,46 @@ impl SymbolTable {
     /// probability scaled by the chain not having fired yet.
     pub fn for_each_outcome(&self, mut f: impl FnMut(&[SymbolId], f64)) {
         let mut chain_none = 1.0;
-        for group in &self.groups {
-            if matches!(group, SymbolGroup::Coin { .. }) {
-                continue;
+        for &e in &self.entries {
+            if let Some(site) = self.noise_site(e) {
+                for_each_site_outcome(site, e.ids(site.slots()), &mut chain_none, &mut f);
             }
-            let (site, ids) = group.site();
-            for_each_site_outcome(&site, ids, &mut chain_none, &mut f);
         }
+    }
+}
+
+impl Entry {
+    /// The group's `slots` symbols in slot order, unused slots 0.
+    fn ids(self, slots: usize) -> [SymbolId; 4] {
+        std::array::from_fn(|j| if j < slots { self.first + j as u32 } else { 0 })
+    }
+}
+
+/// Bitwise equality of two sites: interning never merges `0.0` with
+/// `-0.0`, so every drawn probability is the one the circuit gave.
+fn same_bits(a: &NoiseSite, b: &NoiseSite) -> bool {
+    let eq = |x: &[f64], y: &[f64]| x.iter().zip(y).all(|(x, y)| x.to_bits() == y.to_bits());
+    match (a, b) {
+        (NoiseSite::Bernoulli(p), NoiseSite::Bernoulli(q))
+        | (NoiseSite::Depolarize1(p), NoiseSite::Depolarize1(q))
+        | (NoiseSite::Depolarize2(p), NoiseSite::Depolarize2(q)) => eq(&[*p], &[*q]),
+        (
+            &NoiseSite::PauliChannel1 { px, py, pz },
+            &NoiseSite::PauliChannel1 {
+                px: qx,
+                py: qy,
+                pz: qz,
+            },
+        ) => eq(&[px, py, pz], &[qx, qy, qz]),
+        (NoiseSite::PauliChannel2 { probs: p }, NoiseSite::PauliChannel2 { probs: q }) => eq(p, q),
+        (
+            &NoiseSite::Correlated { p, else_branch },
+            &NoiseSite::Correlated {
+                p: q,
+                else_branch: other,
+            },
+        ) => else_branch == other && eq(&[p], &[q]),
+        _ => false,
     }
 }
 
@@ -291,16 +390,31 @@ fn draw_sites<S: SymbolSink>(
 }
 
 impl SymbolGroup {
-    /// `true` for an `ELSE_CORRELATED_ERROR` element, which continues the
-    /// previous group's chain.
-    fn continues_chain(&self) -> bool {
-        matches!(
-            self,
-            SymbolGroup::Correlated {
-                else_branch: true,
-                ..
-            }
-        )
+    /// The group of a noise site whose slots hold `ids`.
+    fn new(site: &NoiseSite, ids: [SymbolId; 4]) -> Self {
+        let [a, b, ..] = ids;
+        match *site {
+            NoiseSite::Bernoulli(p) => SymbolGroup::Bernoulli { id: a, p },
+            NoiseSite::Depolarize1(p) => SymbolGroup::Depolarize1 {
+                x_id: a,
+                z_id: b,
+                p,
+            },
+            NoiseSite::Depolarize2(p) => SymbolGroup::Depolarize2 { ids, p },
+            NoiseSite::PauliChannel1 { px, py, pz } => SymbolGroup::PauliChannel1 {
+                x_id: a,
+                z_id: b,
+                px,
+                py,
+                pz,
+            },
+            NoiseSite::PauliChannel2 { probs } => SymbolGroup::PauliChannel2 { ids, probs },
+            NoiseSite::Correlated { p, else_branch } => SymbolGroup::Correlated {
+                id: a,
+                p,
+                else_branch,
+            },
+        }
     }
 
     /// The group's noise site and its symbols in slot order
@@ -308,7 +422,7 @@ impl SymbolGroup {
     /// `Bernoulli(0.5)` site.
     pub fn site(&self) -> (NoiseSite, [SymbolId; 4]) {
         match *self {
-            SymbolGroup::Coin { id } => (NoiseSite::Bernoulli(0.5), [id, 0, 0, 0]),
+            SymbolGroup::Coin { id } => (COIN_SITE, [id, 0, 0, 0]),
             SymbolGroup::Bernoulli { id, p } => (NoiseSite::Bernoulli(p), [id, 0, 0, 0]),
             SymbolGroup::Depolarize1 { x_id, z_id, p } => {
                 (NoiseSite::Depolarize1(p), [x_id, z_id, 0, 0])
@@ -379,14 +493,15 @@ impl DrawPlan {
     /// sort.
     pub(crate) fn build(table: &SymbolTable, rows: &SparseRowMatrix) -> Self {
         let len = table.assignment_len();
-        // Plan columns never exceed symbol ids, so they stay below the tag.
+        // Plan columns never exceed symbol ids, so they stay below the tag
+        // (`MAX_SYMBOLS` + 1 < 2³¹).
         assert!(len < MERGED as usize, "too many symbols for a draw plan");
         let cols = Transpose::of(rows, len);
         let live = |id: SymbolId| !cols.column(id).is_empty();
-        let groups = table.groups();
-        let num_coins = groups
+        let entries = &table.entries;
+        let num_coins = entries
             .iter()
-            .filter(|g| matches!(g, SymbolGroup::Coin { id } if live(*id)))
+            .filter(|e| e.site == COIN && live(e.first))
             .count();
         let mut columns = vec![DEAD; len];
         columns[0] = 0;
@@ -404,27 +519,35 @@ impl DrawPlan {
             }
             index as u32
         };
+        let continues_chain = |e: &&Entry| {
+            matches!(
+                table.noise_site(**e),
+                Some(NoiseSite::Correlated {
+                    else_branch: true,
+                    ..
+                })
+            )
+        };
         let mut chain_live = false;
-        for (i, group) in groups.iter().enumerate() {
-            let (site, ids) = group.site();
-            let ids = &ids[..site.slots()];
-            match *group {
-                SymbolGroup::Coin { id } => {
-                    if live(id) {
-                        whole.push(take_columns(i, ids, &mut columns, &mut next_coin));
-                    }
+        for (i, &e) in entries.iter().enumerate() {
+            let Some(site) = table.noise_site(e) else {
+                if live(e.first) {
+                    whole.push(take_columns(i, &[e.first], &mut columns, &mut next_coin));
                 }
-                SymbolGroup::Correlated {
-                    id, else_branch, ..
-                } => {
+                continue;
+            };
+            let ids = e.ids(site.slots());
+            let ids = &ids[..site.slots()];
+            match *site {
+                NoiseSite::Correlated { else_branch, .. } => {
                     // A chain, an `E` and the `ELSE`s after it, is dropped
                     // only when every element is dead.
                     if !else_branch {
-                        chain_live = live(id)
-                            || groups[i + 1..]
+                        chain_live = live(e.first)
+                            || entries[i + 1..]
                                 .iter()
-                                .take_while(|g| g.continues_chain())
-                                .any(|g| live(g.site().1[0]));
+                                .take_while(continues_chain)
+                                .any(|e| live(e.first));
                     }
                     if chain_live {
                         whole.push(take_columns(i, ids, &mut columns, &mut next));
@@ -537,9 +660,9 @@ impl DrawPlan {
         // The next column of a coin and of a whole noise group's slot.
         let (mut coin, mut noise) = (1, self.num_coins as u32 + 1);
         let whole = self.whole.iter().map(move |&index| {
-            let group = &table.groups[index as usize];
-            let (site, _) = group.site();
-            let next = if matches!(group, SymbolGroup::Coin { .. }) {
+            let e = table.entries[index as usize];
+            let (site, _) = table.site(e);
+            let next = if e.site == COIN {
                 &mut coin
             } else {
                 &mut noise
@@ -987,7 +1110,7 @@ mod tests {
         let plan = DrawPlan::build(table, s.measurement_matrix());
         let rows = records(&s);
         let full = distribution(
-            table.groups().iter().map(SymbolGroup::site),
+            table.groups().map(|g| g.site()),
             &flips(&rows, table.assignment_len()),
         );
         let mapped: Vec<SparseRowMatrix> = rows.iter().map(|m| plan.map_rows(m)).collect();
@@ -1126,5 +1249,140 @@ mod tests {
             assert!(b.get(b_id as usize, s));
             assert!(!b.get(c_id as usize, s));
         }
+    }
+
+    #[test]
+    fn default_is_new() {
+        let t = SymbolTable::default();
+        assert_eq!(t, SymbolTable::new());
+        assert_eq!((t.num_symbols(), t.assignment_len()), (0, 1));
+    }
+
+    /// A random run of allocations: a coin, a run of one noise site of a
+    /// random kind repeated 1–3 times (interning hits), a `PAULI_CHANNEL_2`
+    /// with fresh random probabilities (interning misses), or an `E`
+    /// followed by 0–2 `ELSE`s. Probabilities include both zeros, which
+    /// interning must keep apart. Each allocation is pushed to `reference`
+    /// as (site, ids), `None` for a coin.
+    fn random_run(
+        rng: &mut StdRng,
+        t: &mut SymbolTable,
+        reference: &mut Vec<(Option<NoiseSite>, [SymbolId; 4])>,
+    ) {
+        let p = |rng: &mut StdRng| [0.0, -0.0, 0.01, 0.2][rng.random_range(0..4usize)];
+        let sites: Vec<NoiseSite> = match rng.random_range(0..8) {
+            0 => {
+                let id = t.fresh_coin();
+                reference.push((None, [id, 0, 0, 0]));
+                return;
+            }
+            1 => vec![NoiseSite::Bernoulli(p(rng))],
+            2 => vec![NoiseSite::Depolarize1(p(rng))],
+            3 => vec![NoiseSite::Depolarize2(p(rng))],
+            4 => vec![NoiseSite::PauliChannel1 {
+                px: p(rng),
+                py: p(rng),
+                pz: p(rng),
+            }],
+            5 => {
+                let probs = std::array::from_fn(|_| rng.random::<f64>() / 15.0);
+                vec![NoiseSite::PauliChannel2 { probs }]
+            }
+            6 => {
+                let elses = rng.random_range(0..3);
+                (0..=elses).map(|k| chain(p(rng), k > 0)).collect()
+            }
+            _ => vec![chain(p(rng), true)],
+        };
+        let repeats = if sites.len() == 1 {
+            rng.random_range(1..4)
+        } else {
+            1
+        };
+        for _ in 0..repeats {
+            for &site in &sites {
+                let ids = t.fresh_site(site);
+                reference.push((Some(site), ids));
+            }
+        }
+    }
+
+    /// The table after random runs of every site kind answers every query
+    /// as a plain list of (site, ids) does, bit for bit.
+    #[test]
+    fn compact_table_matches_a_plain_list() {
+        let mut rng = StdRng::seed_from_u64(24);
+        for case in 0..200 {
+            let mut t = SymbolTable::new();
+            let mut reference = Vec::new();
+            for _ in 0..rng.random_range(0..40) {
+                random_run(&mut rng, &mut t, &mut reference);
+            }
+            let slots = |site: &Option<NoiseSite>| site.map_or(1, |s| s.slots());
+            let symbols: usize = reference.iter().map(|(site, _)| slots(site)).sum();
+            let ids = reference
+                .iter()
+                .flat_map(|(site, ids)| ids[..slots(site)].to_vec());
+            assert!(
+                ids.eq(1..=symbols as u32),
+                "case {case}: ids not consecutive"
+            );
+            assert_eq!(t.num_symbols(), symbols);
+            assert_eq!(t.assignment_len(), symbols + 1);
+            assert_eq!(
+                t.num_coins(),
+                reference.iter().filter(|(site, _)| site.is_none()).count()
+            );
+            let groups = t.groups();
+            assert_eq!(groups.len(), reference.len());
+            for (i, (g, &(site, ids))) in groups.zip(&reference).enumerate() {
+                let want = match site {
+                    None => SymbolGroup::Coin { id: ids[0] },
+                    Some(site) => SymbolGroup::new(&site, ids),
+                };
+                assert_eq!(g, want, "case {case}, group {i}");
+                assert_eq!(t.group(i), want, "case {case}, group {i}");
+                let (got_site, got_ids) = g.site();
+                assert!(
+                    same_bits(&got_site, &site.unwrap_or(COIN_SITE)),
+                    "case {case}, group {i}: {got_site:?} vs {site:?}"
+                );
+                assert_eq!(got_ids, ids);
+            }
+            let mut got = Vec::new();
+            t.for_each_outcome(|symbols, p| got.push((symbols.to_vec(), p.to_bits())));
+            let mut want = Vec::new();
+            let mut chain_none = 1.0;
+            for (site, ids) in &reference {
+                let Some(site) = site else { continue };
+                site.for_each_outcome(&mut chain_none, |fired, p| {
+                    let symbols = (0..4).filter(|j| fired & (1 << j) != 0).map(|j| ids[j]);
+                    want.push((symbols.collect::<Vec<_>>(), p.to_bits()));
+                });
+            }
+            assert_eq!(got, want, "case {case}: outcomes");
+            // The draw reads every site as the list holds it.
+            let b = t.sample_assignments(70, &mut StdRng::seed_from_u64(case));
+            let mut expect = BitMatrix::zeros(t.assignment_len(), 70);
+            let sites = reference
+                .iter()
+                .map(|&(site, ids)| (site.unwrap_or(COIN_SITE), ids));
+            fill_assignments(&mut expect, &mut StdRng::seed_from_u64(case), sites);
+            assert_eq!(b, expect, "case {case}: assignments");
+        }
+    }
+
+    #[test]
+    fn equal_neighbouring_sites_share_one_interned_site() {
+        let mut t = SymbolTable::new();
+        for _ in 0..5 {
+            t.fresh_site(NoiseSite::Depolarize1(0.001));
+        }
+        t.fresh_coin();
+        t.fresh_site(NoiseSite::Depolarize1(0.001));
+        t.fresh_site(NoiseSite::Bernoulli(0.0));
+        t.fresh_site(NoiseSite::Bernoulli(-0.0));
+        assert_eq!(t.sites.len(), 3, "a coin does not break a run; -0 is not 0");
+        assert_eq!(t.groups().len(), 9);
     }
 }

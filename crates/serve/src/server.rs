@@ -21,7 +21,7 @@
 //! the work is split (see `symphase_backend::stream_range_with_config`).
 
 use std::any::Any;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -341,7 +341,10 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 fn handle_conn(shared: &Shared, mut conn: TcpStream) {
     let _ = conn.set_read_timeout(shared.options.read_timeout);
     let _ = conn.set_nodelay(true);
-    match read_request(&mut conn) {
+    // One buffered read takes in the header (and usually the payload),
+    // where decoding the raw socket field by field costs a `recv` each.
+    // A connection carries one request, so nothing buffered is lost.
+    match read_request(&mut BufReader::new(&conn)) {
         // Transport failure before a full request: nothing to answer.
         Err(WireError::Io(_)) => {}
         Err(WireError::Malformed(m)) => {

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use symphase_backend::Sampler;
 use symphase_circuit::Circuit;
-use symphase_core::SymPhaseSampler;
+use symphase_core::{symbol_bound, SymPhaseSampler, MAX_SYMBOLS};
 use symphase_frame::FrameSampler;
 use symphase_serve::LintGate;
 use symphase_statevec::StateVecSampler;
@@ -76,9 +76,15 @@ pub fn build_sampler(
 /// its reference sample), and so does every analysis that initializes
 /// SymPhase or takes a reference sample: call this first.
 ///
+/// For the `symphase` engine it also refuses a circuit that may allocate
+/// more than [`MAX_SYMBOLS`] symbols. That bound comes from the
+/// circuit's `REPEAT`-multiplied, saturating statistics, which the parse
+/// already computed, so the check allocates nothing.
+///
 /// # Errors
 ///
-/// [`BuildError::CircuitTooLarge`], naming `engine`.
+/// [`BuildError::CircuitTooLarge`] or [`BuildError::TooManySymbols`],
+/// naming `engine`.
 pub fn check_tableau_budget(circuit: &Circuit, engine: EngineKind) -> Result<(), BuildError> {
     let qubits = circuit.num_qubits();
     if tableau_bytes(qubits) > TABLEAU_BUDGET_BYTES {
@@ -87,6 +93,16 @@ pub fn check_tableau_budget(circuit: &Circuit, engine: EngineKind) -> Result<(),
             qubits,
             max_qubits: max_tableau_qubits(),
         });
+    }
+    if engine == EngineKind::SymPhase {
+        let symbols = symbol_bound(&circuit.stats());
+        if symbols.is_none_or(|n| n > MAX_SYMBOLS) {
+            return Err(BuildError::TooManySymbols {
+                engine: engine.name(),
+                symbols,
+                max_symbols: MAX_SYMBOLS,
+            });
+        }
     }
     Ok(())
 }

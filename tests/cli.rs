@@ -649,6 +649,43 @@ fn tableau_budget_is_a_runtime_error() {
     }
 }
 
+#[test]
+fn symbol_budget_is_a_runtime_error() {
+    // 4·10⁹ noise symbols: past what a SymPhase build can index. The
+    // refusal reads the REPEAT-multiplied statistics, so it comes in well
+    // under a second instead of after gigabytes of symbol table.
+    let f = write_circuit("REPEAT 1000000000 {\nX_ERROR(0.1) 0 1 2 3\n}\nM 0\n");
+    let refusal = "engine 'symphase' cannot simulate this circuit (it may allocate \
+                   4000000001 symbols, over its limit of 2147483646); --engine frame \
+                   runs it in memory linear in the qubits";
+    for cmd in [
+        &["sample", "-c", f.as_str()][..],
+        &["detect", "-c", f.as_str(), "--format", "b8"],
+        &["dem", "-c", f.as_str()],
+        &["analyze", "-c", f.as_str()],
+    ] {
+        let t = std::time::Instant::now();
+        let e = run(&args(cmd)).unwrap_err();
+        assert!(
+            t.elapsed().as_secs_f64() < 1.0,
+            "{cmd:?} took {:?}",
+            t.elapsed()
+        );
+        assert_eq!(e.code, 1, "{cmd:?}");
+        assert_eq!(e.message, refusal, "{cmd:?}");
+    }
+    // A trip count too large to multiply out is refused the same way.
+    let f = write_circuit("REPEAT 18446744073709551615 {\nX_ERROR(0.1) 0\nM 0\n}\n");
+    let e = run(&args(&["sample", "-c", f.as_str()])).unwrap_err();
+    assert_eq!(e.code, 1);
+    assert!(
+        e.message
+            .contains("REPEAT counts multiply out past any symbol count"),
+        "{}",
+        e.message
+    );
+}
+
 // ---------------------------------------------------------------------
 // `symphase lint`
 // ---------------------------------------------------------------------

@@ -276,7 +276,7 @@ fn assignment_for(sampler: &SymPhaseSampler, fault_bits: &BitVec) -> BitVec {
     let mut assignment = BitVec::zeros(sampler.symbol_table().assignment_len());
     let mut k = 0usize;
     for g in sampler.symbol_table().groups() {
-        match *g {
+        match g {
             SymbolGroup::Coin { .. } => {}
             SymbolGroup::Bernoulli { id, .. } => {
                 assignment.set(id as usize, fault_bits.get(k));

@@ -525,6 +525,17 @@ fn typed_error_frames_cover_the_rejection_paths() {
         },
         ErrorCode::Build,
     );
+    // So is a circuit with more symbols than a SymPhase build can index
+    // (4·10⁹ here), counted from its statistics in well under a second.
+    let t = std::time::Instant::now();
+    expect_code(
+        &SampleRequest {
+            circuit: CircuitRef::Text("REPEAT 1000000000 {\nX_ERROR(0.1) 0 1 2 3\n}\nM 0\n".into()),
+            ..base.clone()
+        },
+        ErrorCode::Build,
+    );
+    assert!(t.elapsed().as_secs_f64() < 1.0, "took {:?}", t.elapsed());
     let (_, bytes) = fetch(addr, &base);
     assert_eq!(
         bytes,
@@ -543,6 +554,51 @@ fn typed_error_frames_cover_the_rejection_paths() {
     // serves fine on an engine that supports it.
     let stats = handle.stats();
     assert_eq!(stats.hits, 0);
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_request_written_one_byte_at_a_time_is_served_byte_equal() {
+    use std::io::Write;
+    use symphase::serve::protocol::{copy_stream, read_response_head, write_request, ResponseHead};
+    use symphase::serve::Request;
+
+    let handle = start(ServeOptions::default(), None);
+    let circuit = small_circuit();
+    let req = sample_request(
+        CircuitRef::Text(circuit.to_string()),
+        EngineKind::SymPhase,
+        SampleFormat::B8,
+        RecordSource::Measurements,
+        9,
+        0,
+        1000,
+    );
+    let mut wire = Vec::new();
+    write_request(&mut wire, &Request::Sample(req)).unwrap();
+    let mut conn = std::net::TcpStream::connect(handle.addr()).unwrap();
+    conn.set_nodelay(true).unwrap();
+    for byte in &wire {
+        conn.write_all(std::slice::from_ref(byte)).unwrap();
+    }
+    let head = read_response_head(&mut conn).expect("a response");
+    assert!(matches!(head, ResponseHead::Stream { .. }), "{head:?}");
+    let mut bytes = Vec::new();
+    copy_stream(&mut conn, &mut bytes).expect("a full stream");
+    let chunk_shots = ServeOptions::default().chunk_shots;
+    assert_eq!(
+        bytes,
+        local_bytes(
+            &circuit,
+            EngineKind::SymPhase,
+            9,
+            0,
+            1000,
+            chunk_shots,
+            SampleFormat::B8,
+            RecordSource::Measurements,
+        )
+    );
     handle.shutdown().unwrap();
 }
 
