@@ -3,8 +3,7 @@
 //!
 //! This module is the data half of the sampler-construction API. A
 //! [`SimConfig`] names an engine ([`EngineKind`]) plus every tuning knob
-//! the workspace exposes — `M · B` multiplication strategy
-//! ([`SamplingMethod`]), RNG seed, thread budget, streaming chunk width
+//! the workspace exposes — RNG seed, thread budget, streaming chunk width
 //! and the pre-simulation optimizer — and validates the combination up
 //! front, reporting problems as a [`BuildError`] instead of panicking
 //! deep inside an engine. The construction half, `symphase::backend::build_sampler`,
@@ -65,8 +64,13 @@ impl PhaseRepr {
     }
 }
 
-/// How the Sampling step multiplies `M · B` (the matmul half of
-/// `experiments ablation`; kernel timings in `docs/performance.md`).
+/// How the Sampling step multiplies `M · B`. The `symphase` engine always
+/// samples with [`SamplingMethod::Auto`], which picks the kernel from the
+/// measurement matrix Initialization built; the pinned kernels are
+/// reachable only through `SymPhaseSampler::with_config` (in
+/// `symphase-core`), for the sampling ablation (`experiments sampling`;
+/// the grid in `docs/performance.md`, "Choosing the `M·B` kernel") and
+/// the byte-identity tests.
 ///
 /// Every strategy consumes the RNG stream identically (they all draw the
 /// same assignment matrix `B`, unit by unit of the sampler's draw plan),
@@ -76,13 +80,13 @@ impl PhaseRepr {
 /// `tests/sampling_methods.rs` pins this equality.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SamplingMethod {
-    /// Choose per circuit (mirroring [`PhaseRepr::Auto`]): dense
-    /// measurement rows — determined outcomes downstream of noise and
-    /// entanglement — promote to the blocked
-    /// [`SamplingMethod::DenseMatMul`] kernel; at realistic (small) fault
-    /// rates the event-driven [`SamplingMethod::Hybrid`] wins; in
-    /// between, [`SamplingMethod::SparseRows`]. The cost model reads the
-    /// measurement matrix Initialization built; see
+    /// Choose per circuit (mirroring [`PhaseRepr::Auto`]): a cost model
+    /// prices each kernel on the measurement matrix Initialization built
+    /// and takes the cheapest. Dense rows — determined outcomes
+    /// downstream of noise and entanglement — go to the blocked
+    /// [`SamplingMethod::DenseMatMul`] kernel, rare faults to the
+    /// event-driven [`SamplingMethod::Hybrid`], and the rest to
+    /// [`SamplingMethod::SparseRows`]; see
     /// `SymPhaseSampler::resolved_method` (in `symphase-core`).
     #[default]
     Auto,
@@ -107,7 +111,7 @@ pub enum SamplingMethod {
 }
 
 impl SamplingMethod {
-    /// CLI name (`--sampling` value).
+    /// Short name (the `experiments sampling` column label).
     pub fn name(self) -> &'static str {
         match self {
             SamplingMethod::Auto => "auto",
@@ -115,11 +119,6 @@ impl SamplingMethod {
             SamplingMethod::SparseRows => "sparse",
             SamplingMethod::DenseMatMul => "dense",
         }
-    }
-
-    /// Parses a CLI name.
-    pub fn from_name(name: &str) -> Option<SamplingMethod> {
-        Self::ALL.into_iter().find(|m| m.name() == name)
     }
 
     /// Every method, in documentation order.
@@ -176,32 +175,31 @@ impl EngineKind {
 }
 
 /// Everything needed to build and drive a sampler, with validation up
-/// front: engine, sampling method, seed, thread budget, streaming chunk
-/// width, and the optimizer switch.
+/// front: engine, seed, thread budget, streaming chunk width, and the
+/// optimizer switch. The phase store and the `M · B` kernel are not
+/// knobs: the `symphase` engine picks both per circuit
+/// ([`PhaseRepr::Auto`], [`SamplingMethod::Auto`]).
 ///
 /// `SimConfig` is a by-value builder — start from [`SimConfig::new`] (or
 /// `Default`) and chain `with_*` setters:
 ///
 /// ```
-/// use symphase_backend::{EngineKind, SamplingMethod, SimConfig};
+/// use symphase_backend::{EngineKind, SimConfig};
 ///
 /// let cfg = SimConfig::new()
 ///     .with_engine(EngineKind::SymPhase)
-///     .with_sampling(SamplingMethod::Hybrid)
 ///     .with_seed(42)
 ///     .with_threads(4);
 /// assert!(cfg.validate().is_ok());
 /// ```
 ///
 /// Validation ([`SimConfig::validate`]) rejects contradictory requests —
-/// a sampling method on an engine without a measurement matrix, a chunk
-/// width that breaks word alignment — as typed [`BuildError`]s. The factory
+/// a chunk width that breaks word alignment — as typed [`BuildError`]s. The factory
 /// (`symphase::backend::build_sampler`) validates again, so a config that
 /// skipped `validate` still cannot build a broken sampler.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimConfig {
     engine: EngineKind,
-    sampling: SamplingMethod,
     seed: u64,
     threads: usize,
     chunk_shots: usize,
@@ -212,7 +210,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             engine: EngineKind::SymPhase,
-            sampling: SamplingMethod::Auto,
             seed: 0,
             threads: 1,
             chunk_shots: CHUNK_SHOTS,
@@ -241,22 +238,6 @@ impl SimConfig {
         match EngineKind::from_name(name) {
             Some(engine) => Ok(self.with_engine(engine)),
             None => Err(BuildError::UnknownEngine { name: name.into() }),
-        }
-    }
-
-    /// Selects the `M · B` multiplication strategy (SymPhase engine
-    /// only).
-    pub fn with_sampling(mut self, method: SamplingMethod) -> Self {
-        self.sampling = method;
-        self
-    }
-
-    /// Selects the sampling method by CLI name, failing with
-    /// [`BuildError::UnknownSamplingMethod`] on an unrecognized name.
-    pub fn with_sampling_name(self, name: &str) -> Result<Self, BuildError> {
-        match SamplingMethod::from_name(name) {
-            Some(method) => Ok(self.with_sampling(method)),
-            None => Err(BuildError::UnknownSamplingMethod { name: name.into() }),
         }
     }
 
@@ -318,9 +299,13 @@ impl SimConfig {
         PhaseRepr::Auto
     }
 
-    /// The selected sampling method.
+    /// The sampling method the engine is built with: always
+    /// [`SamplingMethod::Auto`], which picks the `M · B` kernel per
+    /// circuit. Like [`SimConfig::effective_phase_repr`], it serves
+    /// callers that hand a config's choices to
+    /// `SymPhaseSampler::with_config`.
     pub fn sampling(&self) -> SamplingMethod {
-        self.sampling
+        SamplingMethod::Auto
     }
 
     /// The chunk-schedule seed.
@@ -348,13 +333,6 @@ impl SimConfig {
                 got: self.chunk_shots,
             });
         }
-        // Only SymPhase multiplies a measurement matrix.
-        if self.engine != EngineKind::SymPhase && self.sampling != SamplingMethod::Auto {
-            return Err(BuildError::SamplingMethodUnsupported {
-                engine: self.engine.name(),
-                method: self.sampling.name(),
-            });
-        }
         Ok(())
     }
 }
@@ -366,11 +344,6 @@ impl SimConfig {
 pub enum BuildError {
     /// `with_engine_name` saw a name that is not a known engine.
     UnknownEngine {
-        /// The rejected name.
-        name: String,
-    },
-    /// `with_sampling_name` saw a name that is not a known method.
-    UnknownSamplingMethod {
         /// The rejected name.
         name: String,
     },
@@ -397,14 +370,6 @@ pub enum BuildError {
         /// The engine's cap.
         max_symbols: usize,
     },
-    /// A non-`Auto` sampling method was configured for an engine without
-    /// a measurement-matrix product.
-    SamplingMethodUnsupported {
-        /// Engine name.
-        engine: &'static str,
-        /// The rejected method name.
-        method: &'static str,
-    },
     /// The chunk width is zero or not a multiple of 64, which would break
     /// word alignment of the bit-packed chunk boundaries.
     InvalidChunkShots {
@@ -421,14 +386,6 @@ impl std::fmt::Display for BuildError {
                 write!(
                     f,
                     "unknown engine '{name}' (expected one of: {})",
-                    names.join(", ")
-                )
-            }
-            BuildError::UnknownSamplingMethod { name } => {
-                let names: Vec<&str> = SamplingMethod::ALL.iter().map(|m| m.name()).collect();
-                write!(
-                    f,
-                    "unknown sampling method '{name}' (expected one of: {})",
                     names.join(", ")
                 )
             }
@@ -457,10 +414,6 @@ impl std::fmt::Display for BuildError {
                      memory linear in the qubits"
                 )
             }
-            BuildError::SamplingMethodUnsupported { engine, method } => write!(
-                f,
-                "--sampling {method} only applies to the symphase engine, not '{engine}'"
-            ),
             BuildError::InvalidChunkShots { got } => write!(
                 f,
                 "chunk width must be a nonzero multiple of 64 shots, got {got}"
@@ -495,19 +448,10 @@ mod tests {
         let e = SimConfig::new().with_engine_name("warp-drive").unwrap_err();
         assert!(matches!(e, BuildError::UnknownEngine { .. }), "{e}");
         assert!(e.to_string().contains("statevec"));
-        let e = SimConfig::new().with_sampling_name("quantum").unwrap_err();
-        assert!(matches!(e, BuildError::UnknownSamplingMethod { .. }), "{e}");
     }
 
     #[test]
     fn validate_rejects_contradictions() {
-        let e = SimConfig::new()
-            .with_engine(EngineKind::Frame)
-            .with_sampling(SamplingMethod::DenseMatMul)
-            .validate()
-            .unwrap_err();
-        assert!(matches!(e, BuildError::SamplingMethodUnsupported { .. }));
-
         for bad in [0usize, 1, 63, 100] {
             let e = SimConfig::new()
                 .with_chunk_shots(bad)

@@ -13,7 +13,7 @@
 //! experiments table1 [--n 64]
 //! experiments fig2  [--size 2048]
 //! experiments ablation [--n 96]
-//! experiments sampling [--n 64] [--shots 10000]
+//! experiments sampling [--shots 16384]
 //! experiments opt [--n 64] [--shots 10000]
 //! experiments par [--n 96] [--shots 1048576] [--strict]
 //! experiments serve [--n 64] [--shots 1048576]
@@ -35,7 +35,8 @@ use symphase::sampler_api::{sink, CountingSink, Sampler};
 use symphase_bench::json::Json;
 use symphase_bench::perf::{self, PerfConfig};
 use symphase_bench::{
-    measure_fig3_point, measure_scale_point, secs, table1_circuit, SimConfig, Workload, PAPER_SHOTS,
+    measure_fig3_point, measure_scale_point, sampling_grid, secs, table1_circuit, SimConfig,
+    Workload, PAPER_SHOTS,
 };
 use symphase_bitmat::layout::{ChpLayout, StimLayout, SymLayout512, TableauLayout};
 use symphase_bitmat::simd::SimdLevel;
@@ -102,8 +103,8 @@ fn main() {
         ),
         "table1" => table1(arg_value(&args, "--n").unwrap_or(64), shots),
         "fig2" => fig2(arg_value(&args, "--size").unwrap_or(2048)),
-        "ablation" => ablation(arg_value(&args, "--n").unwrap_or(96), shots),
-        "sampling" => sampling(arg_value(&args, "--n").unwrap_or(64), shots),
+        "ablation" => ablation(arg_value(&args, "--n").unwrap_or(96)),
+        "sampling" => sampling(arg_value(&args, "--shots").unwrap_or(16_384)),
         "opt" => opt_ablation(arg_value(&args, "--n").unwrap_or(64), shots),
         "par" => par_scaling(
             arg_value(&args, "--n").unwrap_or(96),
@@ -126,8 +127,8 @@ fn main() {
             fig3(Workload::Fig3c, 160, shots);
             table1(64, shots);
             fig2(2048);
-            ablation(96, shots);
-            sampling(64, shots);
+            ablation(96);
+            sampling(16_384);
             opt_ablation(64, shots);
             par_scaling(96, 1 << 20, false);
             serve_scaling(64, 1 << 20);
@@ -296,23 +297,30 @@ fn fig2_one<L: TableauLayout>(size: usize) {
     );
 }
 
-/// Sampling-kernel ablation: naive vs blocked F₂ multiplication and every
-/// end-to-end `SamplingMethod` on sparse and dense workloads.
-fn sampling(n: usize, shots: usize) {
-    println!("\n== sampling : M·B kernels, n={n}, {shots} samples ==");
-    println!("{:>14} {:>12} {:>12}", "circuit", "kernel", "time_s");
-    for row in symphase_bench::ablation_sampling_matrix(n, shots, 23) {
-        println!(
-            "{:>14} {:>12} {:>12}",
-            row.circuit,
-            row.kernel,
-            secs(row.time)
-        );
+/// Sampling-kernel ablation: every `SamplingMethod` on the kernel grid,
+/// median and quartiles over 9 interleaved rounds, plus `Auto`'s pick and
+/// its median over the best pinned method's.
+fn sampling(shots: usize) {
+    let rounds = 9;
+    println!(
+        "\n== sampling : M·B kernels, {shots} shots, median [q1, q3] ms of {rounds} rounds =="
+    );
+    print!("{:<30}", "circuit");
+    for method in SamplingMethod::ALL {
+        print!(" {:>20}", method.name());
     }
-    println!("expected shape: mul_blocked beats mul_naive clearly on ghz_chain");
-    println!("(dense rows — the workload DenseMatMul exists for) and holds near");
-    println!("parity on the sparse matrices (adaptive per-group fallback);");
-    println!("hybrid wins the rare-fault circuits; auto tracks the winner.");
+    println!(" {:>7} {:>6}", "pick", "ratio");
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    for row in symphase_bench::ablation_sampling_matrix(sampling_grid(), shots, rounds, 23) {
+        print!("{:<30}", row.circuit);
+        for [q1, median, q3] in &row.times {
+            let cell = format!("{:.3} [{:.3}, {:.3}]", ms(*median), ms(*q1), ms(*q3));
+            print!(" {cell:>20}");
+        }
+        println!(" {:>7} {:>6.2}", row.pick.name(), row.auto_ratio());
+    }
+    println!("ratio = auto's median / the best pinned method's median; all methods");
+    println!("sample identical bits for a seed, so only the kernel's speed differs.");
 }
 
 /// Optimizer ablation: the verified rewrite driver's own cost and what it
@@ -592,52 +600,24 @@ fn scale(max_rounds: usize, shots: usize) {
     }
 }
 
-/// Ablations: phase representation (A2) and sampling multiplication (A1).
-fn ablation(n: usize, shots: usize) {
-    println!("\n== ablation : phase store and sampling method (n={n}) ==");
+/// Phase-representation ablation (A2): init time of each phase store.
+/// The sampling-multiplication ablation (A1) is [`sampling`].
+fn ablation(n: usize) {
+    println!("\n== ablation : phase store (n={n}) ==");
     for workload in [Workload::Fig3a, Workload::Fig3c] {
         let c = workload.circuit(n, 7);
-        let t = Instant::now();
-        let sym_sparse = SymPhaseSampler::with_repr(&c, PhaseRepr::Sparse);
-        let sparse_init = t.elapsed();
-        let t = Instant::now();
-        let sym_dense = SymPhaseSampler::with_repr(&c, PhaseRepr::Dense);
-        let dense_init = t.elapsed();
-
-        let t = Instant::now();
-        let a = sym_sparse.sample_with_method(
-            shots,
-            &mut StdRng::seed_from_u64(1),
-            SamplingMethod::SparseRows,
-        );
-        let sparse_mul = t.elapsed();
-        std::hint::black_box(a.count_ones());
-        // Warm the dense matrix before timing the dense method.
-        let _ = sym_sparse.sample_with_method(
-            64,
-            &mut StdRng::seed_from_u64(2),
-            SamplingMethod::DenseMatMul,
-        );
-        let t = Instant::now();
-        let b = sym_sparse.sample_with_method(
-            shots,
-            &mut StdRng::seed_from_u64(3),
-            SamplingMethod::DenseMatMul,
-        );
-        let dense_mul = t.elapsed();
-        std::hint::black_box(b.count_ones());
-
+        let init = |repr| {
+            let t = Instant::now();
+            std::hint::black_box(SymPhaseSampler::with_repr(&c, repr));
+            secs(t.elapsed())
+        };
         println!(
-            "{}: init sparse {} / dense {} ; sampling sparse-mul {} / dense-mul {}",
+            "{}: init sparse {} / dense {}",
             workload.name(),
-            secs(sparse_init),
-            secs(dense_init),
-            secs(sparse_mul),
-            secs(dense_mul)
+            init(PhaseRepr::Sparse),
+            init(PhaseRepr::Dense)
         );
-        let _ = sym_dense;
     }
     println!("expected shape: sparse phases win sparse workloads (fig3a),");
-    println!("dense phases win dense noisy workloads (fig3c); sparse-row");
-    println!("multiplication beats dense multiplication when rows are sparse.");
+    println!("dense phases win dense noisy workloads (fig3c).");
 }

@@ -19,11 +19,11 @@ use symphase::backend::build_sampler;
 pub use symphase::backend::{EngineKind, SimConfig};
 use symphase::sampler_api::Sampler;
 use symphase_circuit::generators::{
-    fig3a_circuit, fig3b_circuit, fig3c_circuit, noisy_ghz_chain, surface_code_memory,
-    SurfaceCodeConfig,
+    fig3a_circuit, fig3b_circuit, fig3c_circuit, noisy_ghz_chain, repetition_code_memory,
+    surface_code_memory, RepetitionCodeConfig, SurfaceCodeConfig,
 };
 use symphase_circuit::Circuit;
-use symphase_core::{PhaseRepr, SamplingMethod, SymPhaseSampler};
+use symphase_core::{PhaseRepr, SampleBatch, SamplingMethod, SymPhaseSampler};
 
 /// Number of samples the paper's Fig. 3 timing uses.
 pub const PAPER_SHOTS: usize = 10_000;
@@ -275,74 +275,123 @@ pub fn sampling_ablation_circuits(n: usize) -> Vec<(&'static str, Circuit)> {
     ]
 }
 
-/// One measured cell of the sampling ablation matrix.
-#[derive(Clone, Debug)]
-pub struct SamplingAblationRow {
-    /// Circuit family label.
-    pub circuit: &'static str,
-    /// Kernel / method label.
-    pub kernel: &'static str,
-    /// Wall-clock time for `shots` samples.
-    pub time: Duration,
+/// The `M·B` kernel grid `experiments sampling` times (the table in
+/// `docs/performance.md`, "Choosing the `M·B` kernel"): the shapes of `M`
+/// the [`SamplingMethod::Auto`] cost model must read right. Noisy GHZ
+/// chains have triangular-dense rows, surface and repetition memories have
+/// sparse rows and rare faults, and the paper's Fig. 3 random circuits
+/// (seed 7) mix coins and faults.
+pub fn sampling_grid() -> Vec<(String, Circuit)> {
+    const P: [f64; 4] = [1e-4, 1e-3, 1e-2, 1e-1];
+    let mut grid = Vec::new();
+    for n in [64, 256, 1024] {
+        for p in P {
+            grid.push((format!("ghz n={n} p={p}"), noisy_ghz_chain(n, p)));
+        }
+    }
+    for (distance, rounds) in [(3, 3), (5, 5), (5, 25), (9, 9)] {
+        for p in P {
+            let c = surface_code_memory(&SurfaceCodeConfig {
+                distance,
+                rounds,
+                data_error: p,
+                measure_error: p,
+            });
+            grid.push((format!("surface d={distance} r={rounds} p={p}"), c));
+        }
+    }
+    for (distance, rounds) in [(9, 9), (25, 25)] {
+        for p in P {
+            let c = repetition_code_memory(&RepetitionCodeConfig {
+                distance,
+                rounds,
+                data_error: p,
+                measure_error: p,
+            });
+            grid.push((format!("repetition d={distance} r={rounds} p={p}"), c));
+        }
+    }
+    for n in [64, 128, 256] {
+        grid.push((format!("fig3a n={n}"), fig3a_circuit(n, 7)));
+    }
+    for n in [64, 128, 256] {
+        grid.push((format!("fig3b n={n}"), fig3b_circuit(n, 7)));
+    }
+    for n in [64, 128, 256] {
+        for p in [1e-4, 1e-3, 1e-2] {
+            grid.push((format!("fig3c n={n} p={p}"), fig3c_circuit(n, p, 7)));
+        }
+    }
+    grid
 }
 
-/// Times the sampling kernels on both ablation circuits: the naive
-/// row-gather dense product vs the blocked Four-Russians kernel on the
-/// *same* densified measurement matrix and assignment batch
-/// (bit-identical outputs, asserted), plus each end-to-end
-/// [`SamplingMethod`]. Returns one row per (circuit, kernel) cell.
-pub fn ablation_sampling_matrix(n: usize, shots: usize, seed: u64) -> Vec<SamplingAblationRow> {
+/// One circuit of the sampling ablation: what `Auto` resolved to and
+/// every method's timing spread.
+#[derive(Clone, Debug)]
+pub struct SamplingAblationRow {
+    /// Circuit label.
+    pub circuit: String,
+    /// What [`SamplingMethod::Auto`] resolves to on this circuit.
+    pub pick: SamplingMethod,
+    /// Per method of [`SamplingMethod::ALL`] (`Auto` first): the lower
+    /// quartile, median and upper quartile of its timings.
+    pub times: Vec<[Duration; 3]>,
+}
+
+impl SamplingAblationRow {
+    /// `Auto`'s median over the best pinned method's median.
+    pub fn auto_ratio(&self) -> f64 {
+        let best = self.times[1..].iter().map(|t| t[1]).min().expect("pinned");
+        self.times[0][1].as_secs_f64() / best.as_secs_f64().max(1e-12)
+    }
+}
+
+/// Times every [`SamplingMethod`] on each of `circuits`: `shots`-shot
+/// `sample_batch_with_method` calls (measurements, detectors and
+/// observables from one draw, as streaming runs them), `rounds ≥ 1`
+/// interleaved rounds after one untimed warm-up call per method, so
+/// neither a lazily built matrix nor a cold scratch lands in a timing.
+pub fn ablation_sampling_matrix(
+    circuits: Vec<(String, Circuit)>,
+    shots: usize,
+    rounds: usize,
+    seed: u64,
+) -> Vec<SamplingAblationRow> {
+    let methods = SamplingMethod::ALL;
     let mut rows = Vec::new();
-    for (name, circuit) in sampling_ablation_circuits(n) {
-        let sampler = SymPhaseSampler::new(&circuit);
-        let dense = sampler.measurement_matrix().to_dense();
-        let b = sampler
-            .symbol_table()
-            .sample_assignments(shots, &mut StdRng::seed_from_u64(seed));
-
-        let t = Instant::now();
-        let naive = dense.mul(&b);
-        let naive_time = t.elapsed();
-        std::hint::black_box(naive.count_ones());
-
-        let t = Instant::now();
-        let blocked = dense.mul_blocked(&b);
-        let blocked_time = t.elapsed();
-        std::hint::black_box(blocked.count_ones());
-        assert_eq!(naive, blocked, "blocked kernel diverged on {name}");
-
-        rows.push(SamplingAblationRow {
-            circuit: name,
-            kernel: "mul_naive",
-            time: naive_time,
-        });
-        rows.push(SamplingAblationRow {
-            circuit: name,
-            kernel: "mul_blocked",
-            time: blocked_time,
-        });
-
-        // Warm every lazily-built structure outside the timed region:
-        // the densified matrices and the hybrid event index.
-        let _ = sampler.sample_with_method(
-            64,
-            &mut StdRng::seed_from_u64(0),
-            SamplingMethod::DenseMatMul,
+    for (circuit, c) in circuits {
+        let sampler = SymPhaseSampler::new(&c);
+        let mut batch = SampleBatch::zeros(
+            sampler.num_measurements(),
+            sampler.num_detectors(),
+            sampler.num_observables(),
+            shots,
         );
-        let _ =
-            sampler.sample_with_method(64, &mut StdRng::seed_from_u64(0), SamplingMethod::Hybrid);
-        for method in SamplingMethod::ALL {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x5A);
-            let t = Instant::now();
-            let out = sampler.sample_with_method(shots, &mut rng, method);
-            let time = t.elapsed();
-            std::hint::black_box(out.count_ones());
-            rows.push(SamplingAblationRow {
-                circuit: name,
-                kernel: method.name(),
-                time,
-            });
+        let mut times = vec![Vec::with_capacity(rounds); methods.len()];
+        // Round 0 is the warm-up.
+        for round in 0..=rounds {
+            for (slot, &method) in times.iter_mut().zip(&methods) {
+                let rng = &mut StdRng::seed_from_u64(seed);
+                let t = Instant::now();
+                sampler.sample_batch_with_method(std::hint::black_box(&mut batch), rng, method);
+                if round > 0 {
+                    slot.push(t.elapsed());
+                }
+            }
         }
+        let q = |mut t: Vec<Duration>| {
+            t.sort();
+            [
+                t[(rounds - 1) / 4],
+                t[(rounds - 1) / 2],
+                t[3 * (rounds - 1) / 4],
+            ]
+        };
+        rows.push(SamplingAblationRow {
+            circuit,
+            pick: sampler.resolved_method(),
+            times: times.into_iter().map(q).collect(),
+        });
     }
     rows
 }
@@ -394,18 +443,23 @@ mod tests {
         }
     }
 
-    /// Nightly-free smoke bench: exercises the full sampling ablation
-    /// matrix at a toy size (it asserts naive == blocked internally).
+    /// Nightly-free smoke bench: runs the sampling ablation's timing loop
+    /// on the three small ablation circuits.
     /// Run explicitly with:
     /// `cargo test -p symphase-bench --release -- --ignored smoke`
     #[test]
     #[ignore = "smoke bench; run with -- --ignored"]
     fn smoke_ablation_sampling() {
-        let rows = ablation_sampling_matrix(32, 4096, 9);
-        // 3 circuits × (2 kernels + 4 methods).
-        assert_eq!(rows.len(), 18);
+        let circuits = sampling_ablation_circuits(16)
+            .into_iter()
+            .map(|(name, c)| (name.to_owned(), c))
+            .collect();
+        let rows = ablation_sampling_matrix(circuits, 4096, 3, 9);
+        assert_eq!(rows.len(), 3);
         for row in &rows {
-            println!("{:<14} {:<12} {}s", row.circuit, row.kernel, secs(row.time));
+            assert_eq!(row.times.len(), SamplingMethod::ALL.len());
+            assert_ne!(row.pick, SamplingMethod::Auto);
+            println!("{:<14} {:?} {:.2}", row.circuit, row.pick, row.auto_ratio());
         }
     }
 }

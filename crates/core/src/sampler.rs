@@ -546,10 +546,13 @@ const FLIP_COST: f64 = 8.0;
 ///   the plan, its probability times the rows its columns touch (the same
 ///   as each fault column's marginal fire probability times its rows),
 ///   weighted by [`FLIP_COST`] (events are scattered single-bit flips).
-/// * matrix product — one word XOR per set bit of the plan's `M`; within
-///   that, the blocked kernel wins once rows average more set bits than
-///   the kernel has 8-bit column groups (one table lookup replaces up to
-///   8 gathers).
+/// * `SparseRows` — one word XOR per set bit of the plan's `M`.
+/// * `DenseMatMul` — per 8-column group, the 256-entry Gray-code table
+///   build plus one lookup per row, at half a gather each:
+///   ½·(rows + 512)·⌈len/8⌉ (the halving is fitted on the kernel grid of
+///   `docs/performance.md`, "Choosing the `M·B` kernel").
+///
+/// The cheaper matrix kernel wins unless `Hybrid` undercuts it.
 fn resolve_auto_from_matrix(
     plan: &DrawPlan,
     table: &SymbolTable,
@@ -579,13 +582,17 @@ fn resolve_auto_from_matrix(
         flips_per_shot += p * rows;
     });
     let hybrid_cost = coin_nnz + FLIP_COST * 64.0 * flips_per_shot;
-    let matrix_cost = nnz as f64;
+    let sparse_cost = nnz as f64;
+    let dense_cost = 0.5 * (meas_rows.rows() + 512) as f64 * len.div_ceil(8) as f64;
+    let (matrix, matrix_cost) = if dense_cost < sparse_cost {
+        (SamplingMethod::DenseMatMul, dense_cost)
+    } else {
+        (SamplingMethod::SparseRows, sparse_cost)
+    };
     if hybrid_cost < matrix_cost {
         SamplingMethod::Hybrid
-    } else if nnz > meas_rows.rows().max(1) * len.div_ceil(8) {
-        SamplingMethod::DenseMatMul
     } else {
-        SamplingMethod::SparseRows
+        matrix
     }
 }
 

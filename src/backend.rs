@@ -36,8 +36,9 @@ pub use symphase_backend::{BuildError, EngineKind, PhaseRepr, SamplingMethod, Si
 /// Validates the configuration ([`SimConfig::validate`]) and the
 /// circuit/engine pairing (the tableau memory budget and the
 /// state-vector qubit cap), then runs the engine's initialization: a
-/// symbolic traversal for SymPhase (phase store picked per circuit by
-/// [`PhaseRepr::Auto`]), a reference tableau sample for the frame
+/// symbolic traversal for SymPhase (phase store and `M · B` kernel
+/// picked per circuit by [`PhaseRepr::Auto`] and [`SamplingMethod::Auto`]),
+/// a reference tableau sample for the frame
 /// baseline, a circuit copy for the per-shot engines. Every failure mode
 /// is a typed [`BuildError`] — this function does not panic.
 pub fn build_sampler(
@@ -59,11 +60,7 @@ pub fn build_sampler(
         circuit
     };
     Ok(match config.engine() {
-        EngineKind::SymPhase => Box::new(SymPhaseSampler::with_config(
-            circuit,
-            config.effective_phase_repr(),
-            config.sampling(),
-        )),
+        EngineKind::SymPhase => Box::new(SymPhaseSampler::new(circuit)),
         EngineKind::Frame => Box::new(FrameSampler::new(circuit)),
         EngineKind::Tableau => Box::new(TableauSampler::new(circuit)),
         EngineKind::StateVec => Box::new(StateVecSampler::try_new(circuit)?),
@@ -240,10 +237,10 @@ mod tests {
         let c = ghz(2);
         let cfg = SimConfig::new()
             .with_engine(EngineKind::Tableau)
-            .with_sampling(SamplingMethod::Hybrid);
-        assert!(matches!(
+            .with_chunk_shots(100);
+        assert_eq!(
             build_sampler(&c, &cfg).err().expect("must fail"),
-            BuildError::SamplingMethodUnsupported { .. }
-        ));
+            BuildError::InvalidChunkShots { got: 100 }
+        );
     }
 }

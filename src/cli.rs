@@ -3,8 +3,8 @@
 //! A Stim-like CLI over the circuit text format:
 //!
 //! ```text
-//! symphase sample    -c circuit.stim --shots 1000 [--format 01|counts|b8|hits] [--out F] [--seed N] [--engine E] [--sampling S] [--par|--threads T]
-//! symphase detect    -c circuit.stim --shots 1000 [--format 01|counts|b8|hits|dets] [--out F] [--obs-out F] [--seed N] [--engine E] [--sampling S] [--par|--threads T]
+//! symphase sample    -c circuit.stim --shots 1000 [--format 01|counts|b8|hits] [--out F] [--seed N] [--engine E] [--par|--threads T]
+//! symphase detect    -c circuit.stim --shots 1000 [--format 01|counts|b8|hits|dets] [--out F] [--obs-out F] [--seed N] [--engine E] [--par|--threads T]
 //! symphase analyze   -c circuit.stim
 //! symphase stats     -c circuit.stim
 //! symphase dem       -c circuit.stim
@@ -139,11 +139,9 @@ options:
       --out <path>       stream sample output to a file instead of stdout
       --obs-out <path>   detect: stream observables to their own file (the main
                          output then carries detectors only)
-      --engine <e>       backend: symphase (default; phase store picked per
-                         circuit), frame, tableau, or statevec
-      --sampling <s>     M·B strategy for the symphase engine: auto (default),
-                         hybrid, sparse, or dense (blocked kernel); all
-                         strategies sample identical bits for equal seeds
+      --engine <e>       backend: symphase (default; phase store and M·B
+                         kernel picked per circuit), frame, tableau, or
+                         statevec
       --par              sample across all cores (chunks stream in order)
       --threads <t>      sample across exactly t threads (1 = serial)
       --distance <d>     gen: code distance (default 3)
@@ -194,7 +192,6 @@ struct Options {
     out: Option<String>,
     obs_out: Option<String>,
     engine: String,
-    sampling: String,
     parallel: bool,
     threads: Option<usize>,
     distance: usize,
@@ -234,7 +231,6 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
         shots: 10,
         format: "01".into(),
         engine: "symphase".into(),
-        sampling: "auto".into(),
         distance: 3,
         rounds: 3,
         data_error: 0.001,
@@ -275,7 +271,6 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--out" => opts.out = Some(value("--out")?),
             "--obs-out" => opts.obs_out = Some(value("--obs-out")?),
             "--engine" => opts.engine = value("--engine")?,
-            "--sampling" => opts.sampling = value("--sampling")?,
             "--par" => opts.parallel = true,
             "--threads" => {
                 let t: usize = value("--threads")?
@@ -368,7 +363,7 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
 }
 
 /// Validates the sampling-related option *values* — format, engine,
-/// sampling method, thread budget — into a [`SimConfig`] plus format.
+/// thread budget — into a [`SimConfig`] plus format.
 /// This runs **before** the circuit is loaded, so a typo in `--format`
 /// fails in microseconds, not after drawing a million shots.
 fn sampling_config(
@@ -390,8 +385,6 @@ fn sampling_config(
     }
     let cfg = SimConfig::new()
         .with_engine_name(&opts.engine)
-        .map_err(|e| fail(e.to_string()))?
-        .with_sampling_name(&opts.sampling)
         .map_err(|e| fail(e.to_string()))?
         .with_seed(opts.seed)
         .with_threads(opts.effective_threads());

@@ -325,6 +325,7 @@ fn usage_and_runtime_errors_have_distinct_exit_codes() {
         vec!["sample"], // missing --circuit
         vec!["sample", "-c", "/nonexistent/x.stim", "--format", "base64"],
         vec!["sample", "-c", "/nonexistent/x.stim", "--engine", "warp"],
+        // The engine picks its `M·B` kernel itself; there is no flag.
         vec!["sample", "-c", "/nonexistent/x.stim", "--sampling", "q"],
         vec!["sample", "-c", "x.stim", "--threads", "0"],
         vec![
@@ -340,6 +341,12 @@ fn usage_and_runtime_errors_have_distinct_exit_codes() {
         let e = run(&args(&bad)).unwrap_err();
         assert_eq!(e.code, 2, "{bad:?}: {}", e.message);
     }
+    let e = run(&args(&["sample", "-c", "x.stim", "--sampling", "dense"])).unwrap_err();
+    assert!(
+        e.message.contains("unknown option '--sampling'"),
+        "{}",
+        e.message
+    );
     // Runtime errors (well-formed invocation, bad inputs): exit code 1.
     let unparsable = write_circuit("FROB 0\n");
     for bad in [

@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use symphase::analysis::{optimize, optimize_with, OptConfig, Pass, ProofStatus};
-use symphase::backend::{build_sampler, EngineKind, SamplingMethod, SimConfig};
+use symphase::backend::{build_sampler, EngineKind, PhaseRepr, SamplingMethod, SimConfig};
 use symphase::bitmat::BitVec;
 use symphase::circuit::generators::{repetition_code_memory, RepetitionCodeConfig};
 use symphase::circuit::{Circuit, Gate, NoiseChannel};
@@ -180,8 +180,9 @@ fn factory_optimize_knob_is_bit_identical_to_preoptimizing() {
 }
 
 /// Noise that no measurement reads is never drawn, so the optimizer's
-/// dead-noise strip (`SP002`) cannot shift the seeded stream: with
-/// `optimize` on, every sampling method's bytes equal those with it off.
+/// dead-noise strip (`SP002`) cannot shift the seeded stream: every
+/// sampling method's bytes on the optimized circuit equal those on the
+/// original.
 #[test]
 fn stripping_dead_noise_leaves_symphase_bytes_unchanged() {
     // Every channel and an E/ELSE chain; the two Z_ERROR lines on 0..3 are
@@ -202,13 +203,13 @@ fn stripping_dead_noise_leaves_symphase_bytes_unchanged() {
     );
     assert_eq!(r.report.gates_after, r.report.gates_before);
     assert!(r.flipped_records.is_empty());
+    let cfg = SimConfig::new().with_seed(9);
     for method in SamplingMethod::ALL {
-        let cfg = SimConfig::new().with_sampling(method).with_seed(9);
-        let bytes = |optimize: bool| {
-            let s = build_sampler(&c, &cfg.clone().with_optimize(optimize)).expect("builds");
-            collect(s.as_ref(), 5000, &cfg)
+        let bytes = |circuit: &Circuit| {
+            let s = SymPhaseSampler::with_config(circuit, PhaseRepr::Auto, method);
+            collect(&s, 5000, &cfg)
         };
-        assert_eq!(bytes(true), bytes(false), "{}", method.name());
+        assert_eq!(bytes(&r.circuit), bytes(&c), "{}", method.name());
     }
 }
 

@@ -14,7 +14,8 @@ use symphase::circuit::generators::{
     RepetitionCodeConfig, SurfaceCodeConfig,
 };
 use symphase::circuit::{Circuit, NoiseChannel};
-use symphase::core::{SamplingMethod, SymPhaseSampler};
+use symphase::core::{PhaseRepr, SamplingMethod, SymPhaseSampler};
+use symphase::prelude::{collect, SampleBatch, SimConfig};
 
 /// Circuits spanning every symbol-group kind and both sides of the Auto
 /// heuristic (dense mixing, QEC-sparse, heavy noise, p > 1/2 faults).
@@ -176,6 +177,83 @@ fn auto_resolution_is_deterministic_and_pinned() {
         SymPhaseSampler::new(&heavy).resolved_method(),
         SamplingMethod::SparseRows
     );
+    // Hybrid must also undercut the blocked kernel, table builds
+    // included: at p = 1e-3 a 256-qubit GHZ chain fires enough faults
+    // that the dense product wins, while a 64-qubit chain's tables cost
+    // more than its events.
+    let pick = |c: &Circuit| SymPhaseSampler::new(c).resolved_method();
+    assert_eq!(
+        pick(&noisy_ghz_chain(256, 0.001)),
+        SamplingMethod::DenseMatMul
+    );
+    assert_eq!(pick(&noisy_ghz_chain(64, 0.001)), SamplingMethod::Hybrid);
+    // The d=5 r=5 surface memory `serve` benchmarks keeps the hybrid;
+    // a small Fig. 3c circuit keeps the sparse rows.
+    let serve_mix = surface_code_memory(&SurfaceCodeConfig {
+        distance: 5,
+        rounds: 5,
+        data_error: 0.001,
+        measure_error: 0.001,
+    });
+    assert_eq!(pick(&serve_mix), SamplingMethod::Hybrid);
+    assert_eq!(
+        pick(&fig3c_circuit(32, 0.01, 7)),
+        SamplingMethod::SparseRows
+    );
+}
+
+/// Every channel plus an `E`/`ELSE` chain, with detectors and an
+/// observable.
+const NOISE7: &str = "R 0 1 2 3 4\nCX 0 1 2 3\nX_ERROR(0.1) 0 1\nY_ERROR(0.05) 2\n\
+Z_ERROR(0.2) 3 0\nDEPOLARIZE1(0.15) 0 1 2 3\nDEPOLARIZE2(0.1) 0 1 2 3\n\
+PAULI_CHANNEL_1(0.05,0.1,0.15) 1 3\n\
+PAULI_CHANNEL_2(0.01,0.02,0.03,0.04,0.05,0.01,0.02,0.03,0.04,0.05,0.01,0.02,0.03,0.04,0.05) 0 2\n\
+E(0.2) X0 Z1\nELSE_CORRELATED_ERROR(0.3) Y2 X3\nELSE_CORRELATED_ERROR(0.5) X1\nH 4\n\
+M 0 1 2 3 4\nDETECTOR rec[-2] rec[-3]\nDETECTOR rec[-4] rec[-5]\nOBSERVABLE_INCLUDE(0) rec[-2]\n";
+
+/// Streams `shots` shots of `circuit` (measurements, detectors and
+/// observables) with every method pinned, seed 9, under `threads`.
+fn pinned_streams(circuit: &Circuit, shots: usize, threads: usize) -> Vec<SampleBatch> {
+    let cfg = SimConfig::new().with_seed(9).with_threads(threads);
+    SamplingMethod::ALL
+        .into_iter()
+        .map(|method| {
+            let s = SymPhaseSampler::with_config(circuit, PhaseRepr::Auto, method);
+            collect(&s, shots, &cfg)
+        })
+        .collect()
+}
+
+/// On `noise7`, each pinned kernel streams the same bytes on one thread
+/// as on all cores, across chunk boundaries (12,388 shots = three full
+/// chunks + 100: each lane reuses its thread's scratch across chunks),
+/// and every kernel streams the same bytes.
+#[test]
+fn noise7_streams_match_across_threads_and_methods() {
+    let c = Circuit::parse(NOISE7).expect("noise7 parses");
+    let serial = pinned_streams(&c, 12_388, 1);
+    let parallel = pinned_streams(&c, 12_388, 0);
+    for ((method, one), all) in SamplingMethod::ALL.iter().zip(&serial).zip(&parallel) {
+        assert_eq!(one, all, "{method:?}: all cores diverged from one thread");
+        assert_eq!(one, &serial[0], "{method:?} diverged from Auto");
+    }
+}
+
+/// A dead channel (Z errors right before Z measurements) is never drawn,
+/// so adding one to `noise7` leaves every kernel's bytes unchanged.
+#[test]
+fn noise7_dead_channel_leaves_every_method_unchanged() {
+    let dead_text = NOISE7.replace("H 4\n", "Z_ERROR(0.3) 0 1 2 3\nH 4\n");
+    assert_ne!(dead_text, NOISE7);
+    let live = Circuit::parse(NOISE7).expect("noise7 parses");
+    let dead = Circuit::parse(&dead_text).expect("noise7_dead parses");
+    let (a, b) = (
+        pinned_streams(&live, 5000, 1),
+        pinned_streams(&dead, 5000, 1),
+    );
+    for ((method, a), b) in SamplingMethod::ALL.iter().zip(&a).zip(&b) {
+        assert_eq!(a, b, "{method:?}: the dead channel moved the stream");
+    }
 }
 
 /// SparseRows and DenseMatMul consume randomness identically, so equal

@@ -126,15 +126,12 @@ fn b8_digest(
     source: RecordSource,
     shots: usize,
 ) -> String {
-    let config = SimConfig::new()
-        .with_engine(EngineKind::SymPhase)
-        .with_sampling(method)
-        .with_seed(SEED);
-    let sampler = build_sampler(circuit, &config).expect("engine builds");
+    let config = SimConfig::new().with_seed(SEED);
+    let sampler = SymPhaseSampler::with_config(circuit, PhaseRepr::Auto, method);
     let mut bytes = Vec::new();
     {
         let mut sink = SampleFormat::B8.sink(&mut bytes, source);
-        stream_with_config(&*sampler, shots, &config, sink.as_mut()).unwrap();
+        stream_with_config(&sampler, shots, &config, sink.as_mut()).unwrap();
     }
     sha256(&bytes).iter().map(|b| format!("{b:02x}")).collect()
 }

@@ -247,17 +247,6 @@ fn config_seed_controls_the_stream() {
 #[test]
 fn misconfigurations_fail_with_typed_errors() {
     let circuit = small_circuit();
-    let cfg = SimConfig::new()
-        .with_engine(EngineKind::Frame)
-        .with_sampling(SamplingMethod::DenseMatMul);
-    match build_sampler(&circuit, &cfg) {
-        Err(BuildError::SamplingMethodUnsupported { engine, method }) => {
-            assert_eq!(engine, "frame");
-            assert_eq!(method, "dense");
-        }
-        Err(other) => panic!("wrong error: {other}"),
-        Ok(_) => panic!("must not build"),
-    }
     let cfg = SimConfig::new().with_chunk_shots(100);
     assert!(matches!(
         build_sampler(&circuit, &cfg),
@@ -267,15 +256,15 @@ fn misconfigurations_fail_with_typed_errors() {
 
 #[test]
 fn sampling_methods_agree_through_the_config_path() {
-    // The chunk-seeded stream must be method-independent, config-built.
+    // The chunk-seeded stream must be method-independent: every pinned
+    // kernel streams the factory-built engine's bytes.
     let circuit = small_circuit();
     let reference = build_sampler(&circuit, &SimConfig::new()).unwrap();
     let expected = collect(reference.as_ref(), 300, &seeded(11));
     for method in SamplingMethod::ALL {
-        let cfg = SimConfig::new().with_sampling(method);
-        let sampler = build_sampler(&circuit, &cfg).unwrap();
+        let sampler = SymPhaseSampler::with_config(&circuit, PhaseRepr::Auto, method);
         assert_eq!(
-            collect(sampler.as_ref(), 300, &seeded(11)),
+            collect(&sampler, 300, &seeded(11)),
             expected,
             "method {} diverged",
             method.name()
