@@ -43,6 +43,36 @@ use symphase_bitmat::simd::SimdLevel;
 use symphase_core::{PhaseRepr, SamplingMethod, SymPhaseSampler};
 use symphase_frame::FrameSampler;
 
+// The reports go to stdout through these two, which shadow the std
+// macros for this file: a reader that closes the pipe early
+// (`experiments sampling | head`) ends the run quietly with exit 0, as the
+// `symphase` CLI does, where the std ones panic.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        print!("\n")
+    };
+    ($($arg:tt)*) => {
+        print!("{}\n", format_args!($($arg)*))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn arg_value(args: &[String], key: &str) -> Option<usize> {
     args.iter()
         .position(|a| a == key)

@@ -141,11 +141,7 @@ fn apply_symbol_fault<S: SymbolicPhases>(
     fault_mask(tab, kind, q, mask);
     let phases = tab.phases_mut();
     phases.ensure_symbol_capacity(sym);
-    for (w, &m) in mask.iter().enumerate() {
-        if m != 0 {
-            phases.xor_symbol_word(sym, w, m);
-        }
-    }
+    phases.xor_symbol_column(sym, mask);
 }
 
 /// Applies a classically-controlled Pauli `kind^e` on qubit `q` (paper §6).

@@ -11,10 +11,10 @@
 //!   proportional to the number of symbols actually present, which stays
 //!   tiny for QEC-style circuits (the "sparse circuits" case of Table 1).
 
-use symphase_bitmat::word::xor_into;
+use symphase_bitmat::word::{count_ones, xor_into};
 use symphase_bitmat::{simd, BitVec, SparseBitVec, WORD_BITS};
 use symphase_circuit::CircuitStats;
-use symphase_tableau::PhaseStore;
+use symphase_tableau::{add_constant_into_mask, PhaseStore};
 
 use crate::expr::SymExpr;
 use crate::symbol::{SymbolId, ENTRY_BYTES};
@@ -47,6 +47,11 @@ pub trait SymbolicPhases: PhaseStore {
     /// (rows `64·word_index .. 64·word_index+64`) — the effect of a fault
     /// `P^s` on the rows that anticommute with `P`.
     fn xor_symbol_word(&mut self, sym: SymbolId, word_index: usize, mask: u64);
+
+    /// Flips the coefficient of `sym` in every row selected by the
+    /// column mask `mask` (bit `r % 64` of word `r / 64` is row `r`): one
+    /// call per fault instead of one [`Self::xor_symbol_word`] per word.
+    fn xor_symbol_column(&mut self, sym: SymbolId, mask: &[u64]);
 
     /// XORs a whole expression into the phases of every row selected by
     /// `mask` — the effect of a classically-controlled Pauli `P^e`
@@ -201,9 +206,12 @@ impl PhaseStore for DensePhases {
         self.rows
     }
 
-    #[inline]
-    fn xor_constant_word(&mut self, word_index: usize, mask: u64) {
-        self.constants.words_mut()[word_index] ^= mask;
+    fn constant_words(&self) -> &[u64] {
+        self.constants.words()
+    }
+
+    fn constant_words_mut(&mut self) -> &mut [u64] {
+        self.constants.words_mut()
     }
 
     fn add_row_into(&mut self, src: usize, dst: usize, extra_constant: bool) {
@@ -231,6 +239,45 @@ impl PhaseStore for DensePhases {
         } else {
             let (lo, hi) = self.sym.split_at_mut(s_off);
             xor_into(&mut lo[d_off + from..d_off + active], &hi[from..active]);
+        }
+    }
+
+    fn add_row_into_mask(&mut self, src: usize, rows: &[u64], extra: &[u64]) {
+        add_constant_into_mask(self.constants.words_mut(), src, rows, extra);
+        let floor = self.first_tracked;
+        if !(0..rows.len()).any(|w| tracked_mask(rows[w], w, floor) != 0) {
+            return;
+        }
+        debug_assert!(src >= floor, "untracked row used as source");
+        self.flush();
+        let s = src - floor;
+        let (from, active) = (self.first[s], self.active);
+        if from >= active {
+            return;
+        }
+        // As in `add_row_into`: whole vectors from the source's start word.
+        let aligned = from & !(XOR_ALIGN - 1);
+        let kernels = simd::kernels();
+        let (stride, sym, first) = (self.stride, &mut self.sym, &mut self.first);
+        let src_row = s * stride + aligned..s * stride + active;
+        for (w, &m) in rows.iter().enumerate() {
+            let mut m = tracked_mask(m, w, floor);
+            while m != 0 {
+                let d = w * WORD_BITS + m.trailing_zeros() as usize - floor;
+                m &= m - 1;
+                first[d] = first[d].min(from);
+                let d_off = d * stride;
+                if d < s {
+                    let (lo, hi) = sym.split_at_mut(src_row.start);
+                    kernels.xor_into(
+                        &mut lo[d_off + aligned..d_off + active],
+                        &hi[..active - aligned],
+                    );
+                } else {
+                    let (lo, hi) = sym.split_at_mut(d_off);
+                    kernels.xor_into(&mut hi[aligned..active], &lo[src_row.clone()]);
+                }
+            }
         }
     }
 
@@ -266,14 +313,6 @@ impl PhaseStore for DensePhases {
             self.sym[t * self.stride + from..t * self.stride + self.active].fill(0);
         }
         self.first[t] = EMPTY;
-    }
-
-    fn constant_bit(&self, row: usize) -> bool {
-        self.constants.get(row)
-    }
-
-    fn set_constant_bit(&mut self, row: usize, value: bool) {
-        self.constants.set(row, value);
     }
 }
 
@@ -331,6 +370,41 @@ impl SymbolicPhases for DensePhases {
         }
         self.pend[sb * self.pend_rows.len() + word_index] ^= m;
         self.pend_rows[word_index] |= m;
+    }
+
+    fn xor_symbol_column(&mut self, sym: SymbolId, mask: &[u64]) {
+        debug_assert!(sym >= 1);
+        // The first word with a tracked row; it may hold untracked ones.
+        let lo = self.first_tracked / WORD_BITS;
+        if lo >= mask.len() {
+            return;
+        }
+        let tracked = |w: usize| tracked_mask(mask[w], w, self.first_tracked);
+        let partial = tracked(lo);
+        let ones = partial.count_ones() as usize + count_ones(&mask[lo + 1..]);
+        if ones <= 1 {
+            // No row, or one: the word call writes it directly.
+            if let Some(w) = (lo..mask.len()).find(|&w| tracked(w) != 0) {
+                self.xor_symbol_word(sym, w, tracked(w));
+            }
+            return;
+        }
+        let bit = (sym - 1) as usize;
+        let (sw, sb) = (bit / WORD_BITS, bit % WORD_BITS);
+        debug_assert!(sw < self.active, "symbol past the active prefix");
+        if self.open != Some(sw) {
+            self.flush();
+            self.open = Some(sw);
+        }
+        let row_words = self.pend_rows.len();
+        let pend = &mut self.pend[sb * row_words..(sb + 1) * row_words];
+        pend[lo] ^= partial;
+        self.pend_rows[lo] |= partial;
+        simd::kernels().xor_or_into(
+            &mut pend[lo + 1..],
+            &mut self.pend_rows[lo + 1..],
+            &mask[lo + 1..],
+        );
     }
 
     fn xor_expr_word(&mut self, expr: &SymExpr, word_index: usize, mask: u64) {
@@ -410,9 +484,12 @@ impl PhaseStore for SparsePhases {
         self.rows.len()
     }
 
-    #[inline]
-    fn xor_constant_word(&mut self, word_index: usize, mask: u64) {
-        self.constants.words_mut()[word_index] ^= mask;
+    fn constant_words(&self) -> &[u64] {
+        self.constants.words()
+    }
+
+    fn constant_words_mut(&mut self) -> &mut [u64] {
+        self.constants.words_mut()
     }
 
     fn add_row_into(&mut self, src: usize, dst: usize, extra_constant: bool) {
@@ -423,12 +500,18 @@ impl PhaseStore for SparsePhases {
         }
         debug_assert!(src >= self.first_tracked, "untracked row used as source");
         debug_assert_ne!(src, dst);
-        let (a, b) = (src.min(dst), src.max(dst));
-        let (lo, hi) = self.rows.split_at_mut(b);
-        if src < dst {
-            hi[0].xor_assign(&lo[a]);
-        } else {
-            lo[a].xor_assign(&hi[0]);
+        self.xor_symbols(src, dst);
+    }
+
+    fn add_row_into_mask(&mut self, src: usize, rows: &[u64], extra: &[u64]) {
+        add_constant_into_mask(self.constants.words_mut(), src, rows, extra);
+        for (w, &m) in rows.iter().enumerate() {
+            let mut m = tracked_mask(m, w, self.first_tracked);
+            while m != 0 {
+                debug_assert!(src >= self.first_tracked, "untracked row used as source");
+                self.xor_symbols(src, w * WORD_BITS + m.trailing_zeros() as usize);
+                m &= m - 1;
+            }
         }
     }
 
@@ -446,13 +529,19 @@ impl PhaseStore for SparsePhases {
         self.constants.set(row, false);
         self.rows[row].clear();
     }
+}
 
-    fn constant_bit(&self, row: usize) -> bool {
-        self.constants.get(row)
-    }
-
-    fn set_constant_bit(&mut self, row: usize, value: bool) {
-        self.constants.set(row, value);
+impl SparsePhases {
+    /// Row `dst`'s symbols XOR row `src`'s.
+    fn xor_symbols(&mut self, src: usize, dst: usize) {
+        debug_assert_ne!(src, dst);
+        let (a, b) = (src.min(dst), src.max(dst));
+        let (lo, hi) = self.rows.split_at_mut(b);
+        if src < dst {
+            hi[0].xor_assign(&lo[a]);
+        } else {
+            lo[a].xor_assign(&hi[0]);
+        }
     }
 }
 
@@ -472,6 +561,12 @@ impl SymbolicPhases for SparsePhases {
             let b = m.trailing_zeros() as usize;
             m &= m - 1;
             self.rows[word_index * WORD_BITS + b].flip(sym);
+        }
+    }
+
+    fn xor_symbol_column(&mut self, sym: SymbolId, mask: &[u64]) {
+        for (w, &m) in mask.iter().enumerate() {
+            self.xor_symbol_word(sym, w, m);
         }
     }
 
@@ -790,6 +885,88 @@ mod tests {
         for r in 0..rows {
             assert_eq!(dense.row_expr(r), sparse.row_expr(r), "row {r} diverged");
         }
+    }
+
+    /// A store fed the batched calls (`xor_symbol_column`,
+    /// `add_row_into_mask`) and its twin fed their per-word and per-row
+    /// forms end in the same rows, for masks from empty to dense and with
+    /// the tracking floor at zero, mid-word and past a word boundary.
+    fn check_batched_calls<S: SymbolicPhases + Clone>(make: impl Fn() -> S, rows: usize) {
+        let words = rows.div_ceil(WORD_BITS);
+        for (seed, floor) in [(0u64, 0usize), (1, rows / 2), (2, 130)] {
+            let mut rng = StdRng::seed_from_u64(40 + seed);
+            let (mut batched, mut single) = (make(), make());
+            batched.set_symbol_tracking_floor(floor);
+            single.set_symbol_tracking_floor(floor);
+            let random_mask = |rng: &mut StdRng| -> Vec<u64> {
+                let density = rng.random_range(0..5);
+                let mut mask: Vec<u64> = (0..words)
+                    .map(|_| match density {
+                        0 => 0,
+                        1 => {
+                            rng.random::<u64>()
+                                & rng.random::<u64>()
+                                & rng.random::<u64>()
+                                & rng.random::<u64>()
+                        }
+                        _ => rng.random::<u64>(),
+                    })
+                    .collect();
+                if density >= 3 {
+                    // One row, as a fault on one generator flips; or one
+                    // tracked row among untracked ones.
+                    for (w, m) in mask.iter_mut().enumerate() {
+                        let untracked = !tracked_mask(!0, w, floor);
+                        *m &= if density == 4 { untracked } else { 0 };
+                    }
+                    let r = rng.random_range(if density == 4 { floor } else { 0 }..rows);
+                    mask[r / WORD_BITS] |= 1 << (r % WORD_BITS);
+                }
+                mask[words - 1] &= !0 >> (words * WORD_BITS - rows);
+                mask
+            };
+            for step in 0..600u32 {
+                let sym = 1 + step / 2;
+                batched.ensure_symbol_capacity(sym);
+                single.ensure_symbol_capacity(sym);
+                if rng.random_range(0..3) > 0 {
+                    let mask = random_mask(&mut rng);
+                    batched.xor_symbol_column(sym, &mask);
+                    for (w, &m) in mask.iter().enumerate() {
+                        single.xor_symbol_word(sym, w, m);
+                    }
+                } else {
+                    let src = rng.random_range(floor.max(1)..rows);
+                    let mut mask = random_mask(&mut rng);
+                    mask[src / WORD_BITS] &= !(1 << (src % WORD_BITS));
+                    let extra: Vec<u64> = (0..words).map(|_| rng.random::<u64>()).collect();
+                    batched.add_row_into_mask(src, &mask, &extra);
+                    for r in
+                        (0..rows).filter(|&r| (mask[r / WORD_BITS] >> (r % WORD_BITS)) & 1 == 1)
+                    {
+                        single.add_row_into(
+                            src,
+                            r,
+                            (extra[r / WORD_BITS] >> (r % WORD_BITS)) & 1 == 1,
+                        );
+                    }
+                }
+            }
+            for r in 0..rows {
+                assert_eq!(
+                    batched.row_expr(r),
+                    single.row_expr(r),
+                    "floor {floor}, row {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batched_calls_equal_per_word_calls_on_both_stores() {
+        let rows = 2 * 130 + 1;
+        check_batched_calls(|| DensePhases::with_rows(rows), rows);
+        check_batched_calls(|| SparsePhases::with_rows(rows), rows);
     }
 
     /// Every word below each tracked row's start word is zero.

@@ -39,6 +39,6 @@ mod tableau;
 pub mod verify;
 
 pub use pauli::PauliString;
-pub use phases::{ConcretePhases, PhaseStore};
+pub use phases::{add_constant_into_mask, ConcretePhases, PhaseStore};
 pub use simulator::{reference_sample, TableauSampler, TableauSimulator};
 pub use tableau::{Collapse, Tableau};

@@ -23,17 +23,31 @@ pub trait PhaseStore {
     /// Number of rows.
     fn rows(&self) -> usize;
 
-    /// XORs a 64-row mask into the *constant* term of the phases: rows
-    /// whose bit is set in `mask` flip sign. `word_index` selects which
-    /// group of 64 rows. This is the word-parallel path used by Clifford
-    /// gates (paper Fact 1).
-    fn xor_constant_word(&mut self, word_index: usize, mask: u64);
+    /// The *constant* terms of the phases, one bit per row (bit `r % 64`
+    /// of word `r / 64` is row `r`; bits past [`Self::rows`] stay clear).
+    fn constant_words(&self) -> &[u64];
+
+    /// Mutable constant terms. Clifford gates XOR their sign flips in
+    /// here word-parallel (paper Fact 1).
+    fn constant_words_mut(&mut self) -> &mut [u64];
+
+    /// XORs a 64-row mask into the constant terms: rows whose bit is set
+    /// in `mask` flip sign. `word_index` selects which group of 64 rows.
+    fn xor_constant_word(&mut self, word_index: usize, mask: u64) {
+        self.constant_words_mut()[word_index] ^= mask;
+    }
 
     /// Row multiplication phase update: `phase[dst] ⊕= phase[src] ⊕
     /// extra_constant` where `extra_constant` carries the mod-4 sign
     /// correction of the Pauli product (the `Σg ≡ 2 (mod 4)` case of A-G's
     /// `rowsum`). Symbolic stores XOR the full coefficient vectors.
     fn add_row_into(&mut self, src: usize, dst: usize, extra_constant: bool);
+
+    /// [`Self::add_row_into`] from `src` into every row selected by the
+    /// mask `rows`, with row `r`'s sign correction at bit `r` of `extra`
+    /// (both laid out like [`Self::constant_words`]). Equal to one
+    /// `add_row_into` per selected row; `rows` must not select `src`.
+    fn add_row_into_mask(&mut self, src: usize, rows: &[u64], extra: &[u64]);
 
     /// Copies the phase of `src` over the phase of `dst`.
     fn copy_row(&mut self, src: usize, dst: usize);
@@ -42,10 +56,27 @@ pub trait PhaseStore {
     fn clear_row(&mut self, row: usize);
 
     /// The constant term of the phase of `row`.
-    fn constant_bit(&self, row: usize) -> bool;
+    fn constant_bit(&self, row: usize) -> bool {
+        (self.constant_words()[row / WORD_BITS] >> (row % WORD_BITS)) & 1 == 1
+    }
 
     /// Sets the constant term of the phase of `row`.
-    fn set_constant_bit(&mut self, row: usize, value: bool);
+    fn set_constant_bit(&mut self, row: usize, value: bool) {
+        debug_assert!(row < self.rows(), "row {row} out of range");
+        let word = &mut self.constant_words_mut()[row / WORD_BITS];
+        *word = (*word & !(1 << (row % WORD_BITS))) | (u64::from(value) << (row % WORD_BITS));
+    }
+}
+
+/// The constant-term part of [`PhaseStore::add_row_into_mask`], word by
+/// word: every row of `rows` XORs in row `src`'s constant and its own bit
+/// of `extra`.
+pub fn add_constant_into_mask(constants: &mut [u64], src: usize, rows: &[u64], extra: &[u64]) {
+    debug_assert_eq!((rows[src / WORD_BITS] >> (src % WORD_BITS)) & 1, 0);
+    let c = 0u64.wrapping_sub((constants[src / WORD_BITS] >> (src % WORD_BITS)) & 1);
+    for ((word, &r), &e) in constants.iter_mut().zip(rows).zip(extra) {
+        *word ^= r & (c ^ e);
+    }
 }
 
 /// The classic concrete phase store: one sign bit per tableau row.
@@ -72,21 +103,22 @@ impl PhaseStore for ConcretePhases {
         self.bits.len()
     }
 
-    #[inline]
-    fn xor_constant_word(&mut self, word_index: usize, mask: u64) {
-        debug_assert!(word_index < self.bits.words().len());
-        debug_assert!(
-            word_index + 1 < self.bits.words().len()
-                || mask & !symphase_bitmat::word::tail_mask(self.bits.len()) == 0,
-            "mask touches slack bits"
-        );
-        self.bits.words_mut()[word_index] ^= mask;
+    fn constant_words(&self) -> &[u64] {
+        self.bits.words()
+    }
+
+    fn constant_words_mut(&mut self) -> &mut [u64] {
+        self.bits.words_mut()
     }
 
     #[inline]
     fn add_row_into(&mut self, src: usize, dst: usize, extra_constant: bool) {
         let v = self.bits.get(dst) ^ self.bits.get(src) ^ extra_constant;
         self.bits.set(dst, v);
+    }
+
+    fn add_row_into_mask(&mut self, src: usize, rows: &[u64], extra: &[u64]) {
+        add_constant_into_mask(self.bits.words_mut(), src, rows, extra);
     }
 
     #[inline]
@@ -98,16 +130,6 @@ impl PhaseStore for ConcretePhases {
     #[inline]
     fn clear_row(&mut self, row: usize) {
         self.bits.set(row, false);
-    }
-
-    #[inline]
-    fn constant_bit(&self, row: usize) -> bool {
-        self.bits.get(row)
-    }
-
-    #[inline]
-    fn set_constant_bit(&mut self, row: usize, value: bool) {
-        self.bits.set(row, value);
     }
 }
 
@@ -155,6 +177,30 @@ mod tests {
         assert!(!p.constant_bit(1)); // 1 ⊕ 1 ⊕ 0
         p.copy_row(0, 3);
         assert!(p.constant_bit(3));
+    }
+
+    #[test]
+    fn add_row_into_mask_equals_one_add_per_row() {
+        let rows = 131;
+        let mut batched = ConcretePhases::with_rows(rows);
+        for r in (0..rows).step_by(3) {
+            batched.set_constant_bit(r, true);
+        }
+        let mut single = batched.clone();
+        let src = 70;
+        let mask = [
+            0xF0F0_1234_5678_9ABCu64,
+            0x0123_4567_89AB_CDEF & !(1 << 6),
+            0b101,
+        ];
+        let extra = [0xFFFF_0000_FFFF_0000u64, 0x5555_5555_5555_5555, 0b111];
+        batched.add_row_into_mask(src, &mask, &extra);
+        for r in 0..rows {
+            if (mask[r / 64] >> (r % 64)) & 1 == 1 {
+                single.add_row_into(src, r, (extra[r / 64] >> (r % 64)) & 1 == 1);
+            }
+        }
+        assert_eq!(batched, single);
     }
 
     #[test]

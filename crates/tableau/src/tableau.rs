@@ -1,7 +1,8 @@
 //! The destabilizer/stabilizer tableau with column-major X/Z storage.
 
+use symphase_bitmat::simd::{self, ColumnAction};
 use symphase_bitmat::{BitVec, WORD_BITS};
-use symphase_circuit::Gate;
+use symphase_circuit::{Gate, XZAction1, XZAction2};
 
 use crate::pauli::PauliString;
 use crate::phases::{mask_words, PhaseStore};
@@ -29,9 +30,9 @@ pub enum Collapse {
 /// * Rows `0..n` hold destabilizer generators, rows `n..2n` stabilizer
 ///   generators, row `2n` is scratch space for deterministic measurements.
 /// * X and Z bits are stored **column-major by qubit**: the bits of qubit
-///   `q` across all rows form a contiguous word slice, so Clifford gates are
-///   word-parallel (paper Fact 1 turns into `xor_constant_word` calls on the
-///   phase store).
+///   `q` across all rows form a contiguous word slice, so Clifford gates
+///   and measurement sweeps run over whole columns at vector width (paper
+///   Fact 1 turns into word XORs on the phase store's constant terms).
 ///
 /// # Example
 ///
@@ -80,6 +81,12 @@ impl<P: PhaseStore> Tableau<P> {
             t.set_z_bit(n + i, i, true); // stabilizer i = Z_i
         }
         t
+    }
+
+    /// Bytes of X and Z bits [`Self::new`] allocates for `n` qubits: two
+    /// blocks of `n` columns, each `⌈(2n+1)/64⌉` words.
+    pub fn xz_bytes(n: usize) -> usize {
+        2 * n * mask_words(2 * n + 1) * std::mem::size_of::<u64>()
     }
 
     /// Number of qubits.
@@ -177,69 +184,36 @@ impl<P: PhaseStore> Tableau<P> {
 
     /// Applies `gate` to broadcast `targets` (pairs for two-qubit gates).
     ///
+    /// The whole instruction runs the gate's dispatch-table entry through
+    /// one column-kernel call ([`simd::Kernels::gate_action`]), which XORs
+    /// the sign flips into the phase store's constant terms word-parallel
+    /// (paper Fact 1).
+    ///
     /// # Panics
     ///
     /// Panics if targets are out of range or malformed for the gate's arity.
     pub fn apply_gate(&mut self, gate: Gate, targets: &[u32]) {
+        for &q in targets {
+            assert!((q as usize) < self.n, "qubit {q} out of range");
+        }
+        let kernels = simd::kernels();
+        let (x, z, signs) = (&mut self.x, &mut self.z, self.phases.constant_words_mut());
         match gate.arity() {
-            1 => {
-                for &q in targets {
-                    self.apply_single(gate, q as usize);
-                }
-            }
+            1 => kernels.gate_action(&column_action1(gate.xz_action1()), x, z, targets, signs),
             _ => {
                 assert!(
                     targets.len().is_multiple_of(2),
                     "two-qubit gate needs pairs"
                 );
                 for pair in targets.chunks_exact(2) {
-                    self.apply_pair(gate, pair[0] as usize, pair[1] as usize);
+                    assert_ne!(pair[0], pair[1], "two-qubit gate targets must differ");
                 }
+                kernels.gate_action(&column_action2(gate.xz_action2()), x, z, targets, signs);
             }
         }
     }
 
-    fn apply_single(&mut self, gate: Gate, a: usize) {
-        assert!(a < self.n, "qubit {a} out of range");
-        let wpc = self.wpc;
-        let xa = &mut self.x[a * wpc..(a + 1) * wpc];
-        let za = &mut self.z[a * wpc..(a + 1) * wpc];
-        let phases = &mut self.phases;
-        // One shared dispatch table (derived from the reference conjugation
-        // semantics) supplies both the F₂ bit action and the sign flips.
-        symphase_circuit::apply_action1(gate.xz_action1(), xa, za, |w, m| {
-            phases.xor_constant_word(w, m);
-        });
-    }
-
-    fn apply_pair(&mut self, gate: Gate, a: usize, b: usize) {
-        assert!(a < self.n && b < self.n, "qubit out of range");
-        assert_ne!(a, b, "two-qubit gate targets must differ");
-        let wpc = self.wpc;
-        let (xa, xb) = two_slices(&mut self.x, a, b, wpc);
-        let (za, zb) = two_slices(&mut self.z, a, b, wpc);
-        let phases = &mut self.phases;
-        symphase_circuit::apply_action2(gate.xz_action2(), xa, za, xb, zb, |w, m| {
-            phases.xor_constant_word(w, m);
-        });
-    }
-
     // -- row operations -----------------------------------------------
-
-    /// Copies row `src` onto row `dst` (bits and phase).
-    pub fn copy_row(&mut self, src: usize, dst: usize) {
-        debug_assert!(src != dst);
-        let (ws, bs) = (src / WORD_BITS, (src % WORD_BITS) as u32);
-        let (wd, bd) = (dst / WORD_BITS, (dst % WORD_BITS) as u32);
-        for q in 0..self.n {
-            let base = q * self.wpc;
-            let xv = (self.x[base + ws] >> bs) & 1;
-            let zv = (self.z[base + ws] >> bs) & 1;
-            self.x[base + wd] = (self.x[base + wd] & !(1 << bd)) | (xv << bd);
-            self.z[base + wd] = (self.z[base + wd] & !(1 << bd)) | (zv << bd);
-        }
-        self.phases.copy_row(src, dst);
-    }
 
     /// Zeroes row `row` (bits and phase).
     pub fn clear_row(&mut self, row: usize) {
@@ -262,11 +236,13 @@ impl<P: PhaseStore> Tableau<P> {
     /// (concrete coin, or fresh symbol + `X^s` for Algorithm 1).
     ///
     /// Every other row that anticommutes with `Z_a` is multiplied by the
-    /// pivot (A-G `rowsum`) in one column sweep: for each qubit where the
-    /// pivot is not the identity, the anticommuting-row mask is XORed into
-    /// that qubit's X/Z column words, and each row's phase exponent
-    /// accumulates in bit-sliced mod-4 counters. The phase store then sees
-    /// one `add_row_into(pivot, row, extra)` per row, in ascending order.
+    /// pivot (A-G `rowsum`) in one column sweep
+    /// ([`simd::Kernels::collapse_sweep`]): for each qubit where the pivot is
+    /// not the identity, the anticommuting-row mask is XORed into that
+    /// qubit's X/Z column words, and each row's phase exponent accumulates
+    /// in bit-sliced mod-4 counters. The same pass moves the pivot onto its
+    /// destabilizer and clears it. The phase store then sees one
+    /// [`PhaseStore::add_row_into_mask`] over the whole mask.
     ///
     /// # Panics
     ///
@@ -277,42 +253,18 @@ impl<P: PhaseStore> Tableau<P> {
             return Collapse::Deterministic;
         };
         let (n, wpc) = (self.n, self.wpc);
-        let (pw, pb) = (pivot / WORD_BITS, pivot % WORD_BITS);
-        let (mask, counters) = self.sweep.split_at_mut(wpc);
-        let (lo, hi) = counters.split_at_mut(wpc);
         // Rows below the scratch row that anticommute with Z_a, bar the pivot.
+        let mask = &mut self.sweep[..wpc];
         for (w, (m, &xa)) in mask.iter_mut().zip(&self.x[a * wpc..]).enumerate() {
             *m = xa & row_range_mask(w, 0, 2 * n);
         }
-        mask[pw] &= !(1 << pb);
-        let words = nonzero_span(mask);
-        lo.fill(0);
-        hi.fill(0);
-        for q in 0..n {
-            let cols = q * wpc..(q + 1) * wpc;
-            let (xc, zc) = (&mut self.x[cols.clone()], &mut self.z[cols]);
-            let x1 = 0u64.wrapping_sub((xc[pw] >> pb) & 1);
-            let z1 = 0u64.wrapping_sub((zc[pw] >> pb) & 1);
-            if x1 | z1 == 0 {
-                continue;
-            }
-            for w in words.clone() {
-                let m = mask[w];
-                let (plus, minus) = phase_signs(x1, z1, xc[w], zc[w]);
-                add_mod4(&mut lo[w], &mut hi[w], plus & m, minus & m);
-                xc[w] ^= x1 & m;
-                zc[w] ^= z1 & m;
-            }
-        }
-        for w in words {
-            for_each_bit(mask[w], |b| {
-                let row = w * WORD_BITS + b;
-                self.phases.add_row_into(pivot, row, (hi[w] >> b) & 1 == 1);
-            });
-        }
+        mask[pivot / WORD_BITS] &= !(1 << (pivot % WORD_BITS));
+        simd::kernels().collapse_sweep(&mut self.x, &mut self.z, &mut self.sweep, pivot, pivot - n);
+        let (mask, counters) = self.sweep.split_at(wpc);
+        self.phases.add_row_into_mask(pivot, mask, &counters[wpc..]);
         // The old pivot becomes the destabilizer; the new stabilizer is +Z_a.
-        self.copy_row(pivot, pivot - n);
-        self.clear_row(pivot);
+        self.phases.copy_row(pivot, pivot - n);
+        self.phases.clear_row(pivot);
         self.set_z_bit(pivot, a, true);
         Collapse::Random { pivot }
     }
@@ -322,57 +274,40 @@ impl<P: PhaseStore> Tableau<P> {
     /// row the product of stabilizers indicated by the destabilizers that
     /// anticommute with `Z_a`. The outcome is the scratch row's phase.
     ///
-    /// The ordered product is built in one column sweep: the running
-    /// product's bits before each factor are a masked prefix-XOR of the
-    /// factors' column bits, so every factor's phase exponent accumulates
-    /// word-parallel in the mod-4 counters. The phase store then sees one
+    /// The ordered product is built in one column sweep
+    /// ([`simd::Kernels::deterministic_sweep`]): the running product's bits
+    /// before each factor are a masked prefix-XOR of the factors' column
+    /// bits, so every factor's phase exponent accumulates word-parallel in
+    /// the mod-4 counters. The phase store then sees one
     /// `add_row_into(factor, scratch, extra)` per factor, in ascending
     /// order.
     pub fn accumulate_deterministic(&mut self, a: usize) {
         assert!(a < self.n, "qubit {a} out of range");
         let (n, wpc) = (self.n, self.wpc);
         let scratch = self.scratch_row();
-        self.clear_row(scratch);
-        let (mask, counters) = self.sweep.split_at_mut(wpc);
-        let (lo, hi) = counters.split_at_mut(wpc);
+        self.phases.clear_row(scratch);
         // Stabilizer `n + r` is a factor when destabilizer `r` anticommutes
-        // with Z_a.
+        // with Z_a: the destabilizer rows of the column, shifted up by n.
+        let mask = &mut self.sweep[..wpc];
         mask.fill(0);
+        let (shift_words, shift_bits) = (n / WORD_BITS, n % WORD_BITS);
         for (w, &xa) in self.x[a * wpc..(a + 1) * wpc].iter().enumerate() {
-            for_each_bit(xa & row_range_mask(w, 0, n), |b| {
-                let row = n + w * WORD_BITS + b;
-                mask[row / WORD_BITS] |= 1 << (row % WORD_BITS);
-            });
-        }
-        let words = nonzero_span(mask);
-        lo.fill(0);
-        hi.fill(0);
-        let (sw, sb) = (scratch / WORD_BITS, scratch % WORD_BITS);
-        for q in 0..n {
-            let cols = q * wpc..(q + 1) * wpc;
-            let (xc, zc) = (&mut self.x[cols.clone()], &mut self.z[cols]);
-            // Running-product bits so far, as all-zero or all-one words.
-            let (mut px, mut pz) = (0u64, 0u64);
-            for w in words.clone() {
-                let m = mask[w];
-                let (x1, z1) = (xc[w] & m, zc[w] & m);
-                if x1 | z1 == 0 {
-                    continue;
-                }
-                let (ix, iz) = (prefix_xor(x1), prefix_xor(z1));
-                let (plus, minus) = phase_signs(x1, z1, (ix ^ x1) ^ px, (iz ^ z1) ^ pz);
-                add_mod4(&mut lo[w], &mut hi[w], plus, minus);
-                px ^= 0u64.wrapping_sub(ix >> 63);
-                pz ^= 0u64.wrapping_sub(iz >> 63);
+            let bits = xa & row_range_mask(w, 0, n);
+            if bits == 0 {
+                continue;
             }
-            xc[sw] |= (px & 1) << sb;
-            zc[sw] |= (pz & 1) << sb;
+            mask[w + shift_words] |= bits << shift_bits;
+            if shift_bits > 0 && bits >> (WORD_BITS - shift_bits) != 0 {
+                mask[w + shift_words + 1] |= bits >> (WORD_BITS - shift_bits);
+            }
         }
-        for w in words {
-            for_each_bit(mask[w], |b| {
-                let row = w * WORD_BITS + b;
+        simd::kernels().deterministic_sweep(&mut self.x, &mut self.z, &mut self.sweep, scratch);
+        let (mask, counters) = self.sweep.split_at(wpc);
+        let hi = &counters[wpc..];
+        for (w, (&m, &h)) in mask.iter().zip(hi).enumerate() {
+            for_each_bit(m, |b| {
                 self.phases
-                    .add_row_into(row, scratch, (hi[w] >> b) & 1 == 1);
+                    .add_row_into(w * WORD_BITS + b, scratch, (h >> b) & 1 == 1);
             });
         }
         debug_assert!(
@@ -412,18 +347,6 @@ fn row_range_mask(w: usize, lo: usize, hi: usize) -> u64 {
     from & below
 }
 
-/// The words of `mask` from its first to its last nonzero word (empty
-/// when `mask` is zero).
-#[inline]
-fn nonzero_span(mask: &[u64]) -> std::ops::Range<usize> {
-    let first = mask.iter().position(|&m| m != 0).unwrap_or(0);
-    let end = mask
-        .iter()
-        .rposition(|&m| m != 0)
-        .map_or(0, |last| last + 1);
-    first..end
-}
-
 /// Calls `f` with the index of every set bit of `word`, ascending.
 #[inline]
 fn for_each_bit(mut word: u64, mut f: impl FnMut(usize)) {
@@ -433,50 +356,22 @@ fn for_each_bit(mut word: u64, mut f: impl FnMut(usize)) {
     }
 }
 
-/// Inclusive prefix XOR: bit `i` of the result is the parity of bits
-/// `0..=i` of `v`.
-#[inline]
-fn prefix_xor(mut v: u64) -> u64 {
-    v ^= v << 1;
-    v ^= v << 2;
-    v ^= v << 4;
-    v ^= v << 8;
-    v ^= v << 16;
-    v ^= v << 32;
-    v
+/// The column kernel's form of a single-qubit table entry: outputs
+/// `(x', z')` over inputs `(x, z)`.
+fn column_action1(a: &XZAction1) -> ColumnAction<2> {
+    let sel = |from_x: bool, from_z: bool| u8::from(from_x) | u8::from(from_z) << 1;
+    ColumnAction {
+        out: [sel(a.x_from_x, a.x_from_z), sel(a.z_from_x, a.z_from_z)],
+        phase_tt: a.phase_tt.into(),
+    }
 }
 
-/// Bit-sliced A-G phase function `g(P1, P2)` of the product `P1 · P2`,
-/// the power of `i` it contributes, over 64 lanes at once: returns the
-/// lanes where `g = +1` and where `g = −1` (all others are 0). `g` is
-/// nonzero exactly when the two Paulis anticommute, and `+1` when `P2`
-/// follows `P1` in the cycle X → Y → Z → X (`X·Y = iZ`), which in `(x, z)`
-/// bits means `x2 = x1 ⊕ z1` and `z2 = x1`.
-#[inline]
-fn phase_signs(x1: u64, z1: u64, x2: u64, z2: u64) -> (u64, u64) {
-    let anti = (x1 & z2) ^ (z1 & x2);
-    let plus = anti & !(x2 ^ x1 ^ z1) & !(z2 ^ x1);
-    (plus, anti ^ plus)
-}
-
-/// Adds `+1` on the `plus` lanes and `−1` on the (disjoint) `minus` lanes
-/// of 64 two-bit counters mod 4, held as low/high bit-slices.
-#[inline]
-fn add_mod4(lo: &mut u64, hi: &mut u64, plus: u64, minus: u64) {
-    *hi ^= (*lo & plus) | (!*lo & minus);
-    *lo ^= plus | minus;
-}
-
-/// Splits two distinct same-length column slices out of the backing vector.
-fn two_slices(v: &mut [u64], a: usize, b: usize, wpc: usize) -> (&mut [u64], &mut [u64]) {
-    debug_assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = v.split_at_mut(b * wpc);
-        (&mut lo[a * wpc..(a + 1) * wpc], &mut hi[..wpc])
-    } else {
-        let (lo, hi) = v.split_at_mut(a * wpc);
-        let (xb, xa) = (&mut lo[b * wpc..(b + 1) * wpc], &mut hi[..wpc]);
-        (xa, xb)
+/// The column kernel's form of a two-qubit table entry, whose source
+/// masks already index the inputs `(x₀, z₀, x₁, z₁)`.
+fn column_action2(a: &XZAction2) -> ColumnAction<4> {
+    ColumnAction {
+        out: [a.xa, a.za, a.xb, a.zb],
+        phase_tt: a.phase_tt,
     }
 }
 
@@ -494,6 +389,14 @@ mod tests {
         assert_eq!(t.stabilizer(0).to_string(), "+ZII");
         assert_eq!(t.stabilizer(2).to_string(), "+IIZ");
         assert_eq!(t.destabilizer(1).to_string(), "+IXI");
+    }
+
+    #[test]
+    fn xz_bytes_is_what_new_allocates() {
+        for n in [1, 2, 31, 32, 33, 64, 256, 257] {
+            let t = T::new(n);
+            assert_eq!((t.x.len() + t.z.len()) * 8, T::xz_bytes(n), "n = {n}");
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use symphase_circuit::{Circuit, Gate};
+use symphase_bitmat::simd;
+use symphase_circuit::{apply_action1, apply_action2, Circuit, Gate};
 use symphase_core::{DensePhases, SparsePhases, SymbolicPhases};
 use symphase_tableau::verify::check_invariants;
 use symphase_tableau::{
@@ -325,8 +326,9 @@ symbolic_sweep_store!(SparsePhases);
 symbolic_sweep_store!(DensePhases);
 
 /// Qubit counts whose 2n + 1 rows straddle word boundaries, with the
-/// scratch row at the start, middle and end of a partial word.
-const SWEEP_NS: [usize; 9] = [1, 2, 31, 32, 33, 63, 64, 65, 127];
+/// scratch row at the start, middle and end of a partial word. From
+/// n = 255 on, a column fills a 512-bit vector and leaves a masked tail.
+const SWEEP_NS: [usize; 12] = [1, 2, 31, 32, 33, 63, 64, 65, 127, 255, 256, 257];
 
 /// Measures qubit `q` through the sweeps and through the per-row
 /// reference from the same starting tableau, and requires identical bits
@@ -456,10 +458,97 @@ proptest! {
     /// row does — for the concrete, sparse and dense stores.
     #[test]
     fn sweeps_match_rowsum_reference(seed in any::<u64>()) {
-        for n in SWEEP_NS {
-            prop_assert_eq!(check_sweeps::<ConcretePhases>(n, seed), Ok(()), "concrete, n = {}", n);
-            prop_assert_eq!(check_sweeps::<SparsePhases>(n, seed), Ok(()), "sparse, n = {}", n);
-            prop_assert_eq!(check_sweeps::<DensePhases>(n, seed), Ok(()), "dense, n = {}", n);
+        for level in simd::available_levels() {
+            simd::with_level(level, || -> Result<(), TestCaseError> {
+                for n in SWEEP_NS {
+                    prop_assert_eq!(check_sweeps::<ConcretePhases>(n, seed), Ok(()), "concrete, n = {}", n);
+                    prop_assert_eq!(check_sweeps::<SparsePhases>(n, seed), Ok(()), "sparse, n = {}", n);
+                    prop_assert_eq!(check_sweeps::<DensePhases>(n, seed), Ok(()), "dense, n = {}", n);
+                }
+                Ok(())
+            })?;
+        }
+    }
+}
+
+// -- gate kernel vs the shared dispatch table ---------------------------
+
+/// Every gate, through `Tableau::apply_gate`'s column kernel at every SIMD
+/// level, leaves the X/Z columns and constant phases exactly as the word
+/// loops `apply_action1` / `apply_action2` do, on columns of 1 to 17
+/// words. Targets revisit qubits, so applications must run in order.
+#[test]
+fn gate_kernel_matches_apply_action_at_every_level() {
+    use rand::Rng;
+    for words in 1..=17usize {
+        let mut rng = StdRng::seed_from_u64(words as u64);
+        // 2n + 1 rows in exactly `words` words.
+        let n = 32 * words - 1;
+        let mut tab: Tableau<ConcretePhases> = Tableau::new(n);
+        for _ in 0..4 * n {
+            let q = rng.random_range(0..n) as u32;
+            let b = (q + rng.random_range(1..n as u32)) % n as u32;
+            match rng.random_range(0..3) {
+                0 => tab.apply_gate(G1[rng.random_range(0..12usize)], &[q]),
+                1 => tab.apply_gate(G2[rng.random_range(0..4usize)], &[q, b]),
+                _ => {
+                    if let Collapse::Random { pivot } = tab.collapse_z(q as usize) {
+                        tab.phases_mut().set_constant_bit(pivot, rng.random());
+                    }
+                }
+            }
+        }
+        assert_eq!(tab.words_per_col(), words);
+        for gate in Gate::ALL {
+            let (a, b, c) = (0u32, (n / 2) as u32, (n - 1) as u32);
+            let targets: Vec<u32> = if gate.arity() == 1 {
+                vec![a, b, a, c]
+            } else {
+                vec![a, b, b, c, c, a]
+            };
+            let mut x: Vec<Vec<u64>> = (0..n).map(|q| tab.x_col(q).to_vec()).collect();
+            let mut z: Vec<Vec<u64>> = (0..n).map(|q| tab.z_col(q).to_vec()).collect();
+            let mut signs = tab.phases().bits().words().to_vec();
+            let mut flip = |w: usize, m: u64| signs[w] ^= m;
+            if gate.arity() == 1 {
+                for &q in &targets {
+                    let q = q as usize;
+                    apply_action1(gate.xz_action1(), &mut x[q], &mut z[q], &mut flip);
+                }
+            } else {
+                for pair in targets.chunks_exact(2) {
+                    let (p, q) = (pair[0] as usize, pair[1] as usize);
+                    let (mut xp, mut zp) = (x[p].clone(), z[p].clone());
+                    let (xq, zq) = (&mut x[q], &mut z[q]);
+                    apply_action2(gate.xz_action2(), &mut xp, &mut zp, xq, zq, &mut flip);
+                    x[p] = xp;
+                    z[p] = zp;
+                }
+            }
+            for level in simd::available_levels() {
+                let mut got = tab.clone();
+                simd::with_level(level, || got.apply_gate(gate, &targets));
+                for q in 0..n {
+                    assert_eq!(
+                        got.x_col(q),
+                        x[q],
+                        "{gate} {} words {words}: X of {q}",
+                        level.name()
+                    );
+                    assert_eq!(
+                        got.z_col(q),
+                        z[q],
+                        "{gate} {} words {words}: Z of {q}",
+                        level.name()
+                    );
+                }
+                assert_eq!(
+                    got.phases().bits().words(),
+                    signs,
+                    "{gate} {} words {words}: signs",
+                    level.name()
+                );
+            }
         }
     }
 }

@@ -232,6 +232,22 @@ mod tests {
         }
     }
 
+    /// The budget's byte formula never undercounts the tableau a build
+    /// allocates, at word boundaries of the 2n + 1 rows and at the limit.
+    #[test]
+    fn tableau_bytes_covers_the_allocated_tableau() {
+        use symphase_tableau::{ConcretePhases, Tableau};
+        for n in [1u32, 31, 32, 33, 256, 257, 23167] {
+            let allocated = Tableau::<ConcretePhases>::xz_bytes(n as usize) as u64;
+            assert!(
+                tableau_bytes(n) >= allocated,
+                "n = {n}: {} < {allocated}",
+                tableau_bytes(n)
+            );
+        }
+        assert_eq!(max_tableau_qubits(), 23167);
+    }
+
     #[test]
     fn invalid_configs_fail_before_initialization() {
         let c = ghz(2);
