@@ -39,7 +39,7 @@
 use std::fmt;
 
 use symphase_circuit::{Circuit, Instruction, SourceMap};
-use symphase_core::{DetectorErrorModel, SymPhaseSampler, SymbolId};
+use symphase_core::{DetectorErrorModel, SymbolId, SymbolicRecords};
 
 pub mod dem_graph;
 pub mod distance;
@@ -539,8 +539,8 @@ pub fn analyze_circuit(circuit: &Circuit, config: &AnalyzeConfig) -> Result<Anal
             }
         }
     };
-    let sampler = SymPhaseSampler::new(target);
-    let dem = sampler
+    let records = SymbolicRecords::new(target);
+    let dem = records
         .detector_error_model()
         .with_detector_coords(target.detector_coordinates());
     analyze(dem, config, Some(target), clamped)

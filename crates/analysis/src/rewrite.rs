@@ -43,7 +43,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use symphase_circuit::{Block, Circuit, Clifford1, Gate, Instruction, PauliKind, SmallPauli};
-use symphase_core::SymPhaseSampler;
+use symphase_core::SymbolicRecords;
 
 use crate::{diag, liveness, symbolic, Diagnostic};
 
@@ -526,13 +526,13 @@ fn random_records(circuit: &Circuit) -> Option<HashSet<usize>> {
             _ => return None,
         }
     };
-    let sampler = SymPhaseSampler::new(target);
+    let records = SymbolicRecords::new(target);
     // Randomness is reported by Initialization at collapse time, per
     // record. (It cannot be reconstructed from the rows: resets allocate
     // coins without recording anything, and a re-measurement after a
     // collapse *inherits* an earlier coin while staying deterministic
     // and flippable.)
-    let is_random = sampler.random_measurement_records();
+    let is_random = records.random_measurement_records();
     let mut random = HashSet::new();
     let mut full_base = 0usize;
     let mut clamp_base = 0usize;

@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 
 use symphase_circuit::{Block, Circuit, Instruction};
-use symphase_core::SymPhaseSampler;
+use symphase_core::SymbolicRecords;
 
 use crate::{diag, walk_flat, walk_nodes, Diagnostic};
 
@@ -54,7 +54,7 @@ pub fn symbolic_lints(circuit: &Circuit, diags: &mut Vec<Diagnostic>) {
         }
     };
 
-    let sampler = SymPhaseSampler::new(target);
+    let records = SymbolicRecords::new(target);
     let noisy = target.stats().noise_sites > 0;
 
     // Group detector instances by declaring node; a node is vacuous only
@@ -75,13 +75,13 @@ pub fn symbolic_lints(circuit: &Circuit, diags: &mut Vec<Diagnostic>) {
             next += 1;
         }
     });
-    debug_assert_eq!(next, sampler.num_detectors());
+    debug_assert_eq!(next, records.num_detectors());
 
     for node in node_order {
         let instances = &instances_by_node[&node];
         let exprs: Vec<_> = instances
             .iter()
-            .map(|&d| sampler.detector_expr(d))
+            .map(|&d| records.detector_expr(d))
             .collect();
         if !exprs.iter().all(symphase_core::SymExpr::is_constant) {
             continue;
@@ -117,7 +117,7 @@ pub fn symbolic_lints(circuit: &Circuit, diags: &mut Vec<Diagnostic>) {
     let mut indices: Vec<_> = first_include.keys().copied().collect();
     indices.sort_unstable();
     for index in indices {
-        let expr = sampler.observable_expr(index as usize);
+        let expr = records.observable_expr(index as usize);
         if expr.is_constant() && (noisy || expr.constant_term()) {
             diags.push(diag(
                 "SP004",

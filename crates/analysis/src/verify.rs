@@ -23,7 +23,7 @@ use std::mem::discriminant;
 use symphase_bitmat::BitVec;
 use symphase_circuit::{Block, Circuit, Instruction, PauliKind};
 use symphase_core::noise::{channel_slots, NoiseSite};
-use symphase_core::{SymPhaseSampler, SymbolGroup, SymbolId, SymbolTable};
+use symphase_core::{SymbolGroup, SymbolId, SymbolTable, SymbolicRecords};
 use symphase_tableau::record::{detector_measurement_sets, observable_measurement_sets};
 
 use crate::rewrite::{absolute_flips, FlipSite};
@@ -46,8 +46,8 @@ pub fn dead_gate_check(circuit: &Circuit) -> Result<(), String> {
         return Ok(());
     }
     let stripped = strip_paths(circuit, &flagged)?;
-    let original = SymPhaseSampler::new(circuit);
-    let reduced = SymPhaseSampler::new(&stripped);
+    let original = SymbolicRecords::new(circuit);
+    let reduced = SymbolicRecords::new(&stripped);
 
     compare_matrices(
         "measurement",
@@ -106,11 +106,11 @@ pub fn dead_noise_check(circuit: &Circuit) -> Result<(), String> {
     if flagged.is_empty() {
         return Ok(());
     }
-    let sampler = SymPhaseSampler::new(circuit);
+    let records = SymbolicRecords::new(circuit);
 
     // Noise symbols are allocated in execution order, one group per
     // channel application; coins interleave but belong to measurements.
-    let noise_groups: Vec<SymbolGroup> = sampler
+    let noise_groups: Vec<SymbolGroup> = records
         .symbol_table()
         .groups()
         .filter(|g| !matches!(g, SymbolGroup::Coin { .. }))
@@ -146,8 +146,8 @@ pub fn dead_noise_check(circuit: &Circuit) -> Result<(), String> {
     }
 
     for (what, rows) in [
-        ("detector", sampler.detector_rows()),
-        ("observable", sampler.observable_rows()),
+        ("detector", records.detector_rows()),
+        ("observable", records.observable_rows()),
     ] {
         for r in 0..rows.rows() {
             if let Some(&id) = rows
@@ -172,7 +172,7 @@ pub fn dead_noise_check(circuit: &Circuit) -> Result<(), String> {
 ///
 /// Two independent proofs run, and both must pass:
 ///
-/// 1. **Symbolic**: every detector row of the sampler must evaluate
+/// 1. **Symbolic**: every detector row of the records must evaluate
 ///    identically under the clean assignment (`s₀` only) and the injected
 ///    one (`s₀` plus `symbols`); observable rows must differ exactly at
 ///    `expected_observables`.
@@ -197,24 +197,24 @@ pub fn fault_set_check(
     symbols: &[SymbolId],
     expected_observables: &[u32],
 ) -> Result<(), String> {
-    let sampler = SymPhaseSampler::new(circuit);
+    let records = SymbolicRecords::new(circuit);
     let fired: HashSet<SymbolId> = symbols.iter().copied().collect();
     for &s in symbols {
-        if s == 0 || s as usize >= sampler.symbol_table().assignment_len() {
+        if s == 0 || s as usize >= records.symbol_table().assignment_len() {
             return Err(format!("fault set names unknown symbol {s}"));
         }
     }
 
     // -- Proof 1: symbolic row evaluation.
-    let len = sampler.symbol_table().assignment_len();
+    let len = records.symbol_table().assignment_len();
     let mut clean = BitVec::zeros(len);
     clean.set(0, true); // the constant term s₀
     let mut injected = clean.clone();
     for &s in symbols {
         injected.set(s as usize, true);
     }
-    for r in 0..sampler.detector_rows().rows() {
-        let row = sampler.detector_rows().row(r);
+    for r in 0..records.detector_rows().rows() {
+        let row = records.detector_rows().row(r);
         if row.eval(&clean) != row.eval(&injected) {
             return Err(format!(
                 "symbolic: detector D{r} fires under the injected fault set"
@@ -222,8 +222,8 @@ pub fn fault_set_check(
         }
     }
     let mut symbolic_obs = Vec::new();
-    for r in 0..sampler.observable_rows().rows() {
-        let row = sampler.observable_rows().row(r);
+    for r in 0..records.observable_rows().rows() {
+        let row = records.observable_rows().row(r);
         if row.eval(&clean) != row.eval(&injected) {
             symbolic_obs.push(r as u32);
         }
@@ -236,7 +236,7 @@ pub fn fault_set_check(
     }
 
     // -- Proof 2: concrete Pauli injection through the tableau engine.
-    let concrete = inject_faults(circuit, &sampler, &fired)?;
+    let concrete = inject_faults(circuit, &records, &fired)?;
     let clean_ref = symphase_tableau::reference_sample(&circuit.flattened());
     let fault_ref = symphase_tableau::reference_sample(&concrete);
     if clean_ref.len() != fault_ref.len() {
@@ -276,10 +276,10 @@ pub fn fault_set_check(
 /// groups follows [`dead_noise_check`]'s replay.
 fn inject_faults(
     circuit: &Circuit,
-    sampler: &SymPhaseSampler,
+    records: &SymbolicRecords,
     fired: &HashSet<SymbolId>,
 ) -> Result<Circuit, String> {
-    let noise_groups: Vec<SymbolGroup> = sampler
+    let noise_groups: Vec<SymbolGroup> = records
         .symbol_table()
         .groups()
         .filter(|g| !matches!(g, SymbolGroup::Coin { .. }))
@@ -409,8 +409,8 @@ pub fn rewrite_equiv_check(
         (original, rewritten)
     };
 
-    let a = SymPhaseSampler::new(orig);
-    let b = SymPhaseSampler::new(rew);
+    let a = SymbolicRecords::new(orig);
+    let b = SymbolicRecords::new(rew);
     if a.num_measurements() != b.num_measurements() {
         return Err(format!(
             "rewrite changed the measurement count: {} -> {}",

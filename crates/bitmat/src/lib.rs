@@ -64,5 +64,5 @@ pub mod word;
 pub use bitmatrix::BitMatrix;
 pub use bitvec::BitVec;
 pub use m4r::M4rScratch;
-pub use sparse::{SparseBitVec, SparseRowMatrix};
+pub use sparse::{SparseBitVec, SparseColumns, SparseRowMatrix};
 pub use word::{words_for, Word, WORD_BITS};

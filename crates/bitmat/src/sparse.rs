@@ -58,6 +58,16 @@ impl SparseBitVec {
         Self { indices: out }
     }
 
+    /// Creates a sparse bit-vector from indices already strictly
+    /// ascending, without sorting them.
+    pub fn from_sorted(indices: Vec<u32>) -> Self {
+        debug_assert!(
+            indices.windows(2).all(|w| w[0] < w[1]),
+            "not strictly ascending"
+        );
+        Self { indices }
+    }
+
     /// Creates a singleton vector with only `index` set.
     pub fn singleton(index: u32) -> Self {
         Self {
@@ -327,6 +337,70 @@ impl SparseRowMatrix {
             row.gather_rows_into(|k| b.row(k as usize), dst);
         }
     }
+
+    /// One row per set of `sets`: the XOR of the rows it names (a row
+    /// named twice cancels). Each row is stored at its exact length, as
+    /// sums of long rows are often short.
+    pub fn sums<S: IntoIterator<Item = usize>>(&self, sets: impl IntoIterator<Item = S>) -> Self {
+        let mut out = Self::new(self.cols);
+        let mut acc = SparseBitVec::new();
+        for set in sets {
+            acc.clear();
+            for r in set {
+                acc.xor_assign(&self.rows[r]);
+            }
+            out.rows.push(acc.clone());
+        }
+        out
+    }
+}
+
+/// The columns of a sparse row matrix after a column map: per column, the
+/// rows it appears in, ascending. Built by a counting sort into the
+/// `cols + 1` column offsets and one buffer of row lists.
+#[derive(Clone, Debug)]
+pub struct SparseColumns {
+    start: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl SparseColumns {
+    /// The `cols` columns of `m` after mapping each row's indices by
+    /// `column` (`Some` keeps them; indices it maps to `None` drop out).
+    /// No two indices of one row may map to the same column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` holds 2³² or more set bits, or if `column` maps an
+    /// index to a column `>= cols`.
+    pub fn of(m: &SparseRowMatrix, cols: usize, column: impl Fn(u32) -> Option<u32>) -> Self {
+        u32::try_from(m.count_ones()).expect("sparse columns are indexed by u32");
+        let mut start = vec![0u32; cols + 1];
+        for row in m.iter() {
+            for c in row.indices().iter().filter_map(|&i| column(i)) {
+                start[c as usize + 1] += 1;
+            }
+        }
+        for c in 0..cols {
+            start[c + 1] += start[c];
+        }
+        let mut rows = vec![0u32; start[cols] as usize];
+        for (r, row) in m.iter().enumerate() {
+            for c in row.indices().iter().filter_map(|&i| column(i)) {
+                rows[start[c as usize] as usize] = r as u32;
+                start[c as usize] += 1;
+            }
+        }
+        // Each `start[c]` advanced to its column's end, the next start.
+        start.copy_within(0..cols, 1);
+        start[0] = 0;
+        Self { start, rows }
+    }
+
+    /// The rows column `c` appears in, ascending.
+    pub fn column(&self, c: u32) -> &[u32] {
+        &self.rows[self.start[c as usize] as usize..self.start[c as usize + 1] as usize]
+    }
 }
 
 #[cfg(test)]
@@ -412,6 +486,34 @@ mod tests {
         let b = BitMatrix::random(45, 130, &mut rng);
         assert_eq!(sparse_m.mul_dense(&b), dense_m.mul(&b));
         assert_eq!(sparse_m.to_dense(), dense_m);
+    }
+
+    #[test]
+    fn sums_and_columns_match_dense_references() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let dense_m = BitMatrix::random(17, 40, &mut rng);
+        let mut m = SparseRowMatrix::new(40);
+        for r in 0..17 {
+            m.push_row(SparseBitVec::from_bitvec(&dense_m.row_bitvec(r)));
+        }
+        let sets = [vec![], vec![3], vec![0, 5, 16], vec![2, 2, 7]];
+        let sums = m.sums(sets.iter().map(|s| s.iter().copied()));
+        for (set, row) in sets.iter().zip(sums.iter()) {
+            let mut want = SparseBitVec::new();
+            for &r in set {
+                want.xor_assign(m.row(r));
+            }
+            assert_eq!(row, &want);
+            assert_eq!(row.indices.capacity(), row.count_ones(), "stored exactly");
+        }
+        // Odd columns fold onto their even neighbour's half; even ones drop.
+        let columns = SparseColumns::of(&m, 20, |c| (c % 2 == 1).then_some(c / 2));
+        for c in 0..20u32 {
+            let want: Vec<u32> = (0..17)
+                .filter(|&r| dense_m.get(r as usize, 2 * c as usize + 1))
+                .collect();
+            assert_eq!(columns.column(c), want, "column {c}");
+        }
     }
 
     #[test]

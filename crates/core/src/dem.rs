@@ -26,9 +26,9 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use symphase_bitmat::SparseRowMatrix;
+use symphase_bitmat::SparseColumns;
 
-use crate::sampler::SymPhaseSampler;
+use crate::records::SymbolicRecords;
 use crate::symbol::SymbolId;
 
 /// One error mechanism: with `probability`, flip the listed detectors and
@@ -70,7 +70,7 @@ impl fmt::Display for DemError {
 ///
 /// ```
 /// use symphase_circuit::generators::{repetition_code_memory, RepetitionCodeConfig};
-/// use symphase_core::SymPhaseSampler;
+/// use symphase_core::SymbolicRecords;
 ///
 /// let c = repetition_code_memory(&RepetitionCodeConfig {
 ///     distance: 3,
@@ -78,7 +78,7 @@ impl fmt::Display for DemError {
 ///     data_error: 0.01,
 ///     measure_error: 0.0,
 /// });
-/// let dem = SymPhaseSampler::new(&c).detector_error_model();
+/// let dem = SymbolicRecords::new(&c).detector_error_model();
 /// // Every data-qubit X error triggers one or two detectors.
 /// assert_eq!(dem.errors().len(), 3);
 /// assert_eq!(dem.num_detectors(), 4);
@@ -317,32 +317,19 @@ pub fn xor_sorted(acc: &mut Vec<u32>, items: &[u32]) {
     }
 }
 
-/// Builds the per-symbol symptom index for a sparse row matrix: column ->
-/// list of rows containing it.
-fn columns(rows: &SparseRowMatrix, len: usize) -> Vec<Vec<u32>> {
-    let mut cols = vec![Vec::new(); len];
-    for (r, row) in rows.iter().enumerate() {
-        for &c in row.indices() {
-            if c != 0 {
-                cols[c as usize].push(r as u32);
-            }
-        }
-    }
-    cols
-}
-
-impl SymPhaseSampler {
-    /// Extracts the detector error model of the circuit this sampler was
-    /// built from.
+impl SymbolicRecords {
+    /// Extracts the detector error model of the circuit these records
+    /// were built from.
     ///
     /// Outcomes of one noise site that trigger no detector and no
     /// observable are dropped; distinct sites producing the same symptom
     /// are merged with XOR-combined probabilities. Each mechanism records
     /// the fault symbols of its first contribution as a [`DemError::witness`].
     pub fn detector_error_model(&self) -> DetectorErrorModel {
-        let len = self.symbol_table().assignment_len();
-        let det_cols = columns(self.detector_rows(), len);
-        let obs_cols = columns(self.observable_rows(), len);
+        // Per symbol, the detectors and the observables it flips.
+        let len = self.table.assignment_len();
+        let det_cols = SparseColumns::of(&self.det, len, Some);
+        let obs_cols = SparseColumns::of(&self.obs, len, Some);
 
         // Symptom (detectors, observables) → (probability, witness).
         type Merged = HashMap<(Vec<u32>, Vec<u32>), (f64, Vec<SymbolId>)>;
@@ -354,8 +341,8 @@ impl SymPhaseSampler {
             let mut dets = Vec::new();
             let mut obs = Vec::new();
             for &s in symbols {
-                xor_sorted(&mut dets, &det_cols[s as usize]);
-                xor_sorted(&mut obs, &obs_cols[s as usize]);
+                xor_sorted(&mut dets, det_cols.column(s));
+                xor_sorted(&mut obs, obs_cols.column(s));
             }
             if dets.is_empty() && obs.is_empty() {
                 return;
@@ -368,7 +355,7 @@ impl SymPhaseSampler {
             entry.0 = entry.0 * (1.0 - probability) + probability * (1.0 - entry.0);
         };
 
-        self.symbol_table().for_each_outcome(&mut add);
+        self.table.for_each_outcome(&mut add);
 
         let errors: Vec<DemError> = merged
             .into_iter()
@@ -381,11 +368,7 @@ impl SymPhaseSampler {
                 },
             )
             .collect();
-        DetectorErrorModel::from_parts(
-            errors,
-            self.detector_rows().rows(),
-            self.observable_rows().rows(),
-        )
+        DetectorErrorModel::from_parts(errors, self.det.rows(), self.obs.rows())
     }
 }
 
@@ -407,7 +390,7 @@ mod tests {
             data_error: 0.01,
             measure_error: 0.0,
         });
-        let dem = SymPhaseSampler::new(&c).detector_error_model();
+        let dem = SymbolicRecords::new(&c).detector_error_model();
         assert_eq!(dem.len(), 4);
         assert_eq!(dem.num_detectors(), c.num_detectors());
         assert_eq!(dem.num_observables(), 1);
@@ -437,7 +420,7 @@ mod tests {
         c.noise(NoiseChannel::XError(0.2), &[0]);
         c.measure(0);
         c.detector(&[-1]);
-        let dem = SymPhaseSampler::new(&c).detector_error_model();
+        let dem = SymbolicRecords::new(&c).detector_error_model();
         assert_eq!(dem.len(), 1);
         let expect = 0.1 * 0.8 + 0.2 * 0.9;
         assert!((dem.errors()[0].probability - expect).abs() < 1e-12);
@@ -451,7 +434,7 @@ mod tests {
         c.noise(NoiseChannel::ZError(0.3), &[0]); // invisible in Z basis
         c.measure(0);
         c.detector(&[-1]);
-        let dem = SymPhaseSampler::new(&c).detector_error_model();
+        let dem = SymbolicRecords::new(&c).detector_error_model();
         assert!(dem.is_empty());
         assert_eq!(dem.num_detectors(), 1);
     }
@@ -469,7 +452,7 @@ mod tests {
         c.measure(1); // flips for X, Y (copied)
         c.detector(&[-2]);
         c.detector(&[-1]);
-        let dem = SymPhaseSampler::new(&c).detector_error_model();
+        let dem = SymbolicRecords::new(&c).detector_error_model();
         // X and Y both flip D0 and D1; Z is invisible → one merged
         // mechanism at p = 2·(p/3) XOR-combined.
         assert_eq!(dem.len(), 1);
@@ -491,7 +474,7 @@ mod tests {
             c.measure(q);
         }
         c.detector(&[-3]).detector(&[-2]).detector(&[-1]);
-        let dem = SymPhaseSampler::new(&c).detector_error_model();
+        let dem = SymbolicRecords::new(&c).detector_error_model();
         let got: Vec<(Vec<u32>, f64)> = dem
             .errors()
             .iter()

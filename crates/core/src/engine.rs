@@ -9,35 +9,25 @@
 
 use symphase_backend::exec::{self, Walker};
 use symphase_backend::noise::NoiseSite;
+use symphase_backend::record::{detector_measurement_sets, observable_measurement_sets};
+use symphase_bitmat::{SparseBitVec, SparseRowMatrix};
 use symphase_circuit::{Circuit, Gate, PauliKind};
 use symphase_tableau::{Collapse, Tableau};
 
-use crate::expr::SymExpr;
 use crate::phases::{group_bound, symbol_bound, SymbolicPhases};
+use crate::records::SymbolicRecords;
 use crate::symbol::{SymbolId, SymbolTable};
-
-/// Everything the Initialization produces: symbol distributions and the
-/// symbolic expression of each measurement outcome.
-#[derive(Clone, Debug)]
-pub(crate) struct InitResult {
-    pub table: SymbolTable,
-    pub measurements: Vec<SymExpr>,
-    /// Per record: whether the collapse drew a fresh coin (random
-    /// outcome) rather than reading a determined stabilizer phase.
-    /// Resets also collapse, but record nothing and so appear nowhere
-    /// here.
-    pub random_records: Vec<bool>,
-}
 
 /// Runs Initialization with the chosen symbolic phase store.
 ///
 /// The circuit is lowered through [`exec::walk`], which streams `REPEAT`
 /// blocks without ever materializing them: a `REPEAT 1000000 { … }`
 /// round costs O(body) memory on top of the tableau and the
-/// per-measurement expressions. Record lookbacks (feedback) resolve
-/// against the record built so far, which inside a repeat body means the
+/// per-measurement record rows. Each record is written once, straight
+/// into the measurement matrix. Record lookbacks (feedback) resolve
+/// against the rows written so far, which inside a repeat body means the
 /// previous iteration when the lookback reaches past the current one.
-pub(crate) fn initialize<S: SymbolicPhases>(circuit: &Circuit) -> InitResult {
+pub(crate) fn initialize<S: SymbolicPhases>(circuit: &Circuit) -> SymbolicRecords {
     let n = circuit.num_qubits() as usize;
     let mut tab: Tableau<S> = Tableau::new(n);
     // Destabilizer phases never influence outcomes — skip their symbol
@@ -55,13 +45,18 @@ pub(crate) fn initialize<S: SymbolicPhases>(circuit: &Circuit) -> InitResult {
         tab,
         // Sized once: growing it by doubling churns large allocations.
         table: SymbolTable::with_capacity(group_bound(&stats).unwrap_or(0)),
-        measurements: Vec::with_capacity(circuit.num_measurements()),
+        meas: SparseRowMatrix::new(1),
         random_records: Vec::with_capacity(circuit.num_measurements()),
     };
     exec::walk(circuit, &mut init);
-    InitResult {
-        table: init.table,
-        measurements: init.measurements,
+    let (table, mut meas) = (init.table, init.meas);
+    meas.grow_cols(table.assignment_len());
+    // Detectors and observables are sums of measurement rows.
+    SymbolicRecords {
+        det: meas.sums(detector_measurement_sets(circuit)),
+        obs: meas.sums(observable_measurement_sets(circuit)),
+        meas,
+        table,
         random_records: init.random_records,
     }
 }
@@ -74,7 +69,8 @@ struct Init<S: SymbolicPhases> {
     tab: Tableau<S>,
     table: SymbolTable,
     mask: Vec<u64>,
-    measurements: Vec<SymExpr>,
+    /// The measurement matrix `M`, one record row per recorded outcome.
+    meas: SparseRowMatrix,
     random_records: Vec<bool>,
 }
 
@@ -89,10 +85,11 @@ impl<S: SymbolicPhases> Walker for Init<S> {
         if reset {
             // Inside the walk's basis conjugation, `X^e` forces the `+1`
             // eigenstate.
-            apply_expr_fault(&mut self.tab, &mut self.mask, PauliKind::X, q, &e);
+            apply_record_fault(&mut self.tab, &mut self.mask, PauliKind::X, q, &e);
         }
         if record.is_some() {
-            self.measurements.push(e);
+            self.meas.grow_cols(self.table.assignment_len());
+            self.meas.push_row(e);
             self.random_records.push(random);
         }
     }
@@ -110,8 +107,8 @@ impl<S: SymbolicPhases> Walker for Init<S> {
     }
 
     fn feedback(&mut self, pauli: PauliKind, target: u32, record: usize) {
-        let e = &self.measurements[record];
-        apply_expr_fault(&mut self.tab, &mut self.mask, pauli, target as usize, e);
+        let e = self.meas.row(record);
+        apply_record_fault(&mut self.tab, &mut self.mask, pauli, target as usize, e);
     }
 }
 
@@ -144,30 +141,30 @@ fn apply_symbol_fault<S: SymbolicPhases>(
     phases.xor_symbol_column(sym, mask);
 }
 
-/// Applies a classically-controlled Pauli `kind^e` on qubit `q` (paper §6).
-fn apply_expr_fault<S: SymbolicPhases>(
+/// Applies a classically-controlled Pauli `kind^e` on qubit `q` (paper §6),
+/// `e` a record row.
+fn apply_record_fault<S: SymbolicPhases>(
     tab: &mut Tableau<S>,
     mask: &mut [u64],
     kind: PauliKind,
     q: usize,
-    expr: &SymExpr,
+    e: &SparseBitVec,
 ) {
-    if expr.is_zero() {
+    if e.is_zero() {
         return;
     }
     fault_mask(tab, kind, q, mask);
     let phases = tab.phases_mut();
-    if let Some(&max) = expr.symbol_ids().last() {
-        phases.ensure_symbol_capacity(max);
-    }
+    phases.ensure_symbol_capacity(e.max_index().expect("nonzero"));
     for (w, &m) in mask.iter().enumerate() {
         if m != 0 {
-            phases.xor_expr_word(expr, w, m);
+            phases.xor_record_word(e, w, m);
         }
     }
 }
 
-/// Init-M: symbolic Z-basis measurement of qubit `q`.
+/// Init-M: symbolic Z-basis measurement of qubit `q`, returning the
+/// outcome's record row.
 ///
 /// Random case: the symbolic analogue of A-G's `r_p := coin` — a fresh fair
 /// coin `s` becomes the phase of the new stabilizer `Z_q` and is recorded as
@@ -180,7 +177,7 @@ fn measure_symbolic<S: SymbolicPhases>(
     tab: &mut Tableau<S>,
     table: &mut SymbolTable,
     q: usize,
-) -> (SymExpr, bool) {
+) -> (SparseBitVec, bool) {
     match tab.collapse_z(q) {
         Collapse::Random { pivot } => {
             let s = table.fresh_coin();
@@ -188,11 +185,11 @@ fn measure_symbolic<S: SymbolicPhases>(
             phases.ensure_symbol_capacity(s);
             let (w, b) = (pivot / 64, pivot % 64);
             phases.xor_symbol_word(s, w, 1u64 << b);
-            (SymExpr::symbol(s), true)
+            (SparseBitVec::singleton(s), true)
         }
         Collapse::Deterministic => {
             tab.accumulate_deterministic(q);
-            (tab.phases().row_expr(tab.scratch_row()), false)
+            (tab.phases().record_row(tab.scratch_row()), false)
         }
     }
 }
@@ -205,7 +202,7 @@ mod tests {
 
     fn exprs<S: SymbolicPhases>(c: &Circuit) -> Vec<String> {
         initialize::<S>(c)
-            .measurements
+            .measurement_exprs()
             .iter()
             .map(|e| e.to_string())
             .collect()
@@ -265,7 +262,7 @@ mod tests {
         c.h(0).cx(0, 1);
         c.measure_all();
         let r = initialize::<SparsePhases>(&c);
-        assert_eq!(r.measurements[0], r.measurements[1]);
+        assert_eq!(r.measurement_expr(0), r.measurement_expr(1));
         assert_eq!(r.table.num_coins(), 1);
     }
 
@@ -276,7 +273,7 @@ mod tests {
         c.measure(0);
         c.measure(0);
         let r = initialize::<SparsePhases>(&c);
-        assert_eq!(r.measurements[0], r.measurements[1]);
+        assert_eq!(r.measurement_expr(0), r.measurement_expr(1));
         assert_eq!(r.table.num_coins(), 1);
     }
 
@@ -288,7 +285,7 @@ mod tests {
         c.measure(0);
         let r = initialize::<SparsePhases>(&c);
         assert!(
-            r.measurements[0].is_zero(),
+            r.measurement_expr(0).is_zero(),
             "reset must clear the fault symbol"
         );
     }
@@ -300,8 +297,8 @@ mod tests {
         c.measure_reset(0);
         c.measure(0);
         let r = initialize::<SparsePhases>(&c);
-        assert_eq!(r.measurements[0].to_string(), "s1");
-        assert!(r.measurements[1].is_zero());
+        assert_eq!(r.measurement_expr(0).to_string(), "s1");
+        assert!(r.measurement_expr(1).is_zero());
     }
 
     #[test]
@@ -315,8 +312,8 @@ mod tests {
         c.feedback(PauliKind::X, -1, 1);
         c.measure(1);
         let r = initialize::<SparsePhases>(&c);
-        assert_eq!(r.measurements[0].to_string(), "s1");
-        assert!(r.measurements[1].is_zero());
+        assert_eq!(r.measurement_expr(0).to_string(), "s1");
+        assert!(r.measurement_expr(1).is_zero());
     }
 
     #[test]
@@ -328,7 +325,7 @@ mod tests {
         c.measure(0);
         let r = initialize::<SparsePhases>(&c);
         // In the X basis only the Z component flips the outcome.
-        assert_eq!(r.measurements[0].to_string(), "s2");
+        assert_eq!(r.measurement_expr(0).to_string(), "s2");
     }
 
     #[test]
@@ -337,7 +334,7 @@ mod tests {
         c.noise(NoiseChannel::ZError(0.9), &[0]);
         c.measure(0);
         let r = initialize::<SparsePhases>(&c);
-        assert!(r.measurements[0].is_zero());
+        assert!(r.measurement_expr(0).is_zero());
     }
 
     #[test]
@@ -346,7 +343,7 @@ mod tests {
         c.noise(NoiseChannel::YError(0.5), &[0]);
         c.measure(0);
         let r = initialize::<SparsePhases>(&c);
-        assert_eq!(r.measurements[0].to_string(), "s1");
+        assert_eq!(r.measurement_expr(0).to_string(), "s1");
     }
 
     #[test]
@@ -359,7 +356,7 @@ mod tests {
         c.noise(NoiseChannel::ZError(0.5), &[0]); // s2: flips MX
         c.measure_in(PauliKind::X, 0);
         let r = initialize::<SparsePhases>(&c);
-        assert_eq!(r.measurements[0].to_string(), "s2");
+        assert_eq!(r.measurement_expr(0).to_string(), "s2");
         assert_eq!(r.table.num_coins(), 0);
     }
 
@@ -370,7 +367,10 @@ mod tests {
         c.reset_in(PauliKind::X, 0);
         c.measure_in(PauliKind::X, 0);
         let r = initialize::<SparsePhases>(&c);
-        assert!(r.measurements[0].is_zero(), "RX must clear phase faults");
+        assert!(
+            r.measurement_expr(0).is_zero(),
+            "RX must clear phase faults"
+        );
     }
 
     #[test]
@@ -385,9 +385,9 @@ mod tests {
             &[(PauliKind::Y, 0), (PauliKind::Y, 1)],
         ]);
         let r = initialize::<SparsePhases>(&c);
-        assert!(r.measurements[0].is_zero());
-        assert!(r.measurements[1].is_zero());
-        assert_eq!(r.measurements[2].to_string(), "1"); // YY = −1 → outcome 1
+        assert!(r.measurement_expr(0).is_zero());
+        assert!(r.measurement_expr(1).is_zero());
+        assert_eq!(r.measurement_expr(2).to_string(), "1"); // YY = −1 → outcome 1
         assert_eq!(r.table.num_coins(), 0);
     }
 
@@ -400,9 +400,9 @@ mod tests {
         c.measure_pauli_product(&[(PauliKind::X, 0), (PauliKind::X, 1)]);
         c.measure_pauli_product(&[(PauliKind::Z, 0), (PauliKind::Z, 1)]);
         let r = initialize::<SparsePhases>(&c);
-        assert_eq!(r.measurements[0], r.measurements[1]);
+        assert_eq!(r.measurement_expr(0), r.measurement_expr(1));
         assert_eq!(r.table.num_coins(), 1);
-        assert!(r.measurements[2].is_zero());
+        assert!(r.measurement_expr(2).is_zero());
     }
 
     #[test]
@@ -413,8 +413,8 @@ mod tests {
         c.correlated_error(0.5, &[(PauliKind::X, 0), (PauliKind::X, 1)]);
         c.measure_all();
         let r = initialize::<SparsePhases>(&c);
-        assert_eq!(r.measurements[0].to_string(), "s1");
-        assert_eq!(r.measurements[1].to_string(), "s1");
+        assert_eq!(r.measurement_expr(0).to_string(), "s1");
+        assert_eq!(r.measurement_expr(1).to_string(), "s1");
         assert_eq!(r.table.num_symbols(), 1);
     }
 
@@ -423,9 +423,9 @@ mod tests {
         let c = symphase_circuit::generators::teleportation();
         let r = initialize::<SparsePhases>(&c);
         assert!(
-            r.measurements[2].is_zero(),
+            r.measurement_expr(2).is_zero(),
             "teleportation check must be 0, got {}",
-            r.measurements[2]
+            r.measurement_expr(2)
         );
     }
 }

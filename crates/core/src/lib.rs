@@ -16,6 +16,11 @@
 //! * [`SparsePhases`] — sorted symbol lists per generator, matching the
 //!   paper's observation that QEC-style circuits keep phases sparse.
 //!
+//! Initialization's output is its own value, [`SymbolicRecords`]: the
+//! symbol table and every record as a sparse row. The analyses read it
+//! alone; [`SymPhaseSampler`] adds the draw plan and the `M · B` kernels
+//! on top.
+//!
 //! Extensions beyond the paper's evaluation (anticipated in its §6):
 //! classically-controlled Paulis `X^e` (dynamic circuits, used for `R`/`MR`
 //! and feedback), and detector/observable sampling through the same matrix
@@ -45,12 +50,14 @@ mod dem;
 mod engine;
 mod expr;
 mod phases;
+mod records;
 mod sampler;
 mod symbol;
 
 pub use dem::{xor_sorted, DemError, DetectorErrorModel};
 pub use expr::SymExpr;
 pub use phases::{symbol_bound, DensePhases, SparsePhases, SymbolicPhases};
+pub use records::SymbolicRecords;
 pub use sampler::{PhaseRepr, SampleBatch, SamplingMethod, SymPhaseSampler};
 pub use symbol::{SymbolGroup, SymbolId, SymbolTable, MAX_SYMBOLS};
 /// The shared batch noise draw ([`NoiseSite`](noise::NoiseSite) is the

@@ -16,7 +16,6 @@ use symphase_bitmat::{simd, BitVec, SparseBitVec, WORD_BITS};
 use symphase_circuit::CircuitStats;
 use symphase_tableau::{add_constant_into_mask, PhaseStore};
 
-use crate::expr::SymExpr;
 use crate::symbol::{SymbolId, ENTRY_BYTES};
 
 /// Extension of [`PhaseStore`] with symbol-coefficient operations (paper
@@ -53,13 +52,15 @@ pub trait SymbolicPhases: PhaseStore {
     /// call per fault instead of one [`Self::xor_symbol_word`] per word.
     fn xor_symbol_column(&mut self, sym: SymbolId, mask: &[u64]);
 
-    /// XORs a whole expression into the phases of every row selected by
-    /// `mask` — the effect of a classically-controlled Pauli `P^e`
-    /// (paper §6 dynamic circuits).
-    fn xor_expr_word(&mut self, expr: &SymExpr, word_index: usize, mask: u64);
+    /// XORs a whole record row (index 0 the constant term, then symbol
+    /// ids) into the phases of every row selected by `mask` — the effect
+    /// of a classically-controlled Pauli `P^e` (paper §6 dynamic
+    /// circuits).
+    fn xor_record_word(&mut self, record: &SparseBitVec, word_index: usize, mask: u64);
 
-    /// Extracts the full symbolic phase of `row`.
-    fn row_expr(&self, row: usize) -> SymExpr;
+    /// Extracts the full symbolic phase of `row` as a record row: index 0
+    /// the constant term, then its symbol ids.
+    fn record_row(&self, row: usize) -> SparseBitVec;
 }
 
 // ---------------------------------------------------------------------------
@@ -85,7 +86,7 @@ pub trait SymbolicPhases: PhaseStore {
 /// Noise faults flip one symbol bit in many rows. Those flips are
 /// batched: they accumulate as row masks in a 64-symbol pending block for
 /// one symbol word, which is transposed into the rows before anything
-/// else rewrites them (`row_expr` folds a row's pending bits in instead).
+/// else rewrites them (`record_row` folds a row's pending bits in instead).
 /// A flip of a single row, such as a coin, is written directly.
 #[derive(Clone, Debug)]
 pub struct DensePhases {
@@ -407,12 +408,10 @@ impl SymbolicPhases for DensePhases {
         );
     }
 
-    fn xor_expr_word(&mut self, expr: &SymExpr, word_index: usize, mask: u64) {
-        if expr.constant_term() {
-            self.constants.words_mut()[word_index] ^= mask;
-        }
+    fn xor_record_word(&mut self, record: &SparseBitVec, word_index: usize, mask: u64) {
+        let ids = split_constant(record, &mut self.constants.words_mut()[word_index], mask);
         let mut m = tracked_mask(mask, word_index, self.first_tracked);
-        let Some(&lowest) = expr.symbol_ids().first() else {
+        let Some(&lowest) = ids.first() else {
             return;
         };
         if m == 0 {
@@ -425,7 +424,7 @@ impl SymbolicPhases for DensePhases {
             m &= m - 1;
             let t = word_index * WORD_BITS + b - self.first_tracked;
             let row = &mut self.sym[t * self.stride..(t + 1) * self.stride];
-            for &id in expr.symbol_ids() {
+            for &id in ids {
                 let bit = (id - 1) as usize;
                 row[bit / WORD_BITS] ^= 1 << (bit % WORD_BITS);
             }
@@ -433,28 +432,31 @@ impl SymbolicPhases for DensePhases {
         }
     }
 
-    fn row_expr(&self, row: usize) -> SymExpr {
-        let mut e = SymExpr::constant(self.constants.get(row));
+    fn record_row(&self, row: usize) -> SparseBitVec {
+        let constant = self.constants.get(row).then_some(0);
         if row < self.first_tracked {
-            return e;
+            return SparseBitVec::from_sorted(Vec::from_iter(constant));
         }
         let t = row - self.first_tracked;
         let pending = self.pending_word(row);
         let from = pending.map_or(self.first[t], |(sw, _)| self.first[t].min(sw));
+        let word = |w: usize| match pending {
+            Some((sw, flips)) if sw == w => self.sym[t * self.stride + w] ^ flips,
+            _ => self.sym[t * self.stride + w],
+        };
+        // Sized exactly: a record row lives as long as the records.
+        let ones: u32 = (from..self.active).map(|w| word(w).count_ones()).sum();
+        let mut ids = Vec::with_capacity(ones as usize + 1);
+        ids.extend(constant);
         for w in from..self.active {
-            let mut bits = self.sym[t * self.stride + w];
-            if let Some((sw, flips)) = pending {
-                if sw == w {
-                    bits ^= flips;
-                }
-            }
+            let mut bits = word(w);
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                e.xor_symbol((w * WORD_BITS + b + 1) as u32);
+                ids.push((w * WORD_BITS + b + 1) as u32);
             }
         }
-        e
+        SparseBitVec::from_sorted(ids)
     }
 }
 
@@ -570,11 +572,9 @@ impl SymbolicPhases for SparsePhases {
         }
     }
 
-    fn xor_expr_word(&mut self, expr: &SymExpr, word_index: usize, mask: u64) {
-        if expr.constant_term() {
-            self.constants.words_mut()[word_index] ^= mask;
-        }
-        let sym_part = SparseBitVec::from_indices(expr.symbol_ids().iter().copied());
+    fn xor_record_word(&mut self, record: &SparseBitVec, word_index: usize, mask: u64) {
+        let ids = split_constant(record, &mut self.constants.words_mut()[word_index], mask);
+        let sym_part = SparseBitVec::from_sorted(ids.to_vec());
         let mut m = tracked_mask(mask, word_index, self.first_tracked);
         while m != 0 {
             let b = m.trailing_zeros() as usize;
@@ -583,10 +583,24 @@ impl SymbolicPhases for SparsePhases {
         }
     }
 
-    fn row_expr(&self, row: usize) -> SymExpr {
-        let mut e = SymExpr::from_symbols(self.rows[row].indices().iter().copied());
-        e.xor_constant(self.constants.get(row));
-        e
+    fn record_row(&self, row: usize) -> SparseBitVec {
+        let symbols = self.rows[row].indices();
+        let mut ids = Vec::with_capacity(symbols.len() + 1);
+        ids.extend(self.constants.get(row).then_some(0));
+        ids.extend_from_slice(symbols);
+        SparseBitVec::from_sorted(ids)
+    }
+}
+
+/// A record row's symbol ids; its constant term, if set, is applied to
+/// `constants` (one word of a store's constant column) under `mask`.
+fn split_constant<'a>(record: &'a SparseBitVec, constants: &mut u64, mask: u64) -> &'a [u32] {
+    match record.indices() {
+        [0, ids @ ..] => {
+            *constants ^= mask;
+            ids
+        }
+        ids => ids,
     }
 }
 
@@ -639,42 +653,49 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    use crate::expr::SymExpr;
+
+    /// The symbolic phase of `row` as an expression.
+    fn row_expr<S: SymbolicPhases>(store: &S, row: usize) -> SymExpr {
+        SymExpr::from_sparse_row(&store.record_row(row))
+    }
+
     fn exercise<S: SymbolicPhases + Clone>(mut store: S) {
         store.ensure_symbol_capacity(80);
         // Attach s3 to rows 0 and 65, s80 to row 0.
         store.xor_symbol_word(3, 0, 0b1);
         store.xor_symbol_word(3, 1, 0b10); // row 65
         store.xor_symbol_word(80, 0, 0b1);
-        assert_eq!(store.row_expr(0).symbol_ids(), &[3, 80]);
-        assert_eq!(store.row_expr(65).symbol_ids(), &[3]);
-        assert!(store.row_expr(1).is_zero());
+        assert_eq!(row_expr(&store, 0).symbol_ids(), &[3, 80]);
+        assert_eq!(row_expr(&store, 65).symbol_ids(), &[3]);
+        assert!(row_expr(&store, 1).is_zero());
 
         // Row multiplication mixes symbol parts and constants.
         store.set_constant_bit(65, true);
         store.add_row_into(65, 0, true);
         // row0: {3, 80} ⊕ {3} = {80}; const: 0 ⊕ 1 ⊕ 1 = 0.
-        let e = store.row_expr(0);
+        let e = row_expr(&store, 0);
         assert_eq!(e.symbol_ids(), &[80]);
         assert!(!e.constant_term());
 
         // Copy and clear.
         store.copy_row(65, 2);
-        assert_eq!(store.row_expr(2).symbol_ids(), &[3]);
-        assert!(store.row_expr(2).constant_term());
+        assert_eq!(row_expr(&store, 2).symbol_ids(), &[3]);
+        assert!(row_expr(&store, 2).constant_term());
         store.clear_row(2);
-        assert!(store.row_expr(2).is_zero());
+        assert!(row_expr(&store, 2).is_zero());
 
         // Expression application.
         let mut expr = SymExpr::from_symbols([5, 9]);
         expr.xor_constant(true);
-        store.xor_expr_word(&expr, 0, 0b100); // row 2
-        let e = store.row_expr(2);
+        store.xor_record_word(&expr.to_sparse_row(), 0, 0b100); // row 2
+        let e = row_expr(&store, 2);
         assert_eq!(e.symbol_ids(), &[5, 9]);
         assert!(e.constant_term());
 
         // Constant-word flips.
         store.xor_constant_word(0, 0b100);
-        assert!(!store.row_expr(2).constant_term());
+        assert!(!row_expr(&store, 2).constant_term());
     }
 
     #[test]
@@ -694,7 +715,7 @@ mod tests {
         d.xor_symbol_word(1, 0, 0b1);
         d.ensure_symbol_capacity(5000);
         d.xor_symbol_word(5000, 0, 0b1);
-        assert_eq!(d.row_expr(0).symbol_ids(), &[1, 5000]);
+        assert_eq!(row_expr(&d, 0).symbol_ids(), &[1, 5000]);
     }
 
     /// One store operation, drawn once and applied to every store compared.
@@ -751,7 +772,7 @@ mod tests {
                     if let Some(&max) = e.symbol_ids().last() {
                         s.ensure_symbol_capacity(max);
                     }
-                    s.xor_expr_word(e, w, mask);
+                    s.xor_record_word(&e.to_sparse_row(), w, mask);
                 }
                 Op::Constant(w, mask) => s.xor_constant_word(w, mask),
                 Op::Add(src, dst, extra) => s.add_row_into(src, dst, extra),
@@ -790,7 +811,7 @@ mod tests {
             op.apply(&mut reserved);
         }
         for r in 0..rows {
-            assert_eq!(grown.row_expr(r), reserved.row_expr(r), "row {r}");
+            assert_eq!(row_expr(&grown, r), row_expr(&reserved, r), "row {r}");
         }
         assert!(tail_is_zero(&grown) && tail_is_zero(&reserved));
     }
@@ -805,8 +826,8 @@ mod tests {
         d.ensure_symbol_capacity(200);
         d.xor_symbol_word(200, 0, 0b11);
         assert!(d.stride >= 4 && d.active == 4);
-        assert_eq!(d.row_expr(0).symbol_ids(), &[200]);
-        assert_eq!(d.row_expr(1).symbol_ids(), &[3, 200]);
+        assert_eq!(row_expr(&d, 0).symbol_ids(), &[200]);
+        assert_eq!(row_expr(&d, 1).symbol_ids(), &[3, 200]);
     }
 
     #[test]
@@ -883,7 +904,11 @@ mod tests {
             op.apply(&mut sparse);
         }
         for r in 0..rows {
-            assert_eq!(dense.row_expr(r), sparse.row_expr(r), "row {r} diverged");
+            assert_eq!(
+                row_expr(&dense, r),
+                row_expr(&sparse, r),
+                "row {r} diverged"
+            );
         }
     }
 
@@ -954,8 +979,8 @@ mod tests {
             }
             for r in 0..rows {
                 assert_eq!(
-                    batched.row_expr(r),
-                    single.row_expr(r),
+                    row_expr(&batched, r),
+                    row_expr(&single, r),
                     "floor {floor}, row {r}"
                 );
             }
@@ -991,7 +1016,7 @@ mod tests {
         let is_pending =
             |d: &DensePhases, r: usize| (d.pend_rows[r / WORD_BITS] >> (r % WORD_BITS)) & 1 == 1;
         // Cases hit: a flip in an older symbol word than the pending one,
-        // `row_expr` of a row with pending flips, stride growth with flips
+        // `record_row` of a row with pending flips, stride growth with flips
         // pending, `copy_row` onto a lower start word, clear then add.
         let mut hits = [0usize; 5];
         for seed in 0..4 {
@@ -1029,8 +1054,8 @@ mod tests {
                     pending[rng.random_range(0..pending.len())]
                 };
                 assert_eq!(
-                    dense.row_expr(row),
-                    sparse.row_expr(row),
+                    row_expr(&dense, row),
+                    row_expr(&sparse, row),
                     "seed {seed}, step {step}, row {row}"
                 );
             }
@@ -1041,8 +1066,8 @@ mod tests {
             );
             for r in 0..rows {
                 assert_eq!(
-                    dense.row_expr(r),
-                    sparse.row_expr(r),
+                    row_expr(&dense, r),
+                    row_expr(&sparse, r),
                     "seed {seed}, row {r}"
                 );
             }

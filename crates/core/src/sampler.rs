@@ -1,40 +1,37 @@
 //! Algorithm 1: the SymPhase sampler.
 
+use std::ops::Deref;
 use std::sync::OnceLock;
 
 use rand::{Rng, RngCore};
 
 use symphase_backend::noise::{FaultSink, NoiseSite};
-use symphase_backend::record::{detector_measurement_sets, observable_measurement_sets};
 pub use symphase_backend::SampleBatch;
 use symphase_backend::Sampler;
 pub use symphase_backend::{PhaseRepr, SamplingMethod};
 use symphase_bitmat::bernoulli::{fill_bernoulli, for_each_bernoulli_index};
 use symphase_bitmat::word::iter_ones;
-use symphase_bitmat::{BitMatrix, SparseBitVec, SparseRowMatrix};
+use symphase_bitmat::{BitMatrix, SparseBitVec, SparseColumns, SparseRowMatrix};
 use symphase_circuit::Circuit;
 
-use crate::engine::{initialize, InitResult};
-use crate::expr::SymExpr;
-use crate::phases::{DensePhases, SparsePhases};
+use crate::records::SymbolicRecords;
 use crate::symbol::{DrawPlan, SymbolSink, SymbolTable};
 
 /// The SymPhase measurement sampler (paper Algorithm 1).
 ///
-/// [`SymPhaseSampler::new`] runs **Initialization**: a single symbolic
-/// traversal of the circuit producing one XOR expression per measurement
-/// (and per detector/observable). [`SymPhaseSampler::sample`] runs
-/// **Sampling**: it draws an assignment matrix `B` from the noise model and
-/// multiplies (Eq. (4)) — no circuit traversal, so the per-shot cost is
-/// independent of the gate count (Table 1).
+/// [`SymPhaseSampler::new`] runs **Initialization**, which produces the
+/// circuit's [`SymbolicRecords`]: one XOR expression per measurement,
+/// detector and observable. The sampler dereferences to them.
+/// [`SymPhaseSampler::sample`] runs **Sampling**: it draws an assignment
+/// matrix `B` from the noise model and multiplies (Eq. (4)) — no circuit
+/// traversal, so the per-shot cost is independent of the gate count
+/// (Table 1).
 ///
-/// The symbol table and the record rows are the symbolic view: every
-/// symbol Initialization allocated, as [`SymPhaseSampler::symbol_table`]
-/// and the `*_expr` accessors report it. Sampling draws a compressed
-/// *draw plan* of that table instead, built once from the columns of `M`:
-/// noise no record reads is dropped, and groups that flip the same set of
-/// measurements merge into one Bernoulli draw. The records' distribution
-/// is exactly the table's (`docs/performance.md`, "Noise draw").
+/// Sampling draws a compressed *draw plan* of the records' symbol table,
+/// built once from the columns of `M`: noise no record reads is dropped,
+/// and groups that flip the same set of measurements merge into one
+/// Bernoulli draw. The records' distribution is exactly the table's
+/// (`docs/performance.md`, "Noise draw").
 ///
 /// # Example
 ///
@@ -55,26 +52,25 @@ use crate::symbol::{DrawPlan, SymbolSink, SymbolTable};
 /// ```
 #[derive(Debug)]
 pub struct SymPhaseSampler {
+    records: SymbolicRecords,
     /// The sampling method the `Sampler` trait entry points use (`Auto`
     /// when unpinned).
     method: SamplingMethod,
     /// What [`SamplingMethod::Auto`] resolves to on this circuit
     /// (precomputed so sampling never needs the circuit back).
     auto_method: SamplingMethod,
-    table: SymbolTable,
     plan: DrawPlan,
-    random_records: Vec<bool>,
-    meas: Record,
-    det: Record,
-    obs: Record,
+    /// The kernel forms of the measurement, detector and observable rows.
+    meas: Forms,
+    det: Forms,
+    obs: Forms,
 }
 
-/// One record matrix (measurements, detectors or observables): its sparse
-/// rows over the symbol ids, plus the forms the kernels multiply with —
-/// each over the draw plan's columns, built on first use.
-#[derive(Debug)]
-struct Record {
-    rows: SparseRowMatrix,
+/// The forms the kernels multiply one record matrix with — each over the
+/// draw plan's columns, built from the matrix's symbol-id rows on first
+/// use.
+#[derive(Debug, Default)]
+struct Forms {
     /// The rows over plan columns for [`SamplingMethod::SparseRows`].
     sparse: OnceLock<SparseRowMatrix>,
     /// The densified plan rows for [`SamplingMethod::DenseMatMul`].
@@ -83,28 +79,17 @@ struct Record {
     hybrid: OnceLock<EventTarget>,
 }
 
-impl Record {
-    fn new(rows: SparseRowMatrix) -> Self {
-        Self {
-            rows,
-            sparse: OnceLock::new(),
-            dense: OnceLock::new(),
-            hybrid: OnceLock::new(),
-        }
+impl Forms {
+    fn sparse(&self, plan: &DrawPlan, rows: &SparseRowMatrix) -> &SparseRowMatrix {
+        self.sparse.get_or_init(|| plan.map_rows(rows))
     }
 
-    fn sparse(&self, plan: &DrawPlan) -> &SparseRowMatrix {
-        self.sparse.get_or_init(|| plan.map_rows(&self.rows))
+    fn dense(&self, plan: &DrawPlan, rows: &SparseRowMatrix) -> &BitMatrix {
+        self.dense.get_or_init(|| plan.map_rows(rows).to_dense())
     }
 
-    fn dense(&self, plan: &DrawPlan) -> &BitMatrix {
-        self.dense
-            .get_or_init(|| plan.map_rows(&self.rows).to_dense())
-    }
-
-    fn hybrid(&self, plan: &DrawPlan) -> &EventTarget {
-        self.hybrid
-            .get_or_init(|| EventTarget::build(plan, &self.rows))
+    fn hybrid(&self, plan: &DrawPlan, rows: &SparseRowMatrix) -> &EventTarget {
+        self.hybrid.get_or_init(|| EventTarget::build(plan, rows))
     }
 }
 
@@ -115,25 +100,28 @@ impl Record {
 struct EventTarget {
     /// Rows over plan columns `0..=num_coins`.
     coin_rows: SparseRowMatrix,
-    /// `fault_rows[k]` = rows containing fault column `k`, which is plan
+    /// Column `k` = rows containing fault column `k`, which is plan
     /// column `num_coins + 1 + k`.
-    fault_rows: Vec<Vec<u32>>,
+    fault_rows: SparseColumns,
 }
 
 impl EventTarget {
+    /// Reads each symbol-id row as it stands, with no per-row sort: coin
+    /// columns rise with symbol id, and a plan column stands for one
+    /// symbol, so no row repeats a fault column.
     fn build(plan: &DrawPlan, rows: &SparseRowMatrix) -> Self {
-        let coins = plan.num_coins();
-        let mut coin_rows = SparseRowMatrix::new(coins + 1);
-        let mut fault_rows = vec![Vec::new(); plan.len() - coins - 1];
-        let mut cols = Vec::new();
-        for (r, row) in rows.iter().enumerate() {
-            plan.map_row(row, &mut cols);
-            let split = cols.partition_point(|&c| c as usize <= coins);
-            coin_rows.push_row(SparseBitVec::from_indices(cols[..split].iter().copied()));
-            for &c in &cols[split..] {
-                fault_rows[c as usize - coins - 1].push(r as u32);
-            }
+        let coins = plan.num_coins() as u32;
+        let mut coin_rows = SparseRowMatrix::new(coins as usize + 1);
+        for row in rows.iter() {
+            let cols = row.indices().iter().filter_map(|&id| plan.column(id));
+            coin_rows.push_row(SparseBitVec::from_sorted(
+                cols.filter(|&c| c <= coins).collect(),
+            ));
         }
+        let faults = plan.len() - coins as usize - 1;
+        let fault_rows = SparseColumns::of(rows, faults, |id| {
+            plan.column(id).and_then(|c| c.checked_sub(coins + 1))
+        });
         Self {
             coin_rows,
             fault_rows,
@@ -178,119 +166,23 @@ impl SymPhaseSampler {
     /// choices. The method only selects which kernel computes `M · B` —
     /// sampled bits are identical across methods for equal seeds.
     pub fn with_config(circuit: &Circuit, repr: PhaseRepr, method: SamplingMethod) -> Self {
-        let init: InitResult = match repr.resolve(circuit) {
-            PhaseRepr::Sparse => initialize::<SparsePhases>(circuit),
-            PhaseRepr::Dense | PhaseRepr::Auto => initialize::<DensePhases>(circuit),
-        };
-        let cols = init.table.assignment_len();
-        let mut meas_rows = SparseRowMatrix::new(cols);
-        for e in &init.measurements {
-            meas_rows.push_row(e.to_sparse_row());
-        }
-        let build_derived = |sets: Vec<Vec<usize>>| {
-            let mut rows = SparseRowMatrix::new(cols);
-            for set in sets {
-                let mut acc = SymExpr::zero();
-                for m in set {
-                    acc.xor_assign(&init.measurements[m]);
-                }
-                rows.push_row(acc.to_sparse_row());
-            }
-            rows
-        };
-        let det_rows = build_derived(detector_measurement_sets(circuit));
-        let obs_rows = build_derived(observable_measurement_sets(circuit));
-        let plan = DrawPlan::build(&init.table, &meas_rows);
-        let auto_method = resolve_auto_from_matrix(&plan, &init.table, &meas_rows);
+        let records = SymbolicRecords::with_repr(circuit, repr);
+        let (plan, counts) = DrawPlan::build(&records.table, &records.meas);
+        let auto_method = resolve_auto(&plan, &records.table, records.meas.rows(), &counts);
         Self {
+            records,
             method,
             auto_method,
-            table: init.table,
             plan,
-            random_records: init.random_records,
-            meas: Record::new(meas_rows),
-            det: Record::new(det_rows),
-            obs: Record::new(obs_rows),
+            meas: Forms::default(),
+            det: Forms::default(),
+            obs: Forms::default(),
         }
     }
 
     /// What [`SamplingMethod::Auto`] resolves to on this circuit.
     pub fn resolved_method(&self) -> SamplingMethod {
         self.auto_method
-    }
-
-    /// Number of measurement outcomes per shot.
-    pub fn num_measurements(&self) -> usize {
-        self.meas.rows.rows()
-    }
-
-    /// Number of detectors.
-    pub fn num_detectors(&self) -> usize {
-        self.det.rows.rows()
-    }
-
-    /// Number of observables.
-    pub fn num_observables(&self) -> usize {
-        self.obs.rows.rows()
-    }
-
-    /// The symbol registry built during Initialization: every symbol the
-    /// records' expressions name. It is the symbolic view; sampling draws
-    /// the compressed draw plan built from it (see [`SymPhaseSampler`]),
-    /// so its [`SymbolTable::sample_assignments`] is not the sampler's
-    /// stream.
-    pub fn symbol_table(&self) -> &SymbolTable {
-        &self.table
-    }
-
-    /// The symbolic expression of measurement `m` — which coins and faults
-    /// flip it (the fault-sensitivity view of paper Fig. 1).
-    pub fn measurement_expr(&self, m: usize) -> SymExpr {
-        SymExpr::from_sparse_row(self.meas.rows.row(m))
-    }
-
-    /// All measurement expressions in record order.
-    pub fn measurement_exprs(&self) -> Vec<SymExpr> {
-        (0..self.num_measurements())
-            .map(|m| self.measurement_expr(m))
-            .collect()
-    }
-
-    /// Per record, whether the measurement's collapse was **random** —
-    /// the outcome drew a fresh fair coin — as opposed to reading a
-    /// determined stabilizer phase. Exact (reported by Initialization at
-    /// collapse time), unlike any reconstruction from the symbol table:
-    /// resets also allocate coins without recording anything, and
-    /// re-measurements inherit earlier coins while staying deterministic.
-    pub fn random_measurement_records(&self) -> &[bool] {
-        &self.random_records
-    }
-
-    /// The symbolic expression of detector `d`. Coins always cancel here;
-    /// only fault symbols remain, which is exactly the circuit's
-    /// detector-error structure.
-    pub fn detector_expr(&self, d: usize) -> SymExpr {
-        SymExpr::from_sparse_row(self.det.rows.row(d))
-    }
-
-    /// The symbolic expression of observable `o`.
-    pub fn observable_expr(&self, o: usize) -> SymExpr {
-        SymExpr::from_sparse_row(self.obs.rows.row(o))
-    }
-
-    /// The measurement matrix `M` in sparse form.
-    pub fn measurement_matrix(&self) -> &SparseRowMatrix {
-        &self.meas.rows
-    }
-
-    /// The detector rows (XORs of measurement rows) in sparse form.
-    pub fn detector_rows(&self) -> &SparseRowMatrix {
-        &self.det.rows
-    }
-
-    /// The observable rows in sparse form.
-    pub fn observable_rows(&self) -> &SparseRowMatrix {
-        &self.obs.rows
     }
 
     /// Sampling (Algorithm 1, line 2): draws `shots` assignment vectors and
@@ -311,7 +203,8 @@ impl SymPhaseSampler {
         method: SamplingMethod,
     ) -> BitMatrix {
         let mut out = BitMatrix::zeros(self.num_measurements(), shots);
-        self.fill_records(shots, rng, method, &mut [(&self.meas, &mut out)]);
+        let meas = (&self.records.meas, &self.meas);
+        self.fill_records(shots, rng, method, &mut [(meas, &mut out)]);
         out
     }
 
@@ -343,14 +236,15 @@ impl SymPhaseSampler {
         method: SamplingMethod,
     ) {
         let shots = batch.shots();
+        let r = &self.records;
         self.fill_records(
             shots,
             rng,
             method,
             &mut [
-                (&self.meas, &mut batch.measurements),
-                (&self.det, &mut batch.detectors),
-                (&self.obs, &mut batch.observables),
+                ((&r.meas, &self.meas), &mut batch.measurements),
+                ((&r.det, &self.det), &mut batch.detectors),
+                ((&r.obs, &self.obs), &mut batch.observables),
             ],
         );
     }
@@ -369,13 +263,14 @@ impl SymPhaseSampler {
         shots: usize,
         rng: &mut impl Rng,
         method: SamplingMethod,
-        outs: &mut [(&Record, &mut BitMatrix)],
+        outs: &mut [((&SparseRowMatrix, &Forms), &mut BitMatrix)],
     ) {
         let method = if method == SamplingMethod::Auto {
             self.auto_method
         } else {
             method
         };
+        let plan = &self.plan;
         SAMPLE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             for start in (0..shots).step_by(Self::SHOT_BATCH) {
@@ -386,23 +281,23 @@ impl SymPhaseSampler {
                     SamplingMethod::Hybrid => {
                         self.draw_hybrid(width, rng, scratch);
                         let coins = scratch.coins.as_ref().expect("drawn above");
-                        for (record, out) in outs.iter_mut() {
-                            let target = record.hybrid(&self.plan);
+                        for ((rows, forms), out) in outs.iter_mut() {
+                            let target = forms.hybrid(plan, rows);
                             apply_hybrid(target, coins, &scratch.events, out, start);
                         }
                     }
                     SamplingMethod::SparseRows | SamplingMethod::DenseMatMul => {
-                        let b = shaped(&mut scratch.assignments, self.plan.len(), width);
-                        self.plan.sample_into(&self.table, b, rng);
-                        for (record, out) in outs.iter_mut() {
+                        let b = shaped(&mut scratch.assignments, plan.len(), width);
+                        plan.sample_into(&self.records.table, b, rng);
+                        for ((rows, forms), out) in outs.iter_mut() {
                             if method == SamplingMethod::SparseRows {
-                                record
-                                    .sparse(&self.plan)
+                                forms
+                                    .sparse(plan, rows)
                                     .mul_dense_overwrite(b, out, start / 64);
                             } else {
                                 // The blocked kernel XOR-accumulates.
                                 clear_window(out, start / 64, b.stride());
-                                record.dense(&self.plan).mul_into(
+                                forms.dense(plan, rows).mul_into(
                                     b,
                                     out,
                                     start / 64,
@@ -417,21 +312,29 @@ impl SymPhaseSampler {
     }
 }
 
+impl Deref for SymPhaseSampler {
+    type Target = SymbolicRecords;
+
+    fn deref(&self) -> &SymbolicRecords {
+        &self.records
+    }
+}
+
 impl Sampler for SymPhaseSampler {
     fn name(&self) -> &'static str {
         "symphase"
     }
 
     fn num_measurements(&self) -> usize {
-        SymPhaseSampler::num_measurements(self)
+        self.records.num_measurements()
     }
 
     fn num_detectors(&self) -> usize {
-        SymPhaseSampler::num_detectors(self)
+        self.records.num_detectors()
     }
 
     fn num_observables(&self) -> usize {
-        SymPhaseSampler::num_observables(self)
+        self.records.num_observables()
     }
 
     fn sample_into(&self, batch: &mut SampleBatch, mut rng: &mut dyn RngCore) {
@@ -459,7 +362,7 @@ impl SymPhaseSampler {
             coins,
             events: &mut scratch.events,
         };
-        self.plan.draw(&self.table, width, rng, &mut sink);
+        self.plan.draw(&self.records.table, width, rng, &mut sink);
     }
 }
 
@@ -527,7 +430,7 @@ fn apply_hybrid(
     for &(k, shot) in events {
         let col = start + shot as usize;
         let (w, mask) = (col / 64, 1u64 << (col % 64));
-        for &m in &target.fault_rows[k as usize] {
+        for &m in target.fault_rows.column(k) {
             words[m as usize * ostride + w] ^= mask;
         }
     }
@@ -540,7 +443,9 @@ fn apply_hybrid(
 const FLIP_COST: f64 = 8.0;
 
 /// [`SamplingMethod::Auto`] resolution from what Initialization actually
-/// built, over the draw plan's columns. Costs are per 64-shot word:
+/// built, over the draw plan's columns: `counts[c]` is the number of the
+/// `rows` measurement rows that hold plan column `c`, as
+/// [`DrawPlan::build`] returns it. Costs are per 64-shot word:
 ///
 /// * `Hybrid` — the coin-restricted product plus, per noise outcome of
 ///   the plan, its probability times the rows its columns touch (the same
@@ -553,24 +458,15 @@ const FLIP_COST: f64 = 8.0;
 ///   `docs/performance.md`, "Choosing the `M·B` kernel").
 ///
 /// The cheaper matrix kernel wins unless `Hybrid` undercuts it.
-fn resolve_auto_from_matrix(
+fn resolve_auto(
     plan: &DrawPlan,
     table: &SymbolTable,
-    meas_rows: &SparseRowMatrix,
+    rows: usize,
+    counts: &[u32],
 ) -> SamplingMethod {
-    let len = plan.len();
-    let mut colcount = vec![0u32; len];
-    let mut nnz = 0usize;
-    let mut cols = Vec::new();
-    for row in meas_rows.iter() {
-        plan.map_row(row, &mut cols);
-        for &c in &cols {
-            colcount[c as usize] += 1;
-        }
-        nnz += cols.len();
-    }
+    let count = |c: &u32| f64::from(counts[*c as usize]);
     // Constant + coin columns are multiplied densely by the hybrid path.
-    let coin_nnz: f64 = colcount[..=plan.num_coins()]
+    let coin_nnz: f64 = counts[..=plan.num_coins()]
         .iter()
         .map(|&n| f64::from(n))
         .sum();
@@ -578,12 +474,11 @@ fn resolve_auto_from_matrix(
     // the measurement rows its columns touch.
     let mut flips_per_shot = 0.0;
     plan.for_each_outcome(table, |cols, p| {
-        let rows: f64 = cols.iter().map(|&c| f64::from(colcount[c as usize])).sum();
-        flips_per_shot += p * rows;
+        flips_per_shot += p * cols.iter().map(count).sum::<f64>();
     });
     let hybrid_cost = coin_nnz + FLIP_COST * 64.0 * flips_per_shot;
-    let sparse_cost = nnz as f64;
-    let dense_cost = 0.5 * (meas_rows.rows() + 512) as f64 * len.div_ceil(8) as f64;
+    let sparse_cost = counts.iter().map(|&n| n as usize).sum::<usize>() as f64;
+    let dense_cost = 0.5 * (rows + 512) as f64 * plan.len().div_ceil(8) as f64;
     let (matrix, matrix_cost) = if dense_cost < sparse_cost {
         (SamplingMethod::DenseMatMul, dense_cost)
     } else {
@@ -623,7 +518,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use symphase_circuit::generators::{
-        bell_pair, ghz, repetition_code_memory, teleportation, RepetitionCodeConfig,
+        bell_pair, fig3c_circuit as fig3c, ghz, noisy_ghz_chain as ghz_chain,
+        repetition_code_memory, surface_code_memory, teleportation, RepetitionCodeConfig,
+        SurfaceCodeConfig,
     };
     use symphase_circuit::NoiseChannel;
 
@@ -733,7 +630,7 @@ mod tests {
             assert!(
                 target
                     .plan
-                    .sites(&target.table)
+                    .sites(target.symbol_table())
                     .any(|(site, _)| is_kind(&site)),
                 "joint channel {i} must be drawn whole for the test to cover its rows"
             );
@@ -921,6 +818,114 @@ mod tests {
         let ones = (0..shots).filter(|&i| out.get(0, i)).count();
         let expect = 0.18 * shots as f64;
         assert!((ones as f64 - expect).abs() < 6.0 * (expect * 0.82).sqrt());
+    }
+
+    /// `Auto`'s pricing before the plan returned its counts, kept as the
+    /// reference: every measurement row mapped through the plan, counting
+    /// plan columns, then the same costs.
+    fn resolve_auto_from_matrix(
+        plan: &DrawPlan,
+        table: &SymbolTable,
+        meas_rows: &SparseRowMatrix,
+    ) -> (Vec<u32>, SamplingMethod) {
+        let len = plan.len();
+        let mut colcount = vec![0u32; len];
+        let mut nnz = 0usize;
+        for row in plan.map_rows(meas_rows).iter() {
+            for &c in row.indices() {
+                colcount[c as usize] += 1;
+            }
+            nnz += row.count_ones();
+        }
+        let coin_nnz: f64 = colcount[..=plan.num_coins()]
+            .iter()
+            .map(|&n| f64::from(n))
+            .sum();
+        let mut flips_per_shot = 0.0;
+        plan.for_each_outcome(table, |cols, p| {
+            let rows: f64 = cols.iter().map(|&c| f64::from(colcount[c as usize])).sum();
+            flips_per_shot += p * rows;
+        });
+        let hybrid_cost = coin_nnz + FLIP_COST * 64.0 * flips_per_shot;
+        let sparse_cost = nnz as f64;
+        let dense_cost = 0.5 * (meas_rows.rows() + 512) as f64 * len.div_ceil(8) as f64;
+        let (matrix, matrix_cost) = if dense_cost < sparse_cost {
+            (SamplingMethod::DenseMatMul, dense_cost)
+        } else {
+            (SamplingMethod::SparseRows, sparse_cost)
+        };
+        let method = if hybrid_cost < matrix_cost {
+            SamplingMethod::Hybrid
+        } else {
+            matrix
+        };
+        (colcount, method)
+    }
+
+    /// The circuits of `tests/sampling_methods.rs`: its representative
+    /// set, the circuits its `Auto` pins name, and `NOISE7`.
+    fn sampling_methods_corpus() -> Vec<Circuit> {
+        let parse = |text: &str| Circuit::parse(text).expect("corpus circuit parses");
+        let surface = |distance, rounds, data_error, measure_error| {
+            surface_code_memory(&SurfaceCodeConfig {
+                distance,
+                rounds,
+                data_error,
+                measure_error,
+            })
+        };
+        let repetition = |distance, rounds, data_error, measure_error| {
+            repetition_code_memory(&RepetitionCodeConfig {
+                distance,
+                rounds,
+                data_error,
+                measure_error,
+            })
+        };
+        vec![
+            fig3c(20, 0.01, 5),
+            repetition(5, 4, 0.01, 0.005),
+            surface(3, 3, 0.002, 0.001),
+            parse(
+                "X_ERROR(0.7) 0\nDEPOLARIZE2(0.2) 0 1\nPAULI_CHANNEL_1(0.1,0.05,0.2) 2\n\
+                 DEPOLARIZE1(0.3) 3\nH 0\nCX 0 1\nM 0 1 2 3\n",
+            ),
+            parse(
+                "RX 0\nPAULI_CHANNEL_2(0,0,0,0.2,0,0,0,0,0,0,0.1,0,0,0,0) 0 1\n\
+                 E(0.3) X0 Z1\nELSE_CORRELATED_ERROR(0.5) Y2\nMPP X0*Z1\nMX 0\nMY 2\nM 0 1 2\n",
+            ),
+            ghz_chain(120, 0.01),
+            ghz_chain(200, 0.01),
+            repetition(7, 7, 0.001, 0.001),
+            parse("X_ERROR(0.25) 0 1\nH 0\nM 0 1\n"),
+            ghz_chain(256, 0.001),
+            ghz_chain(64, 0.001),
+            surface(5, 5, 0.001, 0.001),
+            fig3c(32, 0.01, 7),
+            channel_mix(0.05),
+        ]
+    }
+
+    #[test]
+    fn plan_counts_price_auto_as_mapping_every_row_did() {
+        let mut methods = Vec::new();
+        for (i, c) in sampling_methods_corpus().iter().enumerate() {
+            let s = SymPhaseSampler::new(c);
+            let (plan, counts) = DrawPlan::build(s.symbol_table(), s.measurement_matrix());
+            let (reference, method) =
+                resolve_auto_from_matrix(&plan, s.symbol_table(), s.measurement_matrix());
+            assert_eq!(counts, reference, "circuit {i}: column counts");
+            assert_eq!(s.resolved_method(), method, "circuit {i}: Auto");
+            methods.push(method);
+        }
+        // The corpus covers every kernel `Auto` can pick.
+        for method in [
+            SamplingMethod::Hybrid,
+            SamplingMethod::SparseRows,
+            SamplingMethod::DenseMatMul,
+        ] {
+            assert!(methods.contains(&method), "{method:?} never picked");
+        }
     }
 
     #[test]

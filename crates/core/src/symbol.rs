@@ -12,7 +12,7 @@ use rand::Rng;
 
 use symphase_backend::noise::{self, FaultSink, NoiseScratch, NoiseSite};
 use symphase_bitmat::bernoulli::fill_bernoulli;
-use symphase_bitmat::{BitMatrix, SparseBitVec, SparseRowMatrix};
+use symphase_bitmat::{BitMatrix, SparseColumns, SparseRowMatrix};
 
 /// Identifier of a bit-symbol: its column index in phase vectors.
 /// Index 0 is reserved for the constant `s₀ = 1` (paper §3.2.1), so real
@@ -465,8 +465,14 @@ impl SymbolGroup {
 ///
 /// The plan has its own columns: 0 is the constant, `1..=num_coins` the
 /// live coins in allocation order, then the slots of whole noise groups
-/// in allocation order, then one column per merged unit. A row over
-/// symbol ids maps to plan columns by [`DrawPlan::map_row`].
+/// in allocation order, then one column per merged unit. Rows over
+/// symbol ids map to plan columns by [`DrawPlan::map_rows`].
+///
+/// Each plan column stands for exactly one symbol id, so a row maps
+/// without duplicates: a merged unit keeps its column on its first live
+/// symbol only. Its other symbols sit in exactly the same rows (they
+/// share its signature, and every record is a sum of `M` rows), so they
+/// map to nothing.
 #[derive(Debug)]
 pub(crate) struct DrawPlan {
     /// The table groups drawn whole, by index, in allocation order.
@@ -474,13 +480,14 @@ pub(crate) struct DrawPlan {
     /// Each merged unit's q, in signature order.
     merged: Vec<f64>,
     /// `columns[id]` = the plan column of symbol `id`, [`DEAD`] when no
-    /// row reads it.
+    /// row reads it or another symbol of its merged unit holds the
+    /// column.
     columns: Vec<u32>,
     num_coins: usize,
     len: usize,
 }
 
-/// Plan column of a symbol no row reads.
+/// Plan column of a symbol that maps to none.
 const DEAD: u32 = u32::MAX;
 
 /// Tags a merged unit's provisional index in the column map while the
@@ -489,14 +496,14 @@ const MERGED: u32 = 1 << 31;
 
 impl DrawPlan {
     /// Builds the plan of `table` against the measurement matrix `rows`
-    /// (columns = symbol ids). O(nnz of `rows`) plus the merged units'
-    /// sort.
-    pub(crate) fn build(table: &SymbolTable, rows: &SparseRowMatrix) -> Self {
+    /// (columns = symbol ids), with each plan column's count of `rows`
+    /// that hold it. O(nnz of `rows`) plus the merged units' sort.
+    pub(crate) fn build(table: &SymbolTable, rows: &SparseRowMatrix) -> (Self, Vec<u32>) {
         let len = table.assignment_len();
         // Plan columns never exceed symbol ids, so they stay below the tag
         // (`MAX_SYMBOLS` + 1 < 2³¹).
         assert!(len < MERGED as usize, "too many symbols for a draw plan");
-        let cols = Transpose::of(rows, len);
+        let cols = SparseColumns::of(rows, len, Some);
         let live = |id: SymbolId| !cols.column(id).is_empty();
         let entries = &table.entries;
         let num_coins = entries
@@ -576,15 +583,13 @@ impl DrawPlan {
                             });
                             let m = *by_signature.entry(sig).or_insert_with(|| {
                                 merged.push((sig, 0.0));
-                                merged.len() as u32 - 1
+                                let m = merged.len() as u32 - 1;
+                                let first = ids[live_slots.trailing_zeros() as usize];
+                                columns[first as usize] = MERGED | m;
+                                m
                             });
                             let acc = &mut merged[m as usize].1;
                             *acc = (*acc * (1.0 - q) + q * (1.0 - *acc)).clamp(0.0, 1.0);
-                            for (j, &id) in ids.iter().enumerate() {
-                                if live_slots & (1 << j) != 0 {
-                                    columns[id as usize] = MERGED | m;
-                                }
-                            }
                         }
                         Some(_) => whole.push(take_columns(i, ids, &mut columns, &mut next)),
                     }
@@ -597,20 +602,29 @@ impl DrawPlan {
         for (id, &m) in (next..).zip(&order) {
             rank[m as usize] = id;
         }
-        for c in &mut columns {
+        let len = next as usize + merged.len();
+        let mut counts = vec![0u32; len];
+        for (id, c) in (0..).zip(&mut columns) {
             if *c != DEAD && *c & MERGED != 0 {
                 *c = rank[(*c & !MERGED) as usize];
+            }
+            if *c != DEAD {
+                counts[*c as usize] = cols.column(id).len() as u32;
             }
         }
         // A sampler keeps its plan for life (a `serve` cache holds many).
         whole.shrink_to_fit();
-        Self {
-            whole,
-            merged: order.iter().map(|&m| merged[m as usize].1).collect(),
-            columns,
-            num_coins,
-            len: next as usize + merged.len(),
-        }
+        let merged = order.iter().map(|&m| merged[m as usize].1).collect();
+        (
+            Self {
+                whole,
+                merged,
+                columns,
+                num_coins,
+                len,
+            },
+            counts,
+        )
     }
 
     /// Number of plan columns (constant included): the rows of the
@@ -624,29 +638,21 @@ impl DrawPlan {
         self.num_coins
     }
 
-    /// Maps a row over symbol ids into `out`: its plan columns, sorted and
-    /// deduplicated. Symbols merged into one unit have equal columns in
-    /// every row, so they appear together and map to the unit once —
-    /// never XOR-cancelled.
-    pub(crate) fn map_row(&self, row: &SparseBitVec, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(
-            row.indices()
-                .iter()
-                .map(|&c| self.columns[c as usize])
-                .filter(|&c| c != DEAD),
-        );
-        out.sort_unstable();
-        out.dedup();
+    /// The plan column symbol `id` maps to, if any.
+    pub(crate) fn column(&self, id: SymbolId) -> Option<u32> {
+        Some(self.columns[id as usize]).filter(|&c| c != DEAD)
     }
 
-    /// Maps every row of `rows` (see [`DrawPlan::map_row`]).
+    /// Maps rows over symbol ids to rows over plan columns.
     pub(crate) fn map_rows(&self, rows: &SparseRowMatrix) -> SparseRowMatrix {
         let mut out = SparseRowMatrix::new(self.len);
-        let mut buf = Vec::new();
         for row in rows.iter() {
-            self.map_row(row, &mut buf);
-            out.push_row(SparseBitVec::from_indices(buf.iter().copied()));
+            out.push_row(
+                row.indices()
+                    .iter()
+                    .filter_map(|&id| self.column(id))
+                    .collect(),
+            );
         }
         out
     }
@@ -706,46 +712,6 @@ impl DrawPlan {
                 for_each_site_outcome(&site, ids, &mut chain_none, &mut f);
             }
         }
-    }
-}
-
-/// The columns of a sparse row matrix: per column, the rows it touches
-/// in ascending order. Built by a counting sort into one buffer, the
-/// `cols + 1` column offsets followed by the row lists.
-struct Transpose {
-    buf: Vec<u32>,
-    cols: usize,
-}
-
-impl Transpose {
-    fn of(m: &SparseRowMatrix, cols: usize) -> Self {
-        let len = cols + 1 + m.count_ones();
-        u32::try_from(len).expect("a transpose is indexed by u32");
-        let mut buf = vec![0u32; len];
-        let (start, rows) = buf.split_at_mut(cols + 1);
-        for row in m.iter() {
-            for &c in row.indices() {
-                start[c as usize + 1] += 1;
-            }
-        }
-        for c in 0..cols {
-            start[c + 1] += start[c];
-        }
-        for (r, row) in m.iter().enumerate() {
-            for &c in row.indices() {
-                rows[start[c as usize] as usize] = r as u32;
-                start[c as usize] += 1;
-            }
-        }
-        // Each `start[c]` advanced to its column's end, the next start.
-        start.copy_within(0..cols, 1);
-        start[0] = 0;
-        Self { buf, cols }
-    }
-
-    fn column(&self, c: SymbolId) -> &[u32] {
-        let (start, rows) = self.buf.split_at(self.cols + 1);
-        &rows[start[c as usize] as usize..start[c as usize + 1] as usize]
     }
 }
 
@@ -1107,7 +1073,7 @@ mod tests {
         let c = Circuit::parse(text).expect("parses");
         let s = SymPhaseSampler::new(&c);
         let table = s.symbol_table();
-        let plan = DrawPlan::build(table, s.measurement_matrix());
+        let (plan, _) = DrawPlan::build(table, s.measurement_matrix());
         let rows = records(&s);
         let full = distribution(
             table.groups().map(|g| g.site()),

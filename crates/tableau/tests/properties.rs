@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use symphase_bitmat::simd;
+use symphase_bitmat::{simd, SparseBitVec};
 use symphase_circuit::{apply_action1, apply_action2, Circuit, Gate};
 use symphase_core::{DensePhases, SparsePhases, SymbolicPhases};
 use symphase_tableau::verify::check_invariants;
@@ -268,15 +268,24 @@ impl<P: PhaseStore + Clone> RowTableau<P> {
     }
 }
 
-/// The phase stores under test: how to attach a symbol and how to compare
-/// two stores row by row.
+/// The phase stores under test: how to attach a symbol and what a
+/// comparison reads of a row.
 trait SweepStore: PhaseStore + Clone {
     /// Prepares a fresh store the way its user does.
     fn prepare(&mut self, tracking_floor: usize, reserve: usize);
     /// Attaches symbol `sym` to the rows of `mask` in word `w`.
     fn attach(&mut self, sym: u32, w: usize, mask: u64);
-    /// Describes the first row where the stores differ.
-    fn diff(&self, other: &Self, tracking_floor: usize) -> Option<String>;
+    /// Row `r` as a record row (index 0 the constant term), its symbols
+    /// only at or above the tracking floor.
+    fn row(&self, r: usize, tracking_floor: usize) -> SparseBitVec {
+        let _ = tracking_floor;
+        constant_row(self, r)
+    }
+}
+
+/// Row `r`'s constant term alone, as a record row.
+fn constant_row(phases: &impl PhaseStore, r: usize) -> SparseBitVec {
+    SparseBitVec::from_sorted(Vec::from_iter(phases.constant_bit(r).then_some(0)))
 }
 
 impl SweepStore for ConcretePhases {
@@ -285,22 +294,6 @@ impl SweepStore for ConcretePhases {
     fn attach(&mut self, _: u32, w: usize, mask: u64) {
         self.xor_constant_word(w, mask);
     }
-
-    fn diff(&self, other: &Self, _: usize) -> Option<String> {
-        (self != other).then(|| format!("{:?} != {:?}", self.bits(), other.bits()))
-    }
-}
-
-fn symbolic_diff<S: SymbolicPhases>(a: &S, b: &S, tracking_floor: usize) -> Option<String> {
-    (0..a.rows()).find_map(|r| {
-        let (ea, eb) = (a.row_expr(r), b.row_expr(r));
-        let same = if r < tracking_floor {
-            a.constant_bit(r) == b.constant_bit(r)
-        } else {
-            ea == eb
-        };
-        (!same).then(|| format!("row {r}: {ea} != {eb}"))
-    })
 }
 
 macro_rules! symbolic_sweep_store {
@@ -316,8 +309,12 @@ macro_rules! symbolic_sweep_store {
                 self.xor_symbol_word(sym, w, mask);
             }
 
-            fn diff(&self, other: &Self, tracking_floor: usize) -> Option<String> {
-                symbolic_diff(self, other, tracking_floor)
+            fn row(&self, r: usize, tracking_floor: usize) -> SparseBitVec {
+                if r < tracking_floor {
+                    constant_row(self, r)
+                } else {
+                    self.record_row(r)
+                }
             }
         }
     };
@@ -330,45 +327,94 @@ symbolic_sweep_store!(DensePhases);
 /// n = 255 on, a column fills a 512-bit vector and leaves a masked tail.
 const SWEEP_NS: [usize; 12] = [1, 2, 31, 32, 33, 63, 64, 65, 127, 255, 256, 257];
 
-/// Measures qubit `q` through the sweeps and through the per-row
-/// reference from the same starting tableau, and requires identical bits
-/// and phases afterwards. A random outcome gets a fresh symbol (or coin)
-/// on its pivot, as Init-M does.
+/// One tableau per SIMD level the CPU runs, fed the same operations,
+/// each under its own level.
+struct AtEveryLevel<P: PhaseStore> {
+    tabs: Vec<(simd::SimdLevel, Tableau<P>)>,
+}
+
+impl<P: SweepStore> AtEveryLevel<P> {
+    fn new(n: usize, floor: usize, reserve: usize) -> Self {
+        let tabs = simd::available_levels()
+            .map(|level| {
+                let mut tab: Tableau<P> = Tableau::new(n);
+                tab.phases_mut().prepare(floor, reserve);
+                (level, tab)
+            })
+            .collect();
+        Self { tabs }
+    }
+
+    /// Runs `f` on every level's tableau, under that level.
+    fn each(&mut self, mut f: impl FnMut(&mut Tableau<P>)) {
+        for (level, tab) in &mut self.tabs {
+            simd::with_level(*level, || f(tab));
+        }
+    }
+}
+
+/// Measures qubit `q` through the sweeps at every SIMD level and through
+/// the per-row reference, built once from the tableaus' common starting
+/// state, and requires identical bits, constant words and phase rows
+/// afterwards at every level. A random outcome gets a fresh symbol (or coin) on its pivot, as
+/// Init-M does.
 fn measure_both<P: SweepStore>(
-    tab: &mut Tableau<P>,
+    tabs: &mut AtEveryLevel<P>,
     q: usize,
     floor: usize,
     next_sym: &mut u32,
 ) -> Result<(), String> {
-    let mut reference = RowTableau::of(tab);
-    let got = tab.collapse_z(q);
+    let mut reference = RowTableau::of(&tabs.tabs[0].1);
     let want = reference.collapse_z(q);
-    if got != want {
-        return Err(format!("collapse {got:?} != {want:?}"));
-    }
-    match got {
+    let sym = *next_sym;
+    match want {
         Collapse::Random { pivot } => {
-            tab.phases_mut()
-                .attach(*next_sym, pivot / 64, 1 << (pivot % 64));
-            reference
-                .phases
-                .attach(*next_sym, pivot / 64, 1 << (pivot % 64));
+            reference.phases.attach(sym, pivot / 64, 1 << (pivot % 64));
             *next_sym += 1;
         }
-        Collapse::Deterministic => {
-            tab.accumulate_deterministic(q);
-            reference.accumulate_deterministic(q);
+        Collapse::Deterministic => reference.accumulate_deterministic(q),
+    }
+    let phases = &reference.phases;
+    let want_rows: Vec<SparseBitVec> = (0..phases.rows()).map(|r| phases.row(r, floor)).collect();
+    let want_constants = phases.constant_words();
+    for (level, tab) in &mut tabs.tabs {
+        let level = *level;
+        let got = simd::with_level(level, || {
+            let got = tab.collapse_z(q);
+            match got {
+                Collapse::Random { pivot } => {
+                    tab.phases_mut().attach(sym, pivot / 64, 1 << (pivot % 64));
+                }
+                Collapse::Deterministic => tab.accumulate_deterministic(q),
+            }
+            got
+        });
+        let level = level.name();
+        if got != want {
+            return Err(format!("{level}: collapse {got:?} != {want:?}"));
+        }
+        if let Some(p) = (0..tab.num_qubits())
+            .find(|&p| tab.x_col(p) != reference.x[p] || tab.z_col(p) != reference.z[p])
+        {
+            return Err(format!("{level}: X/Z column of qubit {p}"));
+        }
+        let phases = tab.phases();
+        // Whole words, so a sweep that sets a bit past `rows()` in the
+        // last word fails here too.
+        if phases.constant_words() != want_constants {
+            let got = phases.constant_words();
+            return Err(format!("{level}: constant words {got:x?} != {want_constants:x?}"));
+        }
+        if let Some((r, want)) = want_rows
+            .iter()
+            .enumerate()
+            .find(|&(r, want)| phases.row(r, floor) != *want)
+        {
+            let got = phases.row(r, floor);
+            return Err(format!("{level}: phases row {r}: {got:?} != {want:?}"));
         }
     }
-    if let Some(p) = (0..tab.num_qubits())
-        .find(|&p| tab.x_col(p) != reference.x[p] || tab.z_col(p) != reference.z[p])
-    {
-        return Err(format!("X/Z column of qubit {p}"));
-    }
-    match tab.phases().diff(&reference.phases, floor) {
-        Some(d) => Err(format!("phases {d}")),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
 /// Random rounds on `n` qubits: a block of Clifford gates with symbolic
@@ -381,9 +427,8 @@ fn measure_both<P: SweepStore>(
 fn check_sweeps<P: SweepStore>(n: usize, seed: u64) -> Result<(), String> {
     use rand::Rng;
     let mut rng = StdRng::seed_from_u64(seed ^ n as u64);
-    let mut tab: Tableau<P> = Tableau::new(n);
     let floor = if rng.random() { n } else { 0 };
-    tab.phases_mut().prepare(floor, rng.random_range(0..4 * n));
+    let mut tabs: AtEveryLevel<P> = AtEveryLevel::new(n, floor, rng.random_range(0..4 * n));
     let mut next_sym = 1u32;
     for round in 0..3 {
         let mut block: Vec<(Gate, Vec<u32>)> = Vec::new();
@@ -396,33 +441,31 @@ fn check_sweeps<P: SweepStore>(n: usize, seed: u64) -> Result<(), String> {
                 block.push((G1[rng.random_range(0..12usize)], vec![q as u32]));
             }
             let (gate, targets) = block.last().expect("just pushed");
-            tab.apply_gate(*gate, targets);
+            tabs.each(|tab| tab.apply_gate(*gate, targets));
             if rng.random_range(0..8) == 0 {
                 // A symbolic X or Z fault on `q`: the rows anticommuting
                 // with it pick up a fresh symbol (paper Init-P).
-                let col = if rng.random() {
-                    tab.z_col(q)
-                } else {
-                    tab.x_col(q)
-                }
-                .to_vec();
-                for (w, &m) in col.iter().enumerate() {
-                    tab.phases_mut().attach(next_sym, w, m);
-                }
+                let on_z = rng.random();
+                tabs.each(|tab| {
+                    let col = if on_z { tab.z_col(q) } else { tab.x_col(q) }.to_vec();
+                    for (w, &m) in col.iter().enumerate() {
+                        tab.phases_mut().attach(next_sym, w, m);
+                    }
+                });
                 next_sym += 1;
             }
         }
         for _ in 0..n / 8 + 1 {
             let q = rng.random_range(0..n);
-            measure_both(&mut tab, q, floor, &mut next_sym)
+            measure_both(&mut tabs, q, floor, &mut next_sym)
                 .map_err(|e| format!("round {round}, mid-block measurement of {q}: {e}"))?;
         }
         for (gate, targets) in block.iter().rev() {
-            tab.apply_gate(gate.inverse(), targets);
+            tabs.each(|tab| tab.apply_gate(gate.inverse(), targets));
         }
         for _ in 0..n / 4 + 1 {
             let q = rng.random_range(0..n);
-            measure_both(&mut tab, q, floor, &mut next_sym)
+            measure_both(&mut tabs, q, floor, &mut next_sym)
                 .map_err(|e| format!("round {round}, measurement of {q}: {e}"))?;
         }
         if n < 3 {
@@ -437,11 +480,13 @@ fn check_sweeps<P: SweepStore>(n: usize, seed: u64) -> Result<(), String> {
             let d = (c + rng.random_range(1..n - 1)) % n;
             let d = if d == a { (d + 1) % n } else { d };
             let (a, c, d) = (a as u32, c as u32, d as u32);
-            tab.apply_gate(Gate::Cx, &[c, a, d, a]);
-            tab.apply_gate(Gate::H, &[c]);
-            tab.apply_gate(Gate::Cx, &[c, d]);
+            tabs.each(|tab| {
+                tab.apply_gate(Gate::Cx, &[c, a, d, a]);
+                tab.apply_gate(Gate::H, &[c]);
+                tab.apply_gate(Gate::Cx, &[c, d]);
+            });
             for q in [a, c, d] {
-                measure_both(&mut tab, q as usize, floor, &mut next_sym)
+                measure_both(&mut tabs, q as usize, floor, &mut next_sym)
                     .map_err(|e| format!("round {round}, gadget measurement of {q}: {e}"))?;
             }
         }
@@ -454,19 +499,16 @@ proptest! {
 
     /// `collapse_z` and `accumulate_deterministic` sweep the columns
     /// word-parallel, yet leave the X/Z bits, the constant phases and
-    /// every symbolic `row_expr` exactly as one bit-serial `rowsum` per
-    /// row does — for the concrete, sparse and dense stores.
+    /// every symbolic record row exactly as one bit-serial `rowsum` per
+    /// row does — at every SIMD level, for the concrete, sparse and dense
+    /// stores. Each measurement's reference is computed once and checked
+    /// against every level.
     #[test]
     fn sweeps_match_rowsum_reference(seed in any::<u64>()) {
-        for level in simd::available_levels() {
-            simd::with_level(level, || -> Result<(), TestCaseError> {
-                for n in SWEEP_NS {
-                    prop_assert_eq!(check_sweeps::<ConcretePhases>(n, seed), Ok(()), "concrete, n = {}", n);
-                    prop_assert_eq!(check_sweeps::<SparsePhases>(n, seed), Ok(()), "sparse, n = {}", n);
-                    prop_assert_eq!(check_sweeps::<DensePhases>(n, seed), Ok(()), "dense, n = {}", n);
-                }
-                Ok(())
-            })?;
+        for n in SWEEP_NS {
+            prop_assert_eq!(check_sweeps::<ConcretePhases>(n, seed), Ok(()), "concrete, n = {}", n);
+            prop_assert_eq!(check_sweeps::<SparsePhases>(n, seed), Ok(()), "sparse, n = {}", n);
+            prop_assert_eq!(check_sweeps::<DensePhases>(n, seed), Ok(()), "dense, n = {}", n);
         }
     }
 }

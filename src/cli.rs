@@ -49,7 +49,7 @@ use std::io::{self, Write};
 use symphase_backend::formats::{RecordSource, SampleFormat};
 use symphase_backend::{FanoutSink, Sampler, ShotSink, SimConfig};
 use symphase_circuit::Circuit;
-use symphase_core::SymPhaseSampler;
+use symphase_core::SymbolicRecords;
 use symphase_tableau::reference_sample;
 
 use crate::backend::{build_sampler, check_tableau_budget, lint_gate, EngineKind};
@@ -941,20 +941,20 @@ fn cmd_analyze(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
                     "\n(symbolic expressions omitted: REPEAT counts were clamped for analysis)"
                 );
             } else {
-                let sampler = SymPhaseSampler::new(&circuit);
+                let records = SymbolicRecords::new(&circuit);
                 let _ = writeln!(
                     text,
                     "coins:         {}",
-                    sampler.symbol_table().num_coins()
+                    records.symbol_table().num_coins()
                 );
                 let _ = writeln!(text, "\nmeasurement expressions:");
-                for (m, e) in sampler.measurement_exprs().iter().enumerate() {
+                for (m, e) in records.measurement_exprs().iter().enumerate() {
                     let _ = writeln!(text, "  m{m} = {e}");
                 }
-                if sampler.num_detectors() > 0 {
+                if records.num_detectors() > 0 {
                     let _ = writeln!(text, "\ndetector expressions:");
-                    for d in 0..sampler.num_detectors() {
-                        let _ = writeln!(text, "  D{d} = {}", sampler.detector_expr(d));
+                    for d in 0..records.num_detectors() {
+                        let _ = writeln!(text, "  D{d} = {}", records.detector_expr(d));
                     }
                 }
             }
@@ -1209,8 +1209,7 @@ fn cmd_gen(opts: &Options) -> Result<String, CliError> {
 fn cmd_dem(opts: &Options) -> Result<String, CliError> {
     let circuit = load_circuit(opts)?;
     check_budget(&circuit, EngineKind::SymPhase)?;
-    let sampler = SymPhaseSampler::new(&circuit);
-    Ok(sampler
+    Ok(SymbolicRecords::new(&circuit)
         .detector_error_model()
         .with_detector_coords(circuit.detector_coordinates())
         .to_string())

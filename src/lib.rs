@@ -68,7 +68,7 @@ pub mod prelude {
     };
     pub use symphase_bitmat::{BitMatrix, BitVec};
     pub use symphase_circuit::{Circuit, Gate, Instruction, NoiseChannel, PauliKind};
-    pub use symphase_core::{SymExpr, SymPhaseSampler};
+    pub use symphase_core::{SymExpr, SymPhaseSampler, SymbolicRecords};
     pub use symphase_frame::FrameSampler;
     pub use symphase_statevec::StateVecSampler;
     pub use symphase_tableau::{reference_sample, TableauSampler, TableauSimulator};
